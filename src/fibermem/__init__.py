@@ -35,7 +35,6 @@ from .scenarios import Scenario, list_scenarios, run_scenario
 from .waveguide import (
     FiberSpec,
     GuidedMode,
-    evanescent_fraction,
     solve_he11,
     surface_intensity_scan,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "efficiency_decay",
     "eit_spectrum",
     "evaluate_model",
-    "evanescent_fraction",
     "fit",
     "format_result",
     "group_delay",

@@ -21,7 +21,7 @@ import math
 import sys
 from typing import Optional
 
-from .config import load_config
+from .config import apply_overrides, load_config
 from .eit import GridError
 from .ensemble import DensityDomainError
 from .fitkit import MODELS, FitProblem, fit, format_result
@@ -157,18 +157,8 @@ def _format_summary_value(value) -> str:
 
 def _cmd_sim(args) -> int:
     config = load_config(args.config)
-    overrides = {}
-    for item in args.overrides:
-        if "=" not in item:
-            raise ValueError("override %r is not key=value" % (item,))
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = value.strip()
-    scenario = Scenario(
-        scenario_id=args.scenario,
-        parameters=overrides,
-        seed=args.seed,
-        output_path=args.out,
-    )
+    apply_overrides(config, args.overrides)
+    scenario = Scenario(args.scenario, seed=args.seed, output_path=args.out)
     report = run_scenario(scenario, config=config)
     print(
         "wrote %s (%d rows, config %s, seed %d)"

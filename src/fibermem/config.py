@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from typing import Optional
 
 from .eit import GAMMA_GS_CALIBRATED_RAD_PER_S, RABI_CALIBRATION
@@ -23,12 +24,7 @@ DEFAULTS = {
     # calibration.rabi_calibration so the default spectrum shows 75%
     # window transparency at 1.6 mW and a 60 ns delay at 0.5 mW
     "scheme.gamma_gs_rad_per_s": GAMMA_GS_CALIBRATED_RAD_PER_S,
-    "scheme.wavelength_nm": 852.347,
-    "scheme.splitting_GHz": 9.192631770,
     "calibration.rabi_calibration": RABI_CALIBRATION,
-    "calibration.anchor_transparency": 0.75,
-    "calibration.anchor_power_mW": 1.6,
-    "calibration.anchor_delay_ns": 60.0,
     "calibration.anchor_delay_power_mW": 0.5,
     "medium.length_mm": 5.0,
     "fiber.radius_nm": 200.0,
@@ -75,7 +71,6 @@ DEFAULTS = {
     "decoherence.points": 1201,
     "magnetic.b_field_G": 0.4,
     "magnetic.b_field_alt_G": 0.6,
-    "counting.efficiency": 0.10,
     "counting.background": 0.003,
     "counting.shots": 10000,
     "counting.window_ns": 200.0,
@@ -88,6 +83,7 @@ def load_config(path: Optional[str] = None) -> dict:
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
+    parser.optionxform = str  # keys are case-sensitive: scheme.gamma_MHz
     with open(path) as fh:
         parser.read_file(fh)
     for section in parser.sections():
@@ -97,7 +93,7 @@ def load_config(path: Optional[str] = None) -> dict:
 
 
 def set_key(cfg: dict, dotted: str, raw) -> None:
-    """Assign one key, coercing to the default's type."""
+    """Assign one key, coercing to the default's type; floats must be finite."""
     if dotted not in DEFAULTS:
         raise ValueError("unknown config key %r" % (dotted,))
     default = DEFAULTS[dotted]
@@ -105,16 +101,19 @@ def set_key(cfg: dict, dotted: str, raw) -> None:
         raise ValueError("boolean keys unsupported")
     try:
         if isinstance(default, int):
-            cfg[dotted] = int(str(raw))
+            value = int(str(raw))
         elif isinstance(default, float):
-            cfg[dotted] = float(str(raw))
+            value = float(str(raw))
         else:
-            cfg[dotted] = str(raw)
+            value = str(raw)
     except ValueError:
         raise ValueError(
             "config key %r expects %s, got %r"
             % (dotted, type(default).__name__, raw)
         ) from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("config key %r must be finite, got %r" % (dotted, raw))
+    cfg[dotted] = value
 
 
 def apply_overrides(cfg: dict, assignments) -> None:

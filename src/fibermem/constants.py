@@ -1,6 +1,9 @@
-"""Physical constants and cesium D2-line data, all in SI units."""
+"""Physical constants and cesium D2-line data, all in SI units, plus
+the scalar-return convention shared by the physics modules."""
 
 import math
+
+import numpy as np
 
 # Exact SI / CODATA 2018 values
 C_LIGHT = 299_792_458.0              # m/s
@@ -13,7 +16,6 @@ MU_0 = 1.256_637_062_12e-6           # H/m
 
 # Cesium-133
 CS_MASS_KG = 2.206_946_50e-25        # kg
-CS_CLOCK_SPLITTING_HZ = 9.192_631_770e9   # ground hyperfine splitting, exact
 CS_GF_GROUND = 0.25                  # |g_F| of both ground hyperfine manifolds
 
 # Cs D2 line
@@ -32,3 +34,8 @@ CS_D2_PSAT_ATOM_W = (
 
 # Fused silica at 852 nm (Sellmeier)
 SILICA_INDEX_852NM = 1.4525
+
+
+def scalar_or_array(out):
+    """A 0-d result (from a scalar input) as a Python number, else `out`."""
+    return out.item() if np.ndim(out) == 0 else out

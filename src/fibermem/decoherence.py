@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CS_GF_GROUND, CS_MASS_KG, H_PLANCK, K_BOLTZMANN, MU_BOHR
+from .constants import (
+    CS_GF_GROUND, CS_MASS_KG, H_PLANCK, K_BOLTZMANN, MU_BOHR, scalar_or_array,
+)
 
 # default ladder: phase integers 2m for clock-pair coherences, m = -3..3
 _DEFAULT_LADDER = tuple((2 * m, 1.0 / 7.0) for m in range(-3, 4))
@@ -102,10 +104,7 @@ def efficiency_decay(t_s, tau_D_s: float, tau_T_s: float) -> np.ndarray:
         raise ValueError("time constants must be positive")
     xt2 = np.zeros_like(t) if math.isinf(tau_T_s) else (t / tau_T_s) ** 2
     xd2 = np.zeros_like(t) if math.isinf(tau_D_s) else (t / tau_D_s) ** 2
-    out = np.exp(-xd2 / (1.0 + xt2)) / (1.0 + xt2) ** 2
-    if np.isscalar(t_s) or out.ndim == 0:
-        return float(out)
-    return out
+    return scalar_or_array(np.exp(-xd2 / (1.0 + xt2)) / (1.0 + xt2) ** 2)
 
 
 def half_larmor_period(b_field_T: float, g_f: float = CS_GF_GROUND) -> float:
@@ -214,7 +213,4 @@ def revival_envelope(
         amp += w * np.exp(1j * m * 2.0 * np.pi * nu_larmor * t)
     comb = np.abs(amp) ** 2
     decay = efficiency_decay(t, params.effective_tau_D_s, params.effective_tau_T_s)
-    out = comb * decay
-    if np.isscalar(t_grid) or out.ndim == 0:
-        return float(out)
-    return out
+    return scalar_or_array(comb * decay)

@@ -30,12 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constants import (
-    C_LIGHT,
-    CS_CLOCK_SPLITTING_HZ,
-    CS_D2_ISAT_W_M2,
-    CS_D2_WAVELENGTH_M,
-)
+from .constants import C_LIGHT, CS_D2_ISAT_W_M2, scalar_or_array
 
 # effective excited-state linewidth of the fiber-coupled ensemble
 GAMMA_EFF_RAD_PER_S = 2.0 * math.pi * 6.8e6
@@ -64,8 +59,6 @@ class LambdaScheme:
 
     gamma_ge_rad_per_s: float = GAMMA_EFF_RAD_PER_S
     gamma_gs_rad_per_s: float = GAMMA_GS_CALIBRATED_RAD_PER_S
-    wavelength_m: float = CS_D2_WAVELENGTH_M
-    hyperfine_splitting_Hz: float = CS_CLOCK_SPLITTING_HZ
 
     def __post_init__(self):
         if self.gamma_ge_rad_per_s <= 0.0:
@@ -114,7 +107,6 @@ class ControlField:
 
     power_W: float = ANCHOR_POWER_LOW_W
     waist_m: float = ANCHOR_WAIST_M
-    angle_rad: float = math.radians(13.0)
     rabi_rad_per_s: Optional[float] = None
     envelope: Optional[Callable[[float], float]] = None
 
@@ -245,9 +237,7 @@ def susceptibility(delta_rad_per_s, scheme: LambdaScheme, omega_c_rad_per_s: flo
         gs = scheme.gamma_gs_rad_per_s - 1j * delta
         denom = (half_g - 1j * delta) * gs + 0.25 * omega_c_rad_per_s**2
         chi = 1j * half_g * gs / denom
-    if np.isscalar(delta_rad_per_s) or chi.ndim == 0:
-        return complex(chi)
-    return chi
+    return scalar_or_array(chi)
 
 
 def eit_spectrum(
@@ -257,10 +247,7 @@ def eit_spectrum(
     if od <= 0.0:
         raise ValueError("od must be positive")
     chi = susceptibility(delta_grid, scheme, omega_c_rad_per_s)
-    t = np.exp(-od * np.imag(chi))
-    if np.isscalar(delta_grid):
-        return float(t)
-    return t
+    return scalar_or_array(np.exp(-od * np.imag(chi)))
 
 
 @dataclass(frozen=True)

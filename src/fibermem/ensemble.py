@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CS_D2_PSAT_ATOM_W, K_BOLTZMANN
+from .constants import CS_D2_PSAT_ATOM_W, K_BOLTZMANN, scalar_or_array
 from .waveguide import FiberSpec
 
 NANOFIBER_WAIST_LENGTH_M = 9e-3  # longest usable overlap length
@@ -102,9 +102,7 @@ def density_profile(cloud: CloudSpec, fiber: FiberSpec, rho_m) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore"):
             boltz = np.exp(-cloud.c3_JK / (kt * np.maximum(gap, 1e-300) ** 3))
         out = np.where(gap > cut, cloud.peak_density_per_m3 * boltz, 0.0)
-    if np.isscalar(rho_m) or out.ndim == 0:
-        return float(out)
-    return out
+    return scalar_or_array(out)
 
 
 def effective_atom_number(
@@ -150,10 +148,9 @@ def saturation_transmission(p_W, model: AbsorptionModel) -> np.ndarray:
     p = np.asarray(p_W, dtype=float)
     if np.any(p < 0.0):
         raise ValueError("p_W must be nonnegative")
-    t = np.exp(-model.alpha0_L / (1.0 + p / model.p_sat_W) ** model.k_exp)
-    if np.isscalar(p_W) or t.ndim == 0:
-        return float(t)
-    return t
+    return scalar_or_array(
+        np.exp(-model.alpha0_L / (1.0 + p / model.p_sat_W) ** model.k_exp)
+    )
 
 
 def lorentzian_transmission(delta_rad_per_s, model: AbsorptionModel) -> np.ndarray:
@@ -163,7 +160,6 @@ def lorentzian_transmission(delta_rad_per_s, model: AbsorptionModel) -> np.ndarr
     minimum exp(-OD) on resonance.
     """
     delta = np.asarray(delta_rad_per_s, dtype=float)
-    t = np.exp(-model.od / (1.0 + (2.0 * delta / model.gamma_rad_per_s) ** 2))
-    if np.isscalar(delta_rad_per_s) or t.ndim == 0:
-        return float(t)
-    return t
+    return scalar_or_array(
+        np.exp(-model.od / (1.0 + (2.0 * delta / model.gamma_rad_per_s) ** 2))
+    )

@@ -52,7 +52,7 @@ from .ensemble import (
     lorentzian_transmission,
     saturation_transmission,
 )
-from .fitkit import FitProblem, fit
+from .fitkit import MODELS, FitProblem, fit
 from .waveguide import surface_intensity_scan
 
 MHZ = 2.0 * math.pi * 1e6  # detunings quoted as frequencies
@@ -93,8 +93,6 @@ def _scheme(cfg) -> LambdaScheme:
     return LambdaScheme(
         gamma_ge_rad_per_s=cfg["scheme.gamma_MHz"] * MHZ,
         gamma_gs_rad_per_s=cfg["scheme.gamma_gs_rad_per_s"],
-        wavelength_m=cfg["scheme.wavelength_nm"] * 1e-9,
-        hyperfine_splitting_Hz=cfg["scheme.splitting_GHz"] * 1e9,
     )
 
 
@@ -244,7 +242,6 @@ def _storage_inputs(cfg, dark_ns: Optional[float] = None):
     control = ControlField(
         power_W=cfg["control.power_mW"] * 1e-3,
         waist_m=cfg["control.waist_um"] * 1e-6,
-        angle_rad=math.radians(cfg["control.angle_deg"]),
         rabi_rad_per_s=_rabi(cfg, cfg["control.power_mW"] * 1e-3),
         envelope=storage_ramp_envelope(
             t_off, t_off + dark, cfg["storage.ramp_ns"] * 1e-9
@@ -339,7 +336,11 @@ def _run_fig4a(cfg, seed):
     params = _decoherence(cfg)
     t_us = np.linspace(0.0, cfg["decoherence.t_max_us"], cfg["decoherence.points"])
     curve = revival_envelope(t_us * 1e-6, MagneticScenario(b_field_T=0.0), params)
-    res = fit(FitProblem("decay_lifetime", list(zip(t_us * 1e-6, curve))))
+    # start at the configured cloud: from the model's fixed default guess
+    # the fit walks tau_D to its bound at many ordinary clouds
+    lo, hi = np.array(MODELS["decay_lifetime"].default_bounds).T
+    guess = np.clip([params.effective_tau_D_s, params.effective_tau_T_s], lo, hi)
+    res = fit(FitProblem("decay_lifetime", list(zip(t_us * 1e-6, curve)), guess))
     tau2 = motional_dephasing_time(
         params.wavelength_m, params.control_angle_rad, params.velocity_m_s
     )
@@ -447,6 +448,7 @@ _STORAGE_DOCS = _doc(
     ("control.power_mW", "control beam power, mW"),
     ("control.waist_um", "control beam 1/e^2 waist, micrometers"),
     ("probe.photons", "mean photon number per probe pulse, dimensionless"),
+    ("probe.shape", "probe envelope: exponential-rising, gaussian or square"),
     ("probe.fwhm_ns", "probe intensity FWHM, ns"),
     ("probe.peak_ns", "probe peak arrival time, ns"),
     ("probe.detuning_MHz", "probe detuning from line center, MHz"),
@@ -513,6 +515,8 @@ _register(
         + _doc(
             ("spectroscopy.powers_mW", "comma list of control powers, mW"),
             ("control.waist_um", "control beam 1/e^2 waist, micrometers"),
+            ("scheme.gamma_gs_rad_per_s", "ground-state coherence decay rate, rad/s"),
+            ("calibration.rabi_calibration", "power to Rabi factor, dimensionless"),
         ),
     ),
     _run_fig2,
@@ -528,6 +532,7 @@ _register(
             ("slowlight.power_max_mW", "highest control power, mW"),
             ("slowlight.points", "number of power samples"),
             ("medium.length_mm", "medium length for the slowdown factor, mm"),
+            ("calibration.anchor_delay_power_mW", "power of the reported delay, mW"),
         ),
     ),
     _run_fig3a,

@@ -35,13 +35,13 @@ from typing import Callable
 import numpy as np
 from scipy.special import jv, jvp, kv, kvp
 
-from .constants import C_LIGHT, EPSILON_0, MU_0, SILICA_INDEX_852NM
+from .constants import C_LIGHT, EPSILON_0, MU_0, SILICA_INDEX_852NM, scalar_or_array
 
 # Single-mode boundary of the two-layer cylinder (TE01 cutoff)
 V_SINGLE_MODE = 2.405
 
-# Gauss-Legendre order per radial panel
-_QUAD_ORDER = 96
+# Gauss-Legendre rule per radial panel, on [-1, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 # Cladding integration reaches exp(-_CLAD_FOLDS) suppression of the field
 _CLAD_FOLDS = 40.0
 
@@ -145,7 +145,7 @@ def _char_residual(spec: FiberSpec, n_eff) -> float:
     g = jterm + 0.5 * (1.0 + sbar) * kterm + np.sqrt(
         (0.5 * (1.0 - sbar) * kterm) ** 2 + rhs
     )
-    return float(g) if g.ndim == 0 else g
+    return scalar_or_array(g)
 
 
 def solve_he11(spec: FiberSpec) -> GuidedMode:
@@ -220,61 +220,58 @@ def _field_coefficients(spec: FiberSpec, n_eff: float):
     )
 
 
-def _sz_unnormalized(par: dict, rho: np.ndarray) -> np.ndarray:
-    """Azimuthally averaged longitudinal Poynting flux, arbitrary units."""
-    rho = np.asarray(rho, dtype=float)
+def _layer_flux(par: dict, fp, f_over_r, k: float, n: float, c: float):
+    """S_z of one layer whose radial field is c F(k rho), F = J1 or K1.
+
+    fp is F'(k rho) and f_over_r is F(k rho) / rho.
+    """
     beta = par["beta"]
     omega = par["omega"]
     s = par["s_par"]
+    x1 = (c * beta / k**2) * (k * fp - s * f_over_r)
+    x2 = (c * beta / k**2) * (f_over_r - s * k * fp)
+    y1 = (c / k**2) * (
+        omega * EPSILON_0 * n**2 * k * fp - beta**2 * s * f_over_r / (omega * MU_0)
+    )
+    y2 = (c / k**2) * (
+        beta**2 * s * k * fp / (omega * MU_0) - omega * EPSILON_0 * n**2 * f_over_r
+    )
+    return 0.5 * (x1 * y1 - x2 * y2)
+
+
+def _sz_unnormalized(par: dict, rho: np.ndarray) -> np.ndarray:
+    """Azimuthally averaged longitudinal Poynting flux, arbitrary units."""
+    rho = np.asarray(rho, dtype=float)
     out = np.zeros_like(rho)
     inside = rho <= par["a"]
     # core, regular at rho=0: J1(hr)/r -> h/2
     r_in = rho[inside]
     h = par["h"]
     x = h * r_in
-    j1 = jv(1, x)
-    j1p = jvp(1, x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        j1_over_r = np.where(r_in > 0.0, j1 / np.where(r_in > 0.0, r_in, 1.0), h / 2.0)
-    x1 = (beta / h**2) * (h * j1p - s * j1_over_r)
-    x2 = (beta / h**2) * (j1_over_r - s * h * j1p)
-    y1 = (1.0 / h**2) * (
-        omega * EPSILON_0 * par["n1"] ** 2 * h * j1p - beta**2 * s * j1_over_r / (omega * MU_0)
-    )
-    y2 = (1.0 / h**2) * (
-        beta**2 * s * h * j1p / (omega * MU_0) - omega * EPSILON_0 * par["n1"] ** 2 * j1_over_r
-    )
-    out[inside] = 0.5 * (x1 * y1 - x2 * y2)
+        j1_over_r = np.where(
+            r_in > 0.0, jv(1, x) / np.where(r_in > 0.0, r_in, 1.0), h / 2.0
+        )
+    out[inside] = _layer_flux(par, jvp(1, x), j1_over_r, h, par["n1"], 1.0)
     # cladding, evanescent
     r_out = rho[~inside]
     if r_out.size:
         q = par["q"]
-        c = par["c_out"]
         xo = q * r_out
-        k1 = kv(1, xo)
-        k1p = kvp(1, xo)
-        k1_over_r = k1 / r_out
-        x1c = (c * beta / q**2) * (q * k1p - s * k1_over_r)
-        x2c = (c * beta / q**2) * (k1_over_r - s * q * k1p)
-        y1c = (c / q**2) * (
-            omega * EPSILON_0 * par["n2"] ** 2 * q * k1p - beta**2 * s * k1_over_r / (omega * MU_0)
+        out[~inside] = _layer_flux(
+            par, kvp(1, xo), kv(1, xo) / r_out, q, par["n2"], par["c_out"]
         )
-        y2c = (c / q**2) * (
-            beta**2 * s * q * k1p / (omega * MU_0) - omega * EPSILON_0 * par["n2"] ** 2 * k1_over_r
-        )
-        out[~inside] = 0.5 * (x1c * y1c - x2c * y2c)
     return out
 
 
 def _panel_nodes(edges: np.ndarray):
     """Gauss-Legendre nodes and weights over consecutive [edges] panels."""
-    xg, wg = np.polynomial.legendre.leggauss(_QUAD_ORDER)
     nodes = []
     weights = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
-        nodes.append(0.5 * (hi + lo) + half * xg)
-        weights.append(half * wg)
+        nodes.append(0.5 * (hi + lo) + half * _GL_NODES)
+        weights.append(half * _GL_WEIGHTS)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -300,11 +297,7 @@ def _build_mode(spec: FiberSpec, n_eff: float) -> GuidedMode:
     norm = sign / p_tot
 
     def intensity_profile(rho):
-        rho_arr = np.asarray(rho, dtype=float)
-        vals = _sz_unnormalized(par, rho_arr) * norm
-        if np.isscalar(rho) or rho_arr.ndim == 0:
-            return float(vals)
-        return vals
+        return scalar_or_array(_sz_unnormalized(par, rho) * norm)
 
     k0 = 2.0 * math.pi / spec.wavelength_m
     return GuidedMode(
@@ -320,27 +313,10 @@ def _build_mode(spec: FiberSpec, n_eff: float) -> GuidedMode:
     )
 
 
-def mode_intensity(mode: GuidedMode, rho_m) -> np.ndarray:
-    """Normalized azimuthally averaged intensity at radius rho_m."""
-    return mode.intensity_profile(rho_m)
-
-
-def evanescent_fraction(mode: GuidedMode) -> float:
-    """Fraction of guided power outside the core, from the mode profile."""
-    a = mode.spec.radius_m
-    q = mode.cladding_decay_per_m
-    reach = _CLAD_FOLDS / (2.0 * q)
-    edges = a + reach * np.array([0.0, 0.05, 0.2, 0.5, 1.0])
-    r, w = _panel_nodes(edges)
-    return float(np.sum(mode.intensity_profile(r) * 2.0 * np.pi * r * w))
-
-
 @dataclass(frozen=True)
 class ScanResult:
     """Surface-intensity scan over fiber diameters at fixed power."""
 
-    wavelength_m: float
-    power_w: float
     diameters_m: np.ndarray
     surface_intensity_w_m2: np.ndarray
     n_eff: np.ndarray
@@ -384,8 +360,6 @@ def surface_intensity_scan(
     kept_d = np.array(kept_d)
     kept_i = np.array(kept_i)
     return ScanResult(
-        wavelength_m=wavelength_m,
-        power_w=power_w,
         diameters_m=kept_d,
         surface_intensity_w_m2=kept_i,
         n_eff=np.array(kept_n),

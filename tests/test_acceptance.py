@@ -29,8 +29,7 @@ from fibermem.ensemble import (
     effective_atom_number,
 )
 from fibermem.scenarios import Scenario, _revival_peaks, _storage_inputs, run_scenario
-from fibermem.waveguide import FiberSpec, evanescent_fraction, solve_he11, \
-    surface_intensity_scan
+from fibermem.waveguide import FiberSpec, solve_he11, surface_intensity_scan
 
 TRUTH = {
     "saturation": (8.0 / 1.3, 1.3e-9, 1.0),
@@ -72,7 +71,7 @@ def test_01_evanescent_fraction_band():
     mode = solve_he11(
         FiberSpec(radius_m=200e-9, wavelength_m=852e-9, core_index=1.4525)
     )
-    frac = evanescent_fraction(mode)
+    frac = mode.evanescent_fraction
     elapsed = time.perf_counter() - t0
     ok = abs(frac - 0.40) <= 0.05 and elapsed < 1.0
     verdict(1, ok, "evanescent fraction %.4f vs band 0.40 +/- 0.05, %.2f s"

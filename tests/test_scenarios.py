@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fibermem
 from fibermem import fitkit
 from fibermem.cli import _read_xy, entry
 from fibermem.config import (
@@ -66,10 +70,11 @@ class TestConfig:
 
     def test_ini_overlay(self, tmp_path):
         ini = tmp_path / "run.ini"
-        ini.write_text("[storage]\nod = 12\ndark_ns = 60\n")
+        ini.write_text("[storage]\nod = 12\ndark_ns = 60\n[scheme]\ngamma_MHz = 6.0\n")
         cfg = load_config(str(ini))
         assert cfg["storage.od"] == 12.0
         assert cfg["storage.dark_ns"] == 60.0
+        assert cfg["scheme.gamma_MHz"] == 6.0
         assert cfg["probe.photons"] == DEFAULTS["probe.photons"]
 
     def test_digest_tracks_content(self):
@@ -95,11 +100,15 @@ class TestCatalog:
         assert ids == [e.scenario_id for e in list_scenarios()]
 
     def test_parameter_docs_name_real_keys_with_units(self):
+        documented = set()
         for entry_ in list_scenarios():
             assert entry_.description
             for key, doc in entry_.parameter_docs:
                 assert key in DEFAULTS
                 assert doc.strip()
+                documented.add(key)
+        # every accepted key is documented, so an inert key cannot hide
+        assert documented == set(DEFAULTS)
 
     def test_storage_headline_cites_target(self):
         entry_ = {e.scenario_id: e for e in list_scenarios()}["fig3b"]
@@ -214,6 +223,15 @@ class TestScenarioPhysics:
         assert s["fitted_tau_T_us"] == pytest.approx(s["tau_transit_us"], rel=1e-6)
         assert s["fit_converged"]
 
+    def test_fig4a_self_fit_at_another_cloud(self, tmp_path):
+        s = run(
+            tmp_path, "fig4a", decoherence__temperature_uK=150.0,
+            decoherence__zeeman_kHz=90.0, control__angle_deg=12.0,
+        )["summary"]
+        assert s["fitted_tau_D_us"] == pytest.approx(s["tau_dephasing_us"], rel=1e-6)
+        assert s["fitted_tau_T_us"] == pytest.approx(s["tau_transit_us"], rel=1e-6)
+        assert s["fit_converged"]
+
     def test_fig4b_revivals_at_half_larmor_multiples(self, tmp_path):
         s = run(tmp_path, "fig4b")["summary"]
         t_half = s["half_larmor_period_us"]
@@ -305,6 +323,12 @@ class TestCli:
     def test_exit_code_2_on_bad_input(self, tmp_path, capsys):
         assert entry(["sim", "fig9z"]) == 2
         assert entry(["sim", "fig1c", "--set", "bogus=1"]) == 2
+        capsys.readouterr()
+        out = tmp_path / "nan.csv"
+        for sim, bad in (("fig2", "spectroscopy.od=nan"), ("fig3b", "storage.od=inf")):
+            assert entry(["sim", sim, "--out", str(out), "--set", bad]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("must be finite") == 2
         assert entry(["fit", "nomodel", "--data", "x.csv"]) == 2
         assert entry(["fit", "lorentzian_od", "--data", str(tmp_path / "no.csv")]) == 2
         assert entry(["frobnicate"]) == 2
@@ -326,6 +350,20 @@ class TestCli:
         rc = entry(["fit", "lorentzian_od", "--data", str(path), "--guess", "1.5,3e7"])
         assert rc == 4
         assert "converged: False" in capsys.readouterr().out
+
+    def test_import_loads_no_scipy_optimize_or_integrate(self):
+        # every command pays the import; scipy.optimize alone adds ~0.3 s
+        src = os.path.dirname(os.path.dirname(fibermem.__file__))
+        code = (
+            "import sys, fibermem.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.optimize', 'scipy.integrate'))))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_help_exits_zero(self, capsys):
         assert entry(["--help"]) == 0

@@ -17,8 +17,6 @@ from fibermem.waveguide import (
     GuidedMode,
     NoGuidedModeError,
     V_SINGLE_MODE,
-    evanescent_fraction,
-    mode_intensity,
     solve_he11,
     surface_intensity_scan,
 )
@@ -56,14 +54,6 @@ def test_solver_deterministic():
     assert m1.n_eff == m2.n_eff
     assert m1.evanescent_fraction == m2.evanescent_fraction
     assert m1.beta_per_m == m2.beta_per_m
-
-
-def test_evanescent_fraction_op_matches_mode():
-    mode = solve_he11(SPEC_400)
-    assert evanescent_fraction(mode) == pytest.approx(
-        mode.evanescent_fraction, abs=1e-12
-    )
-    assert 0.0 < mode.evanescent_fraction < 1.0
 
 
 def test_thick_fiber_limit():
@@ -115,15 +105,6 @@ def test_intensity_normalization_independent_quadrature():
     rho = np.linspace(0.0, a + 40.0 / (2.0 * q), 400001)
     total = np.trapezoid(mode.intensity_profile(rho) * 2.0 * np.pi * rho, rho)
     assert total == pytest.approx(1.0, abs=1e-5)
-
-
-def test_mode_intensity_matches_profile():
-    mode = solve_he11(SPEC_400)
-    rho = np.array([0.0, 1e-7, 3e-7, 8e-7])
-    assert np.array_equal(mode_intensity(mode, rho), mode.intensity_profile(rho))
-    assert mode_intensity(mode, 3e-7) == pytest.approx(
-        float(mode.intensity_profile(3e-7))
-    )
 
 
 def test_boundary_jump_is_bounded_dielectric_discontinuity():
