@@ -18,6 +18,10 @@ limit of this system reproduces exp(-od * Im chi) exactly.  Probe
 detuning rides on the input field as a carrier (delta1 = 0 in the
 equations, E_in ~ e^{-i delta t}), which makes one- and two-photon
 detunings equal, the control staying on its resonance.
+
+The system is linear and the slices couple only through E, so an RK4
+step with E frozen is one affine map of (P, S, E), the same on every
+slice: its coefficients are computed once per run, before time stepping.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -336,7 +340,6 @@ def propagate_pulse(
     od: float,
     scheme: LambdaScheme,
     grid: PropagationGrid,
-    readout_start_s: Optional[float] = None,
 ) -> PropagationResult:
     """Integrate the storage sequence through the medium.
 
@@ -345,10 +348,9 @@ def propagate_pulse(
     stepping is a predictor-corrector sweep: atoms advance by RK4 with
     the field frozen, the field is rebuilt by trapezoidal integration
     of dE/dzeta = i (od Gamma/4) P, then the atomic step is corrected
-    with the time-averaged field.  Deterministic for identical inputs.
-
-    readout_start_s marks where retrieved output begins; left None it
-    is inferred from the control envelope's off-then-on structure.
+    with the time-averaged field; the RK4 coefficients of (P, S, E) are
+    computed once per run.  Retrieval starts where the control first
+    rises after a dark interval.  Deterministic for identical inputs.
     """
     if od < 0.0:
         raise ValueError("od must be nonnegative")
@@ -357,13 +359,16 @@ def propagate_pulse(
     dt = grid.dt_s
     gamma = scheme.gamma_ge_rad_per_s
     gamma_gs = scheme.gamma_gs_rad_per_s
+    nz = grid.n_z
+    kappa = 0.25 * od * gamma
 
     if dt > probe.fwhm_s / 20.0:
         raise GridError("dt too coarse: need >= 20 points per pulse FWHM")
-    if grid.n_z < 50:
+    if nz < 50:
         raise GridError("n_z too small: need >= 50 medium steps")
     rabi_peak = control.rabi_rad_per_s
-    fastest = max(0.5 * gamma, 0.5 * rabi_peak, gamma_gs)
+    # kappa is the collective rate at which the field drives the medium
+    fastest = max(0.5 * gamma, 0.5 * rabi_peak, gamma_gs, kappa)
     if dt * fastest > 0.5:
         raise GridError("dt too coarse for the fastest atomic rate")
 
@@ -379,22 +384,12 @@ def propagate_pulse(
     rabi_t = control.rabi_at(t)
     rabi_mid = control.rabi_at(t[:-1] + 0.5 * dt)
 
-    nz = grid.n_z
     dz = 1.0 / nz
-    kappa = 0.25 * od * gamma
+
     def field_sweep(pol_arr, e0):
         # cumulative trapezoid of i kappa P along zeta
         incr = 0.5 * dz * (pol_arr[1:] + pol_arr[:-1])
-        e = np.empty(nz + 1, dtype=complex)
-        e[0] = e0
-        e[1:] = e0 + 1j * kappa * np.cumsum(incr)
-        return e
-
-    pol = np.zeros(nz + 1, dtype=complex)
-    spin = np.zeros(nz + 1, dtype=complex)
-    e_z = field_sweep(pol, e_in[0])
-    out_flux = np.zeros(nt)
-    out_flux[0] = abs(e_z[-1]) ** 2
+        return e0 + 1j * kappa * np.concatenate(([0.0], np.cumsum(incr)))
 
     def atom_rhs(p, s, e, rabi):
         dp = -(0.5 * gamma) * p + 1j * e + 0.5j * rabi * s
@@ -411,22 +406,29 @@ def propagate_pulse(
             s + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
         )
 
+    # row n: step n applied to the unit inputs (P, S, E) in its columns
+    coef_p, coef_s = rk4_step(*np.eye(3, dtype=complex), rabi_t[:-1, None],
+                              rabi_mid[:, None], rabi_t[1:, None])
+
+    pol = spin = np.zeros(nz + 1, dtype=complex)
+    e_z = field_sweep(pol, e_in[0])
+    out_flux = np.zeros(nt)
+    out_flux[0] = abs(e_z[-1]) ** 2
+
     spin_snapshot = None
-    snapshot_idx = None
     env_vals = rabi_t / rabi_peak if rabi_peak > 0.0 else np.ones(nt)
     for n in range(nt - 1):
-        r0, rm, r1 = rabi_t[n], rabi_mid[n], rabi_t[n + 1]
-        p_pred, s_pred = rk4_step(pol, spin, e_z, r0, rm, r1)
-        e_pred = field_sweep(p_pred, e_in[n + 1])
-        p_new, s_new = rk4_step(pol, spin, 0.5 * (e_z + e_pred), r0, rm, r1)
-        e_z = field_sweep(p_new, e_in[n + 1])
-        pol, spin = p_new, s_new
+        a_pp, a_ps, a_pe = coef_p[n]
+        a_sp, a_ss, a_se = coef_s[n]
+        base = a_pp * pol + a_ps * spin
+        e_pred = field_sweep(base + a_pe * e_z, e_in[n + 1])
+        e_mid = 0.5 * (e_z + e_pred)
+        spin = a_sp * pol + a_ss * spin + a_se * e_mid
+        pol = base + a_pe * e_mid
+        e_z = field_sweep(pol, e_in[n + 1])
         out_flux[n + 1] = abs(e_z[-1]) ** 2
-        if snapshot_idx is None and env_vals[n + 1] <= 1e-3 < env_vals[0]:
-            spin_snapshot = spin.copy()
-            snapshot_idx = n + 1
-    if spin_snapshot is None:
-        spin_snapshot = spin.copy()
+        if spin_snapshot is None and env_vals[n + 1] <= 1e-3 < env_vals[0]:
+            spin_snapshot = spin
 
     in_flux = np.abs(e_in) ** 2
     e_total_in = np.trapezoid(in_flux, t)
@@ -439,8 +441,7 @@ def propagate_pulse(
         np.trapezoid(t * out_flux, t) / e_total_out if e_total_out > 0.0 else c_in
     )
 
-    if readout_start_s is None:
-        readout_start_s = _infer_readout_start(t, env_vals)
+    readout_start_s = _infer_readout_start(t, env_vals)
     if readout_start_s is None:
         leak = transmission
         retrieval = 0.0
@@ -458,7 +459,7 @@ def propagate_pulse(
         input_intensity=in_flux,
         output_intensity=out_flux,
         control_rabi=rabi_t,
-        spinwave=spin_snapshot,
+        spinwave=spin if spin_snapshot is None else spin_snapshot,
         z_grid=np.linspace(0.0, 1.0, nz + 1),
         transmission=float(transmission),
         group_delay_s=float(c_out - c_in),
@@ -471,12 +472,11 @@ def propagate_pulse(
 
 def _infer_readout_start(t: np.ndarray, env: np.ndarray) -> Optional[float]:
     """First rise of the control after a dark interval, None without one."""
-    was_off = False
-    for i in range(t.size):
-        if env[i] < 0.01:
-            was_off = True
-        elif was_off and env[i] >= 0.5:
-            return float(t[i])
+    off = np.flatnonzero(env < 0.01)
+    if off.size:
+        rise = off[0] + np.flatnonzero(env[off[0]:] >= 0.5)
+        if rise.size:
+            return float(t[rise[0]])
     return None
 
 
@@ -505,12 +505,7 @@ def refinement_delta(
 ) -> float:
     """Relative change of retrieval efficiency under dt and dz halving."""
     coarse = propagate_pulse(probe, control, od, scheme, grid)
-    fine_grid = PropagationGrid(
-        t_start_s=grid.t_start_s,
-        t_stop_s=grid.t_stop_s,
-        dt_s=0.5 * grid.dt_s,
-        n_z=2 * grid.n_z,
-    )
+    fine_grid = replace(grid, dt_s=0.5 * grid.dt_s, n_z=2 * grid.n_z)
     fine = propagate_pulse(probe, control, od, scheme, fine_grid)
     ref = max(fine.retrieval_efficiency, 1e-12)
     return abs(coarse.retrieval_efficiency - fine.retrieval_efficiency) / ref

@@ -22,7 +22,7 @@ NANOFIBER_WAIST_LENGTH_M = 9e-3  # longest usable overlap length
 # default C3 for Cs near fused silica, order-of-magnitude van der Waals scale
 CS_SILICA_C3_J_M3 = 5.6e-49
 
-_QUAD_ORDER = 64
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)  # shell integral
 
 
 class DensityDomainError(ValueError):
@@ -120,13 +120,11 @@ def effective_atom_number(
         return 0.0
     r = fiber.radius_m
     lo, hi = r, r * (1.0 + shell_width_in_radii)
-    xg, wg = np.polynomial.legendre.leggauss(_QUAD_ORDER)
     half = 0.5 * (hi - lo)
-    nodes = 0.5 * (hi + lo) + half * xg
+    nodes = 0.5 * (hi + lo) + half * _GL_NODES
     dens = density_profile(cloud, fiber, nodes)
-    return float(
-        cloud.overlap_length_m * np.sum(dens * 2.0 * np.pi * nodes * half * wg)
-    )
+    integrand = dens * 2.0 * np.pi * nodes * half * _GL_WEIGHTS
+    return float(cloud.overlap_length_m * np.sum(integrand))
 
 
 def atom_number_from_absorption(

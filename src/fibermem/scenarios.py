@@ -228,6 +228,18 @@ def _run_fig3a(cfg, seed):
     return cols, summary
 
 
+def _sweep(cfg, key_pattern: str) -> np.ndarray:
+    """min..max inclusive in steps, keys key_pattern % "min"/"max"/"step"."""
+    lo_key, hi_key, step_key = (key_pattern % k for k in ("min", "max", "step"))
+    step = cfg[step_key]
+    if step <= 0.0:
+        raise ValueError("config key %r must be positive, got %r" % (step_key, step))
+    points = np.arange(cfg[lo_key], cfg[hi_key] + 0.5 * step, step)
+    if points.size == 0:
+        raise ValueError("empty sweep: %r exceeds %r" % (lo_key, hi_key))
+    return points
+
+
 def _storage_inputs(cfg, dark_ns: Optional[float] = None):
     scheme = _scheme(cfg)
     probe = ProbePulse(
@@ -303,13 +315,7 @@ def _run_custom(cfg, seed):
 
 def _run_fig3c(cfg, seed):
     """Retrieval efficiency against the dark storage interval."""
-    darks = np.arange(
-        cfg["storage.dark_min_ns"],
-        cfg["storage.dark_max_ns"] + 0.5 * cfg["storage.dark_step_ns"],
-        cfg["storage.dark_step_ns"],
-    )
-    if darks.size == 0:
-        raise ValueError("empty dark-time sweep")
+    darks = _sweep(cfg, "storage.dark_%s_ns")
     eff = np.empty_like(darks)
     od = cfg["storage.od"]
     for i, d in enumerate(darks):
@@ -408,11 +414,7 @@ def _run_fig4c(cfg, seed):
 
 def _run_mode_scan(cfg, seed):
     """Surface intensity against fiber diameter at one watt guided."""
-    d_nm = np.arange(
-        cfg["scan.diameter_min_nm"],
-        cfg["scan.diameter_max_nm"] + 0.5 * cfg["scan.diameter_step_nm"],
-        cfg["scan.diameter_step_nm"],
-    )
+    d_nm = _sweep(cfg, "scan.diameter_%s_nm")
     scan = surface_intensity_scan(
         cfg["fiber.wavelength_nm"] * 1e-9,
         d_nm * 1e-9,

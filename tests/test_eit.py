@@ -1,22 +1,50 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibermem import eit
+from fibermem.config import DEFAULTS, apply_overrides
 from fibermem.constants import C_LIGHT
 from fibermem.ensemble import AbsorptionModel, lorentzian_transmission
+from fibermem.scenarios import _storage_inputs
 
 # frozen outputs of calibrate_control(); regression-pinned
 CAL = 0.08182080327802375
 GAMMA_GS = 4399155.798813501
 RABI_HIGH = 59533025.99475605
 
-# frozen fig3b storage oracles (dt=0.5ns, nz=80, od=10, 2.0 mW)
-FIG3B_ETA = 0.09895564483912443
-FIG3B_LEAK = 0.19391289557967364
-FIG3B_TRANS = 0.29286854041879806
+# frozen storage oracles: config overrides, od, then (retrieval, leak,
+# transmission, readout start); the first row is fig3b's reference point
+STORAGE_ORACLES = {
+    "defaults": (
+        {}, 10.0,
+        (0.098955644839124501, 0.19391289557967387, 0.29286854041879834, 350e-9),
+    ),
+    "gaussian-detuned-fine": (
+        {"storage.n_z": 400, "storage.dt_ns": 0.25, "probe.shape": "gaussian",
+         "probe.detuning_MHz": 3, "storage.dark_ns": 100}, 5.0,
+        (0.027080245049980908, 0.17406329043249519, 0.20114353548247607, 420e-9),
+    ),
+    "square-od1": (
+        {"storage.n_z": 50, "probe.shape": "square", "probe.detuning_MHz": -2,
+         "storage.dark_ns": 200}, 1.0,
+        (0.0011847408269963331, 0.70636517338025673, 0.70754991420725288,
+         520.5e-9),
+    ),
+}
+
+
+def storage_setup(od, **overrides):
+    """Storage inputs as the scenarios build them from DEFAULTS."""
+    cfg = dict(DEFAULTS)
+    apply_overrides(cfg, ["%s=%s" % kv for kv in overrides.items()])
+    probe, ctrl, grid, sch = _storage_inputs(cfg)
+    return probe, ctrl, od, sch, grid
 
 
 def default_scheme():
@@ -210,6 +238,11 @@ class TestPropagation:
         with pytest.raises(eit.GridError):
             eit.propagate_pulse(probe, ctrl, od, sch,
                                 eit.PropagationGrid(0.0, 1.4e-6, 0.5e-9, 30))
+        # the collective rate od Gamma/4 bounds the step too
+        for big_od in (3000.0, 1e300):
+            with pytest.raises(eit.GridError):
+                eit.propagate_pulse(probe, ctrl, big_od, sch,
+                                    eit.PropagationGrid(0.0, 1.4e-6, 0.5e-9, 80))
 
     def test_empty_medium_returns_input(self):
         probe, ctrl, _, sch, grid = fig3b_setup()
@@ -223,13 +256,14 @@ class TestPropagation:
         photons = np.trapezoid(r.input_intensity, r.t_grid_s)
         assert photons == pytest.approx(0.6, rel=1e-12)
 
-    def test_fig3b_storage_oracles(self):
-        probe, ctrl, od, sch, grid = fig3b_setup()
-        r = eit.propagate_pulse(probe, ctrl, od, sch, grid)
-        assert r.retrieval_efficiency == pytest.approx(FIG3B_ETA, rel=1e-6)
-        assert r.leak_fraction == pytest.approx(FIG3B_LEAK, rel=1e-6)
-        assert r.transmission == pytest.approx(FIG3B_TRANS, rel=1e-6)
-        assert r.readout_start_s == pytest.approx(350e-9, abs=1e-9)
+    @pytest.mark.parametrize("case", list(STORAGE_ORACLES))
+    def test_fig3b_storage_oracles(self, case):
+        overrides, od, (eta, leak, trans, start) = STORAGE_ORACLES[case]
+        r = eit.propagate_pulse(*storage_setup(od, **overrides))
+        assert r.retrieval_efficiency == pytest.approx(eta, rel=1e-12)
+        assert r.leak_fraction == pytest.approx(leak, rel=1e-12)
+        assert r.transmission == pytest.approx(trans, rel=1e-12)
+        assert r.readout_start_s == pytest.approx(start, abs=1e-9)
 
     def test_passivity_and_bounds(self):
         probe, ctrl, od, sch, grid = fig3b_setup()
@@ -312,6 +346,29 @@ class TestPropagation:
         grid = eit.PropagationGrid(0.0, 1.4e-6, 0.5e-9, 80)
         r = eit.propagate_pulse(probe, ctrl, 10.0, sch, grid)
         assert r.retrieval_efficiency < 1e-3
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        od=st.floats(0.5, 60.0),
+        power_mW=st.floats(0.5, 3.5),
+        dark_ns=st.floats(10.0, 150.0),
+        detuning_MHz=st.floats(-3.0, 3.0),
+    )
+    def test_passivity_and_linearity_properties(self, od, power_mW, dark_ns,
+                                                detuning_MHz):
+        probe, ctrl, od, sch, grid = storage_setup(
+            od, **{"storage.t_stop_ns": 700, "storage.n_z": 50,
+                   "control.power_mW": power_mW, "storage.dark_ns": dark_ns,
+                   "probe.detuning_MHz": detuning_MHz})
+        r = eit.propagate_pulse(probe, ctrl, od, sch, grid)
+        for val in (r.transmission, r.leak_fraction, r.retrieval_efficiency):
+            assert 0.0 <= val <= 1.0 + 1e-9
+        assert r.leak_fraction + r.retrieval_efficiency <= r.transmission + 1e-9
+        double = dataclasses.replace(
+            probe, mean_photon_number=2.0 * probe.mean_photon_number)
+        r2 = eit.propagate_pulse(double, ctrl, od, sch, grid)
+        assert r2.retrieval_efficiency == pytest.approx(
+            r.retrieval_efficiency, rel=1e-12)
 
     def test_refinement_delta_small(self):
         probe, ctrl, od, sch, grid = fig3b_setup(t_stop=0.9e-6, dt=1e-9, nz=50)

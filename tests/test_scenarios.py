@@ -329,6 +329,16 @@ class TestCli:
             assert entry(["sim", sim, "--out", str(out), "--set", bad]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.count("must be finite") == 2
+        for sim, bad in (("fig3c", "storage.dark_step_ns=0"),
+                         ("mode_scan", "scan.diameter_step_nm=0"),
+                         ("mode_scan", "scan.diameter_step_nm=-5")):
+            assert entry(["sim", sim, "--out", str(out), "--set", bad]) == 2
+        assert entry(["sim", "mode_scan", "--out", str(out),
+                      "--set", "scan.diameter_min_nm=500",
+                      "--set", "scan.diameter_max_nm=400"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("must be positive") == 3 and "empty sweep" in err
         assert entry(["fit", "nomodel", "--data", "x.csv"]) == 2
         assert entry(["fit", "lorentzian_od", "--data", str(tmp_path / "no.csv")]) == 2
         assert entry(["frobnicate"]) == 2
@@ -342,6 +352,12 @@ class TestCli:
         ])
         assert rc == 3
         assert "solver failure" in capsys.readouterr().err
+        # od 3000 needs a far finer time step than the default 0.5 ns
+        out = tmp_path / "od.csv"
+        rc = entry(["sim", "fig3b", "--out", str(out), "--set", "storage.od=3000"])
+        assert rc == 3
+        assert not out.exists()
+        assert "dt too coarse" in capsys.readouterr().err
 
     def test_exit_code_4_on_non_convergence(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "line.csv"
