@@ -22,6 +22,10 @@ detunings equal, the control staying on its resonance.
 The system is linear and the slices couple only through E, so an RK4
 step with E frozen is one affine map of (P, S, E), the same on every
 slice: its coefficients are computed once per run, before time stepping.
+propagate_pulse also takes rows of operating points (a control and an
+od per row, one probe and grid) that do not couple to each other: their
+(P, S) states are stacked and advanced by one batched 2x2 map per time
+step, at most MAX_BATCH_ROWS rows at a time, so a sweep is one call.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,6 +55,11 @@ ANCHOR_WAIST_M = 400e-6
 # calibrated literals (recomputed by calibrate_control; tested to match)
 GAMMA_GS_CALIBRATED_RAD_PER_S = 4399155.798813501
 RABI_CALIBRATION = 0.08182080327802375
+
+
+# rows propagate_pulse steps together; more rows run as successive
+# chunks of this size, so memory does not grow with the sweep length
+MAX_BATCH_ROWS = 8
 
 
 class GridError(ValueError):
@@ -336,11 +345,11 @@ def _fingerprint(parts) -> str:
 
 def propagate_pulse(
     probe: ProbePulse,
-    control: ControlField,
-    od: float,
+    control: Union[ControlField, Sequence[ControlField]],
+    od: Union[float, Sequence[float]],
     scheme: LambdaScheme,
     grid: PropagationGrid,
-) -> PropagationResult:
+) -> Union[PropagationResult, list[PropagationResult]]:
     """Integrate the storage sequence through the medium.
 
     Co-moving frame, so an empty medium returns the input unchanged
@@ -351,29 +360,44 @@ def propagate_pulse(
     with the time-averaged field; the RK4 coefficients of (P, S, E) are
     computed once per run.  Retrieval starts where the control first
     rises after a dark interval.  Deterministic for identical inputs.
+
+    control may be a sequence of ControlFields and od a sequence of
+    optical depths: each pair is one row, and a single value on either
+    side is repeated to match the other.  The rows share the probe, the
+    scheme and the grid and are stepped together as one stacked (P, S)
+    state, MAX_BATCH_ROWS at a time.  A single control with a scalar od
+    returns one PropagationResult; any sequence returns a list, one
+    result per row, each equal to its own single-row call.
     """
-    if od < 0.0:
-        raise ValueError("od must be nonnegative")
-    t = grid.times()
-    nt = t.size
+    single = isinstance(control, ControlField) and np.ndim(od) == 0
+    controls = [control] if isinstance(control, ControlField) else list(control)
+    ods = [od] if np.ndim(od) == 0 else list(od)
+    if len(controls) == 1:
+        controls = controls * len(ods)
+    elif len(ods) == 1:
+        ods = ods * len(controls)
+    if len(ods) != len(controls) or not ods:
+        raise ValueError("od has %d rows but control has %d"
+                         % (len(ods), len(controls)))
+
     dt = grid.dt_s
     gamma = scheme.gamma_ge_rad_per_s
-    gamma_gs = scheme.gamma_gs_rad_per_s
-    nz = grid.n_z
-    kappa = 0.25 * od * gamma
-
+    if not all(o >= 0.0 for o in ods):
+        raise ValueError("od must be nonnegative")
     if dt > probe.fwhm_s / 20.0:
         raise GridError("dt too coarse: need >= 20 points per pulse FWHM")
-    if nz < 50:
+    if grid.n_z < 50:
         raise GridError("n_z too small: need >= 50 medium steps")
-    rabi_peak = control.rabi_rad_per_s
-    # kappa is the collective rate at which the field drives the medium
-    fastest = max(0.5 * gamma, 0.5 * rabi_peak, gamma_gs, kappa)
-    if dt * fastest > 0.5:
-        raise GridError("dt too coarse for the fastest atomic rate")
+    for c, o in zip(controls, ods):
+        # kappa is the collective rate at which the field drives the medium
+        fastest = max(0.5 * gamma, 0.5 * c.rabi_rad_per_s,
+                      scheme.gamma_gs_rad_per_s, 0.25 * o * gamma)
+        if dt * fastest > 0.5:
+            raise GridError("dt too coarse for the fastest atomic rate")
 
     # input field: unit-energy shape scaled to the mean photon number,
     # detuning as a carrier on the envelope
+    t = grid.times()
     shape = probe.field_envelope(t).astype(complex)
     shape *= np.exp(-1j * probe.detuning_rad_per_s * t)
     energy = np.trapezoid(np.abs(shape) ** 2, t)
@@ -381,15 +405,24 @@ def propagate_pulse(
         raise ValueError("probe pulse has no support on the grid")
     e_in = shape * math.sqrt(probe.mean_photon_number / energy)
 
-    rabi_t = control.rabi_at(t)
-    rabi_mid = control.rabi_at(t[:-1] + 0.5 * dt)
+    results = []
+    for lo in range(0, len(ods), MAX_BATCH_ROWS):
+        rows = slice(lo, lo + MAX_BATCH_ROWS)
+        results += _propagate_rows(probe, controls[rows], ods[rows], scheme,
+                                   grid, t, e_in)
+    return results[0] if single else results
 
-    dz = 1.0 / nz
 
-    def field_sweep(pol_arr, e0):
-        # cumulative trapezoid of i kappa P along zeta
-        incr = 0.5 * dz * (pol_arr[1:] + pol_arr[:-1])
-        return e0 + 1j * kappa * np.concatenate(([0.0], np.cumsum(incr)))
+def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
+    """Step a batch of rows together; one PropagationResult per row."""
+    nt = t.size
+    dt = grid.dt_s
+    nz = grid.n_z
+    gamma = scheme.gamma_ge_rad_per_s
+    gamma_gs = scheme.gamma_gs_rad_per_s
+    kappa = 0.25 * np.array(ods, dtype=float) * gamma
+    rabi_t = np.array([c.rabi_at(t) for c in controls])
+    rabi_mid = np.array([c.rabi_at(t[:-1] + 0.5 * dt) for c in controls])
 
     def atom_rhs(p, s, e, rabi):
         dp = -(0.5 * gamma) * p + 1j * e + 0.5j * rabi * s
@@ -397,40 +430,89 @@ def propagate_pulse(
         return dp, ds
 
     def rk4_step(p, s, e, r0, rm, r1):
-        k1p, k1s = atom_rhs(p, s, e, r0)
-        k2p, k2s = atom_rhs(p + 0.5 * dt * k1p, s + 0.5 * dt * k1s, e, rm)
-        k3p, k3s = atom_rhs(p + 0.5 * dt * k2p, s + 0.5 * dt * k2s, e, rm)
-        k4p, k4s = atom_rhs(p + dt * k3p, s + dt * k3s, e, r1)
-        return (
-            p + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-            s + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
-        )
+        # k1 + 2 k2 + 2 k3 + k4 summed in that order, and each stage's
+        # input built in the previous slope's buffer, so that few
+        # (nt-1, rows) arrays are held at once
+        kp, ks = atom_rhs(p, s, e, r0)
+        sum_p, sum_s = kp.copy(), ks.copy()
+        for weight, half, rabi in ((2.0, 0.5, rm), (2.0, 0.5, rm), (1.0, 1.0, r1)):
+            kp *= half * dt
+            kp += p
+            ks *= half * dt
+            ks += s
+            kp, ks = atom_rhs(kp, ks, e, rabi)
+            sum_p += weight * kp
+            sum_s += weight * ks
+        sum_p *= dt / 6.0
+        sum_p += p
+        sum_s *= dt / 6.0
+        sum_s += s
+        return sum_p, sum_s
 
-    # row n: step n applied to the unit inputs (P, S, E) in its columns
-    coef_p, coef_s = rk4_step(*np.eye(3, dtype=complex), rabi_t[:-1, None],
-                              rabi_mid[:, None], rabi_t[1:, None])
+    # step n of row r applied to each unit input (P, S, E): atoms[n, r]
+    # maps (P, S), drive[n, r] is the response of (P, S) to E
+    rates = (rabi_t[:, :-1].T, rabi_mid.T, rabi_t[:, 1:].T)
+    atoms = np.empty((nt - 1, len(ods), 2, 2), dtype=complex)
+    drive = np.empty((nt - 1, len(ods), 2, 1), dtype=complex)
+    for column, unit in zip((atoms[..., 0], atoms[..., 1], drive[..., 0]),
+                            np.eye(3, dtype=complex)):
+        column[..., 0], column[..., 1] = rk4_step(*unit, *rates)
 
-    pol = spin = np.zeros(nz + 1, dtype=complex)
-    e_z = field_sweep(pol, e_in[0])
-    out_flux = np.zeros(nt)
-    out_flux[0] = abs(e_z[-1]) ** 2
+    # cumulative trapezoid of i kappa P along zeta, 0.5 dz i kappa per row
+    incr = np.empty((len(ods), nz), dtype=complex)
+    cum = np.zeros((len(ods), nz + 1), dtype=complex)
+    factor = (0.5j / nz) * kappa[:, None]
 
-    spin_snapshot = None
-    env_vals = rabi_t / rabi_peak if rabi_peak > 0.0 else np.ones(nt)
+    def field_sweep(pol, e0):
+        np.add(pol[:, 1:], pol[:, :-1], out=incr)
+        incr.cumsum(axis=1, out=cum[:, 1:])
+        return e0 + factor * cum
+
+    # the spin wave is kept at the first step the control has gone dark
+    peak = np.array([c.rabi_rad_per_s for c in controls])[:, None]
+    env_vals = np.divide(rabi_t, peak, out=np.ones_like(rabi_t), where=peak > 0.0)
+    snap_at = {}
+    for r, env in enumerate(env_vals):
+        dark = np.flatnonzero(env[1:] <= 1e-3)
+        if dark.size and env[0] > 1e-3:
+            snap_at.setdefault(int(dark[0]), []).append(r)
+    spinwave = [None] * len(ods)
+
+    state = np.zeros((len(ods), 2, nz + 1), dtype=complex)
+    e_z = field_sweep(state[:, 0], e_in[0])
+    out_e = np.empty((len(ods), nt), dtype=complex)
+    out_e[:, 0] = e_z[:, -1]
     for n in range(nt - 1):
-        a_pp, a_ps, a_pe = coef_p[n]
-        a_sp, a_ss, a_se = coef_s[n]
-        base = a_pp * pol + a_ps * spin
-        e_pred = field_sweep(base + a_pe * e_z, e_in[n + 1])
-        e_mid = 0.5 * (e_z + e_pred)
-        spin = a_sp * pol + a_ss * spin + a_se * e_mid
-        pol = base + a_pe * e_mid
-        e_z = field_sweep(pol, e_in[n + 1])
-        out_flux[n + 1] = abs(e_z[-1]) ** 2
-        if spin_snapshot is None and env_vals[n + 1] <= 1e-3 < env_vals[0]:
-            spin_snapshot = spin
+        free = atoms[n] @ state
+        e_pred = field_sweep(free[:, 0] + drive[n, :, 0] * e_z, e_in[n + 1])
+        state = free + drive[n] * (0.5 * (e_z + e_pred))[:, None, :]
+        e_z = field_sweep(state[:, 0], e_in[n + 1])
+        out_e[:, n + 1] = e_z[:, -1]
+        if n in snap_at:
+            for r in snap_at[n]:
+                spinwave[r] = state[r, 1]
+    out_flux = np.abs(out_e) ** 2
 
     in_flux = np.abs(e_in) ** 2
+    z_grid = np.linspace(0.0, 1.0, nz + 1)
+    results = []
+    for r, od in enumerate(ods):
+        readout_start_s = _infer_readout_start(t, env_vals[r])
+        fp = _fingerprint(
+            [t, e_in, rabi_t[r], od, gamma, gamma_gs, nz, probe.shape,
+             readout_start_s]
+        )
+        results.append(_row_result(
+            t, in_flux, out_flux[r], rabi_t[r],
+            state[r, 1] if spinwave[r] is None else spinwave[r],
+            z_grid, readout_start_s, fp,
+        ))
+    return results
+
+
+def _row_result(t, in_flux, out_flux, rabi_t, spinwave, z_grid,
+                readout_start_s, fingerprint) -> PropagationResult:
+    """Energy budget and pulse delay of one row's output flux."""
     e_total_in = np.trapezoid(in_flux, t)
     e_total_out = np.trapezoid(out_flux, t)
     transmission = e_total_out / e_total_in
@@ -441,7 +523,6 @@ def propagate_pulse(
         np.trapezoid(t * out_flux, t) / e_total_out if e_total_out > 0.0 else c_in
     )
 
-    readout_start_s = _infer_readout_start(t, env_vals)
     if readout_start_s is None:
         leak = transmission
         retrieval = 0.0
@@ -451,22 +532,19 @@ def propagate_pulse(
         after = t >= readout_start_s
         retrieval = np.trapezoid(out_flux[after], t[after]) / e_total_in
 
-    fp = _fingerprint(
-        [t, e_in, rabi_t, od, gamma, gamma_gs, nz, probe.shape, readout_start_s]
-    )
     return PropagationResult(
         t_grid_s=t,
         input_intensity=in_flux,
         output_intensity=out_flux,
         control_rabi=rabi_t,
-        spinwave=spin if spin_snapshot is None else spin_snapshot,
-        z_grid=np.linspace(0.0, 1.0, nz + 1),
+        spinwave=spinwave,
+        z_grid=z_grid,
         transmission=float(transmission),
         group_delay_s=float(c_out - c_in),
         leak_fraction=float(leak),
         retrieval_efficiency=float(retrieval),
         readout_start_s=readout_start_s,
-        fingerprint=fp,
+        fingerprint=fingerprint,
     )
 
 

@@ -56,6 +56,8 @@ from .fitkit import MODELS, FitProblem, fit
 from .waveguide import surface_intensity_scan
 
 MHZ = 2.0 * math.pi * 1e6  # detunings quoted as frequencies
+# longest fig3c or mode_scan sweep accepted
+MAX_SWEEP_POINTS = 10_000
 
 
 class UnknownScenarioError(ValueError):
@@ -231,16 +233,32 @@ def _run_fig3a(cfg, seed):
 def _sweep(cfg, key_pattern: str) -> np.ndarray:
     """min..max inclusive in steps, keys key_pattern % "min"/"max"/"step"."""
     lo_key, hi_key, step_key = (key_pattern % k for k in ("min", "max", "step"))
-    step = cfg[step_key]
+    lo, hi, step = cfg[lo_key], cfg[hi_key], cfg[step_key]
     if step <= 0.0:
         raise ValueError("config key %r must be positive, got %r" % (step_key, step))
-    points = np.arange(cfg[lo_key], cfg[hi_key] + 0.5 * step, step)
-    if points.size == 0:
+    # the length np.arange gives, counted before anything is allocated
+    count = math.ceil((hi + 0.5 * step - lo) / step)
+    if count <= 0:
         raise ValueError("empty sweep: %r exceeds %r" % (lo_key, hi_key))
-    return points
+    if count > MAX_SWEEP_POINTS:
+        raise ValueError("sweep of %d points exceeds the limit of %d: raise %r"
+                         % (count, MAX_SWEEP_POINTS, step_key))
+    return np.arange(lo, hi + 0.5 * step, step)
 
 
-def _storage_inputs(cfg, dark_ns: Optional[float] = None):
+def _storage_control(cfg, dark_ns: float) -> ControlField:
+    t_off = cfg["storage.switch_off_ns"] * 1e-9
+    return ControlField(
+        power_W=cfg["control.power_mW"] * 1e-3,
+        waist_m=cfg["control.waist_um"] * 1e-6,
+        rabi_rad_per_s=_rabi(cfg, cfg["control.power_mW"] * 1e-3),
+        envelope=storage_ramp_envelope(
+            t_off, t_off + dark_ns * 1e-9, cfg["storage.ramp_ns"] * 1e-9
+        ),
+    )
+
+
+def _storage_inputs(cfg):
     scheme = _scheme(cfg)
     probe = ProbePulse(
         mean_photon_number=cfg["probe.photons"],
@@ -249,23 +267,13 @@ def _storage_inputs(cfg, dark_ns: Optional[float] = None):
         detuning_rad_per_s=cfg["probe.detuning_MHz"] * MHZ,
         peak_time_s=cfg["probe.peak_ns"] * 1e-9,
     )
-    t_off = cfg["storage.switch_off_ns"] * 1e-9
-    dark = (dark_ns if dark_ns is not None else cfg["storage.dark_ns"]) * 1e-9
-    control = ControlField(
-        power_W=cfg["control.power_mW"] * 1e-3,
-        waist_m=cfg["control.waist_um"] * 1e-6,
-        rabi_rad_per_s=_rabi(cfg, cfg["control.power_mW"] * 1e-3),
-        envelope=storage_ramp_envelope(
-            t_off, t_off + dark, cfg["storage.ramp_ns"] * 1e-9
-        ),
-    )
     grid = PropagationGrid(
         t_start_s=0.0,
         t_stop_s=cfg["storage.t_stop_ns"] * 1e-9,
         dt_s=cfg["storage.dt_ns"] * 1e-9,
         n_z=cfg["storage.n_z"],
     )
-    return probe, control, grid, scheme
+    return probe, _storage_control(cfg, cfg["storage.dark_ns"]), grid, scheme
 
 
 def _run_storage(cfg, seed, with_target: bool):
@@ -316,12 +324,11 @@ def _run_custom(cfg, seed):
 def _run_fig3c(cfg, seed):
     """Retrieval efficiency against the dark storage interval."""
     darks = _sweep(cfg, "storage.dark_%s_ns")
-    eff = np.empty_like(darks)
-    od = cfg["storage.od"]
-    for i, d in enumerate(darks):
-        probe, control, grid, scheme = _storage_inputs(cfg, dark_ns=float(d))
-        res = propagate_pulse(probe, control, od, scheme, grid)
-        eff[i] = res.retrieval_efficiency
+    probe, _, grid, scheme = _storage_inputs(cfg)
+    # one batched propagation, a row per dark interval
+    controls = [_storage_control(cfg, d) for d in darks.tolist()]
+    results = propagate_pulse(probe, controls, cfg["storage.od"], scheme, grid)
+    eff = np.array([res.retrieval_efficiency for res in results])
     gamma_gs = cfg["scheme.gamma_gs_rad_per_s"]
     summary = {
         "efficiency_at_shortest": float(eff[0]),

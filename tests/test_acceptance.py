@@ -197,8 +197,8 @@ def test_07_storage_efficiency_properties(tmp_path):
 
     probe, ctrl, grid, scheme = _storage_inputs(dict(DEFAULTS))
     etas = []
-    for od in (1.0, 2.5, 5.0, 7.5, 10.0):
-        res = eit.propagate_pulse(probe, ctrl, od, scheme, grid)
+    for res in eit.propagate_pulse(probe, ctrl, (1.0, 2.5, 5.0, 7.5, 10.0),
+                                   scheme, grid):
         assert_passive(res)
         etas.append(res.retrieval_efficiency)
     monotone = all(a < b for a, b in zip(etas, etas[1:]))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -330,11 +331,9 @@ class TestPropagation:
         assert r_off.transmission < r_on.transmission
 
     def test_efficiency_monotone_in_od(self):
-        etas = []
-        for od in (1.0, 4.0, 10.0):
-            probe, ctrl, _, sch, grid = fig3b_setup(od=od)
-            etas.append(eit.propagate_pulse(probe, ctrl, od, sch, grid)
-                        .retrieval_efficiency)
+        probe, ctrl, _, sch, grid = fig3b_setup()
+        etas = [r.retrieval_efficiency for r in
+                eit.propagate_pulse(probe, ctrl, (1.0, 4.0, 10.0), sch, grid)]
         assert etas[0] < etas[1] < etas[2]
 
     def test_late_switch_off_stores_nothing(self):
@@ -373,6 +372,81 @@ class TestPropagation:
     def test_refinement_delta_small(self):
         probe, ctrl, od, sch, grid = fig3b_setup(t_stop=0.9e-6, dt=1e-9, nz=50)
         assert eit.refinement_delta(probe, ctrl, od, sch, grid) < 0.01
+
+
+def short_rows(darks_ns, powers_mW=(2.0,), t_stop_ns=700):
+    """Probe, one control per (dark, power) pair, scheme and a short grid."""
+    controls = []
+    for dark in darks_ns:
+        for power in powers_mW:
+            probe, ctrl, _, sch, grid = storage_setup(
+                1.0, **{"storage.n_z": 50, "storage.t_stop_ns": t_stop_ns,
+                        "storage.dark_ns": dark, "control.power_mW": power})
+            controls.append(ctrl)
+    return probe, controls, sch, grid
+
+
+def assert_row_matches(row, ref):
+    for name in ("retrieval_efficiency", "leak_fraction", "transmission",
+                 "group_delay_s"):
+        assert getattr(row, name) == pytest.approx(getattr(ref, name), rel=1e-12)
+    assert row.fingerprint == ref.fingerprint
+    assert row.readout_start_s == ref.readout_start_s
+    for name in ("output_intensity", "spinwave"):
+        got, want = getattr(row, name), getattr(ref, name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestBatchedPropagation:
+    def test_mixed_batch_equals_serial(self):
+        probe, controls, sch, grid = short_rows((20.0, 60.0, 150.0), (0.8, 2.5))
+        # a control that never goes dark stores nothing
+        controls.append(eit.ControlField(power_W=2.0e-3))
+        # an integer od stays an integer in its row's fingerprint
+        ods = [1, 5.0, 12.0, 1.0, 5.0, 12.0, 5]
+        rows = eit.propagate_pulse(probe, controls, ods, sch, grid)
+        assert isinstance(rows, list) and len(rows) == len(controls)
+        for row, ctrl, od in zip(rows, controls, ods):
+            ref = eit.propagate_pulse(probe, ctrl, od, sch, grid)
+            assert isinstance(ref, eit.PropagationResult)
+            assert_row_matches(row, ref)
+        assert rows[-1].readout_start_s is None
+        assert rows[-1].retrieval_efficiency == 0.0
+        assert rows[0].fingerprint != eit.propagate_pulse(
+            probe, controls[0], 1.0, sch, grid).fingerprint
+        # a one-element od sequence still returns a list
+        (alone,) = eit.propagate_pulse(probe, controls[0], [1], sch, grid)
+        assert_row_matches(alone, rows[0])
+
+    def test_rows_above_the_cap_run_in_chunks(self):
+        darks = np.linspace(20.0, 180.0, eit.MAX_BATCH_ROWS + 1)
+        probe, controls, sch, grid = short_rows(darks)
+        rows = eit.propagate_pulse(probe, controls, 10.0, sch, grid)
+        assert len(rows) == len(controls) == eit.MAX_BATCH_ROWS + 1
+        for row, ctrl in zip(rows, controls):
+            assert_row_matches(row, eit.propagate_pulse(probe, ctrl, 10.0, sch, grid))
+
+    def test_bad_rows_rejected(self):
+        probe, controls, sch, grid = short_rows((20.0, 60.0, 150.0))
+        with pytest.raises(eit.GridError):
+            eit.propagate_pulse(probe, controls, [5.0, 3000.0, 5.0], sch, grid)
+        with pytest.raises(ValueError):
+            eit.propagate_pulse(probe, controls, [5.0, 10.0], sch, grid)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                eit.propagate_pulse(probe, controls, [5.0, bad, 5.0], sch, grid)
+
+    def test_memory_bounded_in_rows(self):
+        def peak(n_rows):
+            probe, controls, sch, grid = short_rows([30.0] * n_rows, t_stop_ns=450)
+            tracemalloc.start()
+            try:
+                eit.propagate_pulse(probe, controls, 10.0, sch, grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3 * eit.MAX_BATCH_ROWS) <= 1.5 * peak(eit.MAX_BATCH_ROWS)
 
 
 class TestStorageEfficiency:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fibermem
-from fibermem import fitkit
+from fibermem import fitkit, scenarios
 from fibermem.cli import _read_xy, entry
 from fibermem.config import (
     DEFAULTS,
@@ -17,6 +17,7 @@ from fibermem.config import (
     render_config,
     set_key,
 )
+from fibermem.eit import propagate_pulse
 from fibermem.scenarios import (
     Scenario,
     UnknownScenarioError,
@@ -250,8 +251,17 @@ class TestScenarioPhysics:
         assert abs(s["argmax_diameter_nm"] - 400.0) <= 30.0
         assert s["n_guided"] >= 100
 
-    def test_fig3c_efficiency_decays_with_dark_time(self, tmp_path):
+    def test_fig3c_efficiency_decays_with_dark_time(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return propagate_pulse(*args)
+
+        monkeypatch.setattr(scenarios, "propagate_pulse", counted)
         rep = run(tmp_path, "fig3c")
+        # the whole dark-time sweep is one batched propagation
+        assert len(calls) == 1 and len(calls[0][1]) == rep["n_rows"]
         _, header, rows = read_csv(rep["output_path"])
         assert header == ["storage_time_ns", "efficiency"]
         eff = rows[:, 1]
@@ -331,7 +341,9 @@ class TestCli:
         assert capsys.readouterr().err.count("must be finite") == 2
         for sim, bad in (("fig3c", "storage.dark_step_ns=0"),
                          ("mode_scan", "scan.diameter_step_nm=0"),
-                         ("mode_scan", "scan.diameter_step_nm=-5")):
+                         ("mode_scan", "scan.diameter_step_nm=-5"),
+                         ("fig3c", "storage.dark_step_ns=1e-9"),
+                         ("mode_scan", "scan.diameter_step_nm=1e-12")):
             assert entry(["sim", sim, "--out", str(out), "--set", bad]) == 2
         assert entry(["sim", "mode_scan", "--out", str(out),
                       "--set", "scan.diameter_min_nm=500",
@@ -339,6 +351,10 @@ class TestCli:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.count("must be positive") == 3 and "empty sweep" in err
+        # sweeps too long to run are refused before any allocation
+        assert err.count("exceeds the limit of 10000") == 2
+        assert "raise 'storage.dark_step_ns'" in err
+        assert "raise 'scan.diameter_step_nm'" in err
         assert entry(["fit", "nomodel", "--data", "x.csv"]) == 2
         assert entry(["fit", "lorentzian_od", "--data", str(tmp_path / "no.csv")]) == 2
         assert entry(["frobnicate"]) == 2
