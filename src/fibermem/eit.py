@@ -114,30 +114,30 @@ class ControlField:
 
     rabi_rad_per_s left as None is derived from power via
     rabi_from_power; pass a value to override the calibration.
-    envelope(t) multiplies the Rabi frequency, values in [0, 1];
-    None means constant drive.
+    envelope(t) multiplies the Rabi frequency: it takes an array of
+    times and returns an array of values in [0, 1]; None means
+    constant drive.  Power, waist and Rabi frequency must be finite.
     """
 
     power_W: float = ANCHOR_POWER_LOW_W
     waist_m: float = ANCHOR_WAIST_M
     rabi_rad_per_s: Optional[float] = None
-    envelope: Optional[Callable[[float], float]] = None
+    envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.power_W < 0.0 or self.waist_m <= 0.0:
-            raise ValueError("power_W must be >= 0 and waist_m > 0")
+        if not (0.0 <= self.power_W < math.inf and 0.0 < self.waist_m < math.inf):
+            raise ValueError("power_W must be finite and >= 0, waist_m finite and > 0")
         if self.rabi_rad_per_s is None:
             object.__setattr__(
                 self, "rabi_rad_per_s", rabi_from_power(self.power_W, self.waist_m)
             )
-        elif self.rabi_rad_per_s < 0.0:
-            raise ValueError("rabi_rad_per_s must be nonnegative")
+        elif not 0.0 <= self.rabi_rad_per_s < math.inf:
+            raise ValueError("rabi_rad_per_s must be finite and nonnegative")
 
     def rabi_at(self, t_s) -> np.ndarray:
         if self.envelope is None:
             return self.rabi_rad_per_s * np.ones_like(np.asarray(t_s, dtype=float))
-        env = np.vectorize(self.envelope, otypes=[float])(t_s)
-        return self.rabi_rad_per_s * env
+        return self.rabi_rad_per_s * self.envelope(t_s)
 
 
 @dataclass(frozen=True)
@@ -308,27 +308,24 @@ def group_delay(
 
 def storage_ramp_envelope(
     t_off_s: float, t_on_s: float, ramp_s: float = 20e-9
-) -> Callable[[float], float]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """Raised-cosine control envelope for a storage sequence.
 
     Full drive until the ramp ending at t_off_s, zero during the dark
-    interval, full drive again after the ramp starting at t_on_s.
+    interval, full drive again after the ramp starting at t_on_s.  The
+    envelope takes an array of times and returns an array of the same
+    shape (a number for a scalar time).
     """
     if t_on_s < t_off_s:
         raise ValueError("t_on_s must not precede t_off_s")
     if ramp_s <= 0.0:
         raise ValueError("ramp_s must be positive")
 
-    def env(t: float) -> float:
-        if t <= t_off_s - ramp_s:
-            return 1.0
-        if t < t_off_s:
-            return 0.5 * (1.0 - math.cos(math.pi * (t_off_s - t) / ramp_s))
-        if t <= t_on_s:
-            return 0.0
-        if t < t_on_s + ramp_s:
-            return 0.5 * (1.0 - math.cos(math.pi * (t - t_on_s) / ramp_s))
-        return 1.0
+    def env(t):
+        t = np.asarray(t, dtype=float)
+        # distance into the drive, clipped to one ramp: 0 is dark, ramp_s full
+        lag = np.clip(np.where(t <= t_on_s, t_off_s - t, t - t_on_s), 0.0, ramp_s)
+        return scalar_or_array(0.5 * (1.0 - np.cos(np.pi * lag / ramp_s)))
 
     return env
 

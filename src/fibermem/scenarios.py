@@ -642,6 +642,10 @@ def _write_csv(path: str, scenario: Scenario, cfg: dict, columns) -> int:
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("column length mismatch")
+    for name, a in zip(names, arrays):
+        if not np.all(np.isfinite(a)):
+            # a solver failure, caught before any file is created
+            raise FloatingPointError("column %r holds a non-finite value" % name)
     lines = [
         "# scenario: %s" % scenario.scenario_id,
         "# seed: %d" % scenario.seed,
@@ -672,7 +676,8 @@ def run_scenario(scenario: Scenario, config: Optional[dict] = None) -> dict:
     The returned dict carries the output path, the config digest, the
     scenario's headline scalars and the fully resolved configuration.
     The file write is atomic: a temporary file in the target directory
-    is renamed over the destination.
+    is renamed over the destination.  A non-finite cell raises
+    FloatingPointError (exit code 3) before any file is created.
     """
     if scenario.scenario_id not in _REGISTRY:
         raise UnknownScenarioError(

@@ -212,6 +212,21 @@ class TestPulseShapes:
         c2 = eit.ControlField(power_W=1.6e-3, rabi_rad_per_s=1e7)
         assert c2.rabi_rad_per_s == 1e7
 
+    @pytest.mark.parametrize("bad", [
+        {"power_W": -1e-3},
+        {"power_W": math.nan},
+        {"power_W": math.inf},
+        {"waist_m": 0.0},
+        {"waist_m": math.nan},
+        {"waist_m": math.inf},
+        {"rabi_rad_per_s": -1.0},
+        {"rabi_rad_per_s": math.nan},
+        {"rabi_rad_per_s": math.inf},
+    ])
+    def test_control_validation(self, bad):
+        with pytest.raises(ValueError):
+            eit.ControlField(**bad)
+
     def test_storage_envelope_shape(self):
         env = eit.storage_ramp_envelope(300e-9, 400e-9, 20e-9)
         assert env(0.0) == 1.0
@@ -220,6 +235,9 @@ class TestPulseShapes:
         assert env(350e-9) == 0.0
         assert 0.0 < env(410e-9) < 1.0
         assert env(430e-9) == 1.0
+        # one array call equals the scalar calls, sample by sample
+        t = np.linspace(0.0, 500e-9, 1001)
+        assert np.array_equal(env(t), [env(x) for x in t])
         with pytest.raises(ValueError):
             eit.storage_ramp_envelope(400e-9, 300e-9)
 

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.util
 import math
 import os
 import subprocess
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import fibermem
-from fibermem import fitkit, scenarios
+from fibermem import fitkit, scenarios, waveguide
 from fibermem.cli import _read_xy, entry
 from fibermem.config import (
     DEFAULTS,
@@ -359,7 +361,7 @@ class TestCli:
         assert entry(["fit", "lorentzian_od", "--data", str(tmp_path / "no.csv")]) == 2
         assert entry(["frobnicate"]) == 2
 
-    def test_exit_code_3_on_solver_failure(self, tmp_path, capsys):
+    def test_exit_code_3_on_solver_failure(self, tmp_path, capsys, monkeypatch):
         rc = entry([
             "sim", "mode_scan",
             "--out", str(tmp_path / "scan.csv"),
@@ -374,6 +376,18 @@ class TestCli:
         assert rc == 3
         assert not out.exists()
         assert "dt too coarse" in capsys.readouterr().err
+        # a kernel that returns NaN never reaches a CSV
+        solve = waveguide.solve_he11
+        monkeypatch.setattr(
+            waveguide, "solve_he11",
+            lambda spec: dataclasses.replace(solve(spec), evanescent_fraction=math.nan),
+        )
+        out = tmp_path / "nan.csv"
+        rc = entry(["sim", "mode_scan", "--out", str(out),
+                    "--set", "scan.diameter_max_nm=300"])
+        assert rc == 3
+        assert list(tmp_path.iterdir()) == []
+        assert "'evanescent_fraction'" in capsys.readouterr().err
 
     def test_exit_code_4_on_non_convergence(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "line.csv"
@@ -382,6 +396,21 @@ class TestCli:
         rc = entry(["fit", "lorentzian_od", "--data", str(path), "--guess", "1.5,3e7"])
         assert rc == 4
         assert "converged: False" in capsys.readouterr().out
+
+    def test_benchmark_bindings_resolve(self):
+        # perfbench wraps these module attributes by name; one that no
+        # longer resolves silently drops its span from the benchmark
+        path = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "tracer.py"
+        )
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        unresolved = [
+            (module, attr) for module, attr, _ in tracer.BINDINGS
+            if not callable(getattr(importlib.import_module(module), attr, None))
+        ]
+        assert unresolved == []
 
     def test_import_loads_no_scipy_optimize_or_integrate(self):
         # every command pays the import; scipy.optimize alone adds ~0.3 s

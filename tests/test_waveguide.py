@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from fibermem import waveguide
 from fibermem.waveguide import (
     EmptyScanError,
     FiberSpec,
@@ -32,13 +33,59 @@ def test_reference_geometry_frozen_values():
     mode = solve_he11(SPEC_400)
     assert mode.n_eff == pytest.approx(N_EFF_400, rel=1e-9)
     assert mode.evanescent_fraction == pytest.approx(EVAN_FRAC_400, rel=1e-6)
-    assert mode.v_number == pytest.approx(1.5537604732315082, rel=1e-12)
+    assert mode.spec.v_number == pytest.approx(1.5537604732315082, rel=1e-12)
     assert not mode.multi_mode
 
 
 def test_residual_below_tolerance():
     mode = solve_he11(SPEC_400)
     assert mode.residual < 1e-10
+
+
+def test_root_search_makes_few_residual_calls(monkeypatch):
+    # the sign scan is one array call; the bracketed search adds a few
+    calls = []
+    residual = waveguide._char_residual
+
+    def counted(spec, n_eff):
+        calls.append(n_eff)
+        return residual(spec, n_eff)
+
+    monkeypatch.setattr(waveguide, "_char_residual", counted)
+    mode = solve_he11(SPEC_400)
+    assert len(calls) <= 12
+    assert mode.n_eff == pytest.approx(N_EFF_400, rel=1e-9)
+
+
+def _bisected_root(spec):
+    """Largest-index root of the characteristic function, bisected until
+    the bracket holds no float between its ends."""
+    grid = np.linspace(spec.cladding_index + 1e-9, spec.core_index - 1e-9, 1024)
+    vals = waveguide._char_residual(spec, grid)
+    i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0][-1]
+    lo, hi, g_lo = grid[i], grid[i + 1], vals[i]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        g = waveguide._char_residual(spec, mid)
+        if g == 0.0:
+            return mid
+        if (g < 0.0) == (g_lo < 0.0):
+            lo, g_lo = mid, g
+        else:
+            hi = mid
+
+
+def test_root_matches_full_precision_bisection():
+    # 10 diameters x 5 wavelengths x 4 core indices = 200 geometries
+    for d in np.linspace(180e-9, 2.4e-6, 10):
+        for lam in np.linspace(780e-9, 1064e-9, 5):
+            for core in (1.44, 1.45, 1.4525, 1.47):
+                spec = FiberSpec(radius_m=0.5 * d, wavelength_m=lam, core_index=core)
+                mode = solve_he11(spec)
+                assert spec.cladding_index < mode.n_eff < spec.core_index
+                assert mode.n_eff == pytest.approx(_bisected_root(spec), rel=1e-13)
 
 
 def test_effective_index_bounds_and_beta():
@@ -153,6 +200,20 @@ def test_scan_power_scaling():
     s2 = surface_intensity_scan(852e-9, d, power_w=2.0)
     assert np.array_equal(s2.surface_intensity_w_m2, 2.0 * s1.surface_intensity_w_m2)
     assert s2.argmax_diameter_m == s1.argmax_diameter_m
+
+
+def test_scan_solves_each_diameter_once(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(2.0 * spec.radius_m)
+        return solve_he11(spec)
+
+    monkeypatch.setattr(waveguide, "solve_he11", counted)
+    d = np.array([60e-9, 300e-9, 350e-9, 400e-9])
+    scan = surface_intensity_scan(852e-9, d)
+    assert calls == d.tolist()
+    assert scan.diameters_m.tolist() == d[1:].tolist()
 
 
 def test_scan_drops_unguided_and_empty_errors():
