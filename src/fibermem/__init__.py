@@ -17,7 +17,6 @@ from .eit import (
     group_delay,
     propagate_pulse,
     rabi_from_power,
-    storage_efficiency,
     storage_ramp_envelope,
     susceptibility,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "saturation_transmission",
     "simulate_counting",
     "solve_he11",
-    "storage_efficiency",
     "storage_ramp_envelope",
     "surface_intensity_scan",
     "susceptibility",

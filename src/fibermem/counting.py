@@ -22,7 +22,6 @@ class CountingModel:
     efficiency: float = 0.10
     background_per_window: float = 0.003
     n_shots: int = 10000
-    window_s: float = 200e-9
 
     def __post_init__(self):
         if self.mean_photons_in < 0.0 or self.background_per_window < 0.0:
@@ -31,8 +30,6 @@ class CountingModel:
             raise ValueError("efficiency must lie in [0, 1]")
         if self.n_shots < 1:
             raise ValueError("n_shots must be at least 1")
-        if self.window_s <= 0.0:
-            raise ValueError("window_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -40,8 +37,6 @@ class CountingResult:
     signal_counts: np.ndarray
     background_counts: np.ndarray
     snr: float
-    mean_signal: float
-    mean_background: float
 
 
 def analytic_snr(model: CountingModel) -> float:
@@ -73,8 +68,6 @@ def simulate_counting(model: CountingModel, seed: int) -> CountingResult:
         signal_counts=signal,
         background_counts=background,
         snr=snr,
-        mean_signal=mean_sig,
-        mean_background=mean_bg,
     )
 
 

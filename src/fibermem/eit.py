@@ -555,22 +555,6 @@ def _infer_readout_start(t: np.ndarray, env: np.ndarray) -> Optional[float]:
     return None
 
 
-def storage_efficiency(result: PropagationResult, readout_window) -> float:
-    """Retrieved energy in the window over total input energy."""
-    t1, t2 = readout_window
-    if t2 <= t1:
-        raise ValueError("readout window is empty")
-    t = result.t_grid_s
-    if t1 > t[-1] or t2 < t[0]:
-        raise ValueError("readout window outside the simulated span")
-    sel = (t >= t1) & (t <= t2)
-    if np.count_nonzero(sel) < 2:
-        raise ValueError("readout window too narrow for the grid")
-    num = np.trapezoid(result.output_intensity[sel], t[sel])
-    den = np.trapezoid(result.input_intensity, t)
-    return float(num / den)
-
-
 def refinement_delta(
     probe: ProbePulse,
     control: ControlField,

@@ -123,7 +123,6 @@ class FitProblem:
     model_id: str
     data: Sequence
     initial_guess: Optional[Sequence] = None
-    bounds: Optional[Sequence] = None
     frozen: frozenset = field(default_factory=frozenset)
 
     def resolved(self):
@@ -138,6 +137,12 @@ class FitProblem:
             [r[2] if len(r) > 2 and r[2] is not None else 1.0 for r in rows],
             dtype=float,
         )
+        finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(sig)
+        if not finite.all():
+            raise ValueError(
+                "data row %d holds a non-finite x, y or sigma_y"
+                % (np.flatnonzero(~finite)[0] + 1)
+            )
         if np.any(sig <= 0.0):
             raise ValueError("sigma_y must be positive")
         weighted = any(len(r) > 2 and r[2] is not None for r in rows)
@@ -148,14 +153,7 @@ class FitProblem:
         )
         if guess.shape != (n_par,):
             raise ValueError("initial_guess length mismatch")
-        bounds = (
-            tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-            if self.bounds is not None
-            else spec.default_bounds
-        )
-        if len(bounds) != n_par:
-            raise ValueError("bounds length mismatch")
-        for g, (lo, hi), name in zip(guess, bounds, spec.param_names):
+        for g, (lo, hi), name in zip(guess, spec.default_bounds, spec.param_names):
             if not lo <= g <= hi:
                 raise ValueError(
                     "guess %s=%g outside bounds [%g, %g]" % (name, g, lo, hi)
@@ -163,7 +161,7 @@ class FitProblem:
         unknown = set(self.frozen) - set(spec.param_names)
         if unknown:
             raise ValueError("frozen names not in model: %s" % sorted(unknown))
-        return spec, x, y, sig, weighted, guess, bounds
+        return spec, x, y, sig, weighted, guess
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,6 @@ class FitResult:
     covariance: np.ndarray
     reduced_chi2: float
     chi2_unitless: bool
-    residuals: np.ndarray
     converged: bool
     n_iterations: int
     cost_history: tuple
@@ -209,7 +206,8 @@ def fit(problem: FitProblem) -> FitResult:
     ceiling is hit.  Parameters whose Jacobian direction is degenerate
     at the solution are listed in unidentifiable.
     """
-    spec, x, y, sig, weighted, guess, bounds = problem.resolved()
+    spec, x, y, sig, weighted, guess = problem.resolved()
+    bounds = spec.default_bounds
     names = spec.param_names
     n_par = len(names)
     free = np.array([nm not in problem.frozen for nm in names])
@@ -314,7 +312,6 @@ def fit(problem: FitProblem) -> FitResult:
         covariance=cov,
         reduced_chi2=float(red_chi2),
         chi2_unitless=not weighted,
-        residuals=r / w,
         converged=converged,
         n_iterations=n_iter,
         cost_history=tuple(history),

@@ -17,11 +17,12 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULTS, config_digest, render_config, set_key
+from .config import DEFAULTS, KEY_DOCS, config_digest, render_config, set_key
 from .counting import (
     CountingModel,
     analytic_snr,
@@ -76,19 +77,18 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ScenarioEntry:
-    """Catalog row: what the scenario produces and which keys it reads."""
+    """Catalog row: what the scenario produces, every key its runner
+    reads, and the runner, called as runner(cfg, seed)."""
 
     scenario_id: str
     description: str
     headline: Optional[str]
-    parameter_docs: tuple
+    keys: tuple
+    runner: Callable
 
-
-def _doc(*keys) -> tuple:
-    missing = [k for k, _ in keys if k not in DEFAULTS]
-    if missing:
-        raise KeyError("parameter docs reference unknown keys %s" % missing)
-    return tuple(keys)
+    @property
+    def parameter_docs(self) -> tuple:
+        return tuple((key, KEY_DOCS[key]) for key in self.keys)
 
 
 def _scheme(cfg) -> LambdaScheme:
@@ -107,16 +107,6 @@ def _rabi(cfg, power_W: float) -> float:
     )
 
 
-def _absorption(cfg) -> AbsorptionModel:
-    return AbsorptionModel(
-        alpha0_L=cfg["absorption.alpha0_L"],
-        p_sat_W=cfg["absorption.p_sat_nW"] * 1e-9,
-        k_exp=cfg["absorption.k_exp"],
-        gamma_rad_per_s=cfg["scheme.gamma_MHz"] * MHZ,
-        od=cfg["spectroscopy.od"],
-    )
-
-
 def _decoherence(cfg) -> DecoherenceParams:
     return DecoherenceParams(
         temperature_K=cfg["decoherence.temperature_uK"] * 1e-6,
@@ -129,7 +119,11 @@ def _decoherence(cfg) -> DecoherenceParams:
 
 def _run_fig1b(cfg, seed):
     """Saturation of the transmitted power, with a self-fit check."""
-    model = _absorption(cfg)
+    model = AbsorptionModel(
+        alpha0_L=cfg["absorption.alpha0_L"],
+        p_sat_W=cfg["absorption.p_sat_nW"] * 1e-9,
+        k_exp=cfg["absorption.k_exp"],
+    )
     p_nW = np.geomspace(
         cfg["absorption.power_min_nW"],
         cfg["absorption.power_max_nW"],
@@ -149,7 +143,9 @@ def _run_fig1b(cfg, seed):
 
 def _run_fig1c(cfg, seed):
     """Resonant absorption line, with the optical depth fit back out."""
-    model = _absorption(cfg)
+    model = AbsorptionModel(
+        gamma_rad_per_s=cfg["scheme.gamma_MHz"] * MHZ, od=cfg["spectroscopy.od"]
+    )
     span = cfg["spectroscopy.span_MHz"]
     delta_MHz = np.linspace(-span, span, cfg["spectroscopy.points"])
     trans = lorentzian_transmission(delta_MHz * MHZ, model)
@@ -259,7 +255,6 @@ def _storage_control(cfg, dark_ns: float) -> ControlField:
 
 
 def _storage_inputs(cfg):
-    scheme = _scheme(cfg)
     probe = ProbePulse(
         mean_photon_number=cfg["probe.photons"],
         fwhm_s=cfg["probe.fwhm_ns"] * 1e-9,
@@ -273,19 +268,19 @@ def _storage_inputs(cfg):
         dt_s=cfg["storage.dt_ns"] * 1e-9,
         n_z=cfg["storage.n_z"],
     )
-    return probe, _storage_control(cfg, cfg["storage.dark_ns"]), grid, scheme
+    return probe, grid, _scheme(cfg)
 
 
 def _run_storage(cfg, seed, with_target: bool):
     """Full storage and retrieval run plus a counting estimate."""
-    probe, control, grid, scheme = _storage_inputs(cfg)
+    probe, grid, scheme = _storage_inputs(cfg)
+    control = _storage_control(cfg, cfg["storage.dark_ns"])
     result = propagate_pulse(probe, control, cfg["storage.od"], scheme, grid)
     counting = CountingModel(
         mean_photons_in=cfg["probe.photons"],
         efficiency=min(result.retrieval_efficiency, 1.0),
         background_per_window=cfg["counting.background"],
         n_shots=cfg["counting.shots"],
-        window_s=cfg["counting.window_ns"] * 1e-9,
     )
     counted = simulate_counting(counting, seed)
     summary = {
@@ -313,18 +308,10 @@ def _run_storage(cfg, seed, with_target: bool):
     return cols, summary
 
 
-def _run_fig3b(cfg, seed):
-    return _run_storage(cfg, seed, with_target=True)
-
-
-def _run_custom(cfg, seed):
-    return _run_storage(cfg, seed, with_target=False)
-
-
 def _run_fig3c(cfg, seed):
     """Retrieval efficiency against the dark storage interval."""
     darks = _sweep(cfg, "storage.dark_%s_ns")
-    probe, _, grid, scheme = _storage_inputs(cfg)
+    probe, grid, scheme = _storage_inputs(cfg)
     # one batched propagation, a row per dark interval
     controls = [_storage_control(cfg, d) for d in darks.tolist()]
     results = propagate_pulse(probe, controls, cfg["storage.od"], scheme, grid)
@@ -386,7 +373,9 @@ def _revival_peaks(t_us, comb, t_half_us) -> list:
     return peaks
 
 
-def _run_magnetic(cfg, b_field_G: float):
+def _run_magnetic(cfg, seed, field_key: str):
+    """Memory decay with Larmor collapses and revivals in the field at field_key."""
+    b_field_G = cfg[field_key]
     params = _decoherence(cfg)
     scenario = MagneticScenario(b_field_T=b_field_G * 1e-4)
     t_us = np.linspace(0.0, cfg["decoherence.t_max_us"], cfg["decoherence.points"])
@@ -409,14 +398,6 @@ def _run_magnetic(cfg, b_field_G: float):
         ("field_free_decay", free),
     ]
     return cols, summary
-
-
-def _run_fig4b(cfg, seed):
-    return _run_magnetic(cfg, cfg["magnetic.b_field_G"])
-
-
-def _run_fig4c(cfg, seed):
-    return _run_magnetic(cfg, cfg["magnetic.b_field_alt_G"])
 
 
 def _run_mode_scan(cfg, seed):
@@ -445,191 +426,123 @@ def _run_mode_scan(cfg, seed):
     return cols, summary
 
 
-_SPECTRO_DOCS = _doc(
-    ("spectroscopy.od", "resonant optical depth, dimensionless"),
-    ("spectroscopy.span_MHz", "half width of the detuning grid, MHz"),
-    ("spectroscopy.points", "number of detuning samples"),
-    ("scheme.gamma_MHz", "excited-state linewidth as a frequency, MHz"),
+# key groups shared by several catalog rows, disjoint so no row repeats a key
+_SCHEME = ("scheme.gamma_MHz", "scheme.gamma_gs_rad_per_s")
+_RABI = ("control.waist_um", "calibration.rabi_calibration")  # with scheme.gamma_MHz
+_SPECTRUM = ("spectroscopy.od", "spectroscopy.span_MHz", "spectroscopy.points")
+_STORAGE = (
+    "storage.od", "control.power_mW", "probe.photons", "probe.shape",
+    "probe.fwhm_ns", "probe.peak_ns", "probe.detuning_MHz",
+    "storage.switch_off_ns", "storage.ramp_ns",
+    "storage.t_stop_ns", "storage.dt_ns", "storage.n_z",
+)
+_STORAGE_POINT = (
+    _STORAGE + ("storage.dark_ns", "counting.background", "counting.shots")
+    + _SCHEME + _RABI
+)
+_DECOHERENCE = (
+    "decoherence.temperature_uK", "decoherence.zeeman_kHz",
+    "decoherence.t_max_us", "decoherence.points",
+    "fiber.radius_nm", "fiber.wavelength_nm", "control.angle_deg",
 )
 
-_STORAGE_DOCS = _doc(
-    ("storage.od", "resonant optical depth, dimensionless"),
-    ("control.power_mW", "control beam power, mW"),
-    ("control.waist_um", "control beam 1/e^2 waist, micrometers"),
-    ("probe.photons", "mean photon number per probe pulse, dimensionless"),
-    ("probe.shape", "probe envelope: exponential-rising, gaussian or square"),
-    ("probe.fwhm_ns", "probe intensity FWHM, ns"),
-    ("probe.peak_ns", "probe peak arrival time, ns"),
-    ("probe.detuning_MHz", "probe detuning from line center, MHz"),
-    ("storage.switch_off_ns", "control switch-off time, ns"),
-    ("storage.dark_ns", "dark interval before reopening the control, ns"),
-    ("storage.ramp_ns", "control ramp duration, ns"),
-    ("storage.t_stop_ns", "end of the simulated span, ns"),
-    ("storage.dt_ns", "time step, ns"),
-    ("storage.n_z", "number of medium slices, dimensionless"),
-    ("counting.background", "mean background counts per window, dimensionless"),
-    ("counting.shots", "number of repeated shots"),
-    ("counting.window_ns", "counting window, ns"),
-)
-
-_DECOHERENCE_DOCS = _doc(
-    ("decoherence.temperature_uK", "atom temperature, microkelvin"),
-    ("decoherence.zeeman_kHz", "residual Zeeman broadening, kHz"),
-    ("decoherence.t_max_us", "end of the storage-time axis, microseconds"),
-    ("decoherence.points", "number of time samples"),
-    ("fiber.radius_nm", "fiber radius setting the transit length, nm"),
-    ("control.angle_deg", "beam angle entering the motional phase, degrees"),
-)
-
-_REGISTRY: dict = {}
-
-
-def _register(entry: ScenarioEntry, runner: Callable) -> None:
-    _REGISTRY[entry.scenario_id] = (entry, runner)
-
-
-_register(
+_CATALOG = (
     ScenarioEntry(
         "fig1b",
         "transmission versus probe power through the saturable ensemble,"
         " self-fitted with the saturation model",
         None,
-        _doc(
-            ("absorption.alpha0_L", "weak-probe optical depth, dimensionless"),
-            ("absorption.p_sat_nW", "saturation power, nW"),
-            ("absorption.k_exp", "saturation exponent, dimensionless"),
-            ("absorption.power_min_nW", "lowest probe power, nW"),
-            ("absorption.power_max_nW", "highest probe power, nW"),
-            ("absorption.points", "number of power samples"),
-        ),
+        ("absorption.alpha0_L", "absorption.p_sat_nW", "absorption.k_exp",
+         "absorption.power_min_nW", "absorption.power_max_nW", "absorption.points"),
+        _run_fig1b,
     ),
-    _run_fig1b,
-)
-_register(
     ScenarioEntry(
         "fig1c",
         "resonant absorption line versus detuning, self-fitted to recover"
         " the optical depth",
         "fitted od returns the configured value, 3.00 by default",
-        _SPECTRO_DOCS,
+        _SPECTRUM + ("scheme.gamma_MHz",),
+        _run_fig1c,
     ),
-    _run_fig1c,
-)
-_register(
     ScenarioEntry(
         "fig2",
         "transparency window spectra at several control powers",
         None,
-        _SPECTRO_DOCS
-        + _doc(
-            ("spectroscopy.powers_mW", "comma list of control powers, mW"),
-            ("control.waist_um", "control beam 1/e^2 waist, micrometers"),
-            ("scheme.gamma_gs_rad_per_s", "ground-state coherence decay rate, rad/s"),
-            ("calibration.rabi_calibration", "power to Rabi factor, dimensionless"),
-        ),
+        _SPECTRUM + ("spectroscopy.powers_mW",) + _SCHEME + _RABI,
+        _run_fig2,
     ),
-    _run_fig2,
-)
-_register(
     ScenarioEntry(
         "fig3a",
         "slow-light group delay and slowdown factor versus control power",
         "60 ns delay at the 0.5 mW anchor power",
-        _doc(
-            ("slowlight.od", "resonant optical depth, dimensionless"),
-            ("slowlight.power_min_mW", "lowest control power, mW"),
-            ("slowlight.power_max_mW", "highest control power, mW"),
-            ("slowlight.points", "number of power samples"),
-            ("medium.length_mm", "medium length for the slowdown factor, mm"),
-            ("calibration.anchor_delay_power_mW", "power of the reported delay, mW"),
-        ),
+        ("slowlight.od", "slowlight.power_min_mW", "slowlight.power_max_mW",
+         "slowlight.points", "medium.length_mm", "calibration.anchor_delay_power_mW")
+        + _SCHEME + _RABI,
+        _run_fig3a,
     ),
-    _run_fig3a,
-)
-_register(
     ScenarioEntry(
         "fig3b",
         "pulse storage and retrieval at the reference operating point,"
         " with photon-counting statistics for the retrieved field",
         "retrieval efficiency at the reference point; target 0.10",
-        _STORAGE_DOCS,
+        _STORAGE_POINT,
+        partial(_run_storage, with_target=True),
     ),
-    _run_fig3b,
-)
-_register(
     ScenarioEntry(
         "fig3c",
         "retrieval efficiency versus the dark storage interval",
         None,
-        _STORAGE_DOCS
-        + _doc(
-            ("storage.dark_min_ns", "shortest dark interval, ns"),
-            ("storage.dark_max_ns", "longest dark interval, ns"),
-            ("storage.dark_step_ns", "dark interval step, ns"),
-        ),
+        _STORAGE
+        + ("storage.dark_min_ns", "storage.dark_max_ns", "storage.dark_step_ns")
+        + _SCHEME + _RABI,
+        _run_fig3c,
     ),
-    _run_fig3c,
-)
-_register(
     ScenarioEntry(
         "fig4a",
         "field-free memory decay versus storage time, self-fitted to"
         " recover the dephasing and transit lifetimes",
         None,
-        _DECOHERENCE_DOCS,
+        _DECOHERENCE,
+        _run_fig4a,
     ),
-    _run_fig4a,
-)
-_register(
     ScenarioEntry(
         "fig4b",
         "memory decay with Larmor collapses and revivals at the reference"
         " longitudinal field",
         "revivals at multiples of the half Larmor period, 3.57 us at 0.4 G",
-        _DECOHERENCE_DOCS + _doc(("magnetic.b_field_G", "longitudinal field, Gauss")),
+        _DECOHERENCE + ("magnetic.b_field_G",),
+        partial(_run_magnetic, field_key="magnetic.b_field_G"),
     ),
-    _run_fig4b,
-)
-_register(
     ScenarioEntry(
         "fig4c",
         "memory decay with Larmor revivals at the alternate field",
         "first revival near 2.38 us at 0.6 G",
-        _DECOHERENCE_DOCS
-        + _doc(("magnetic.b_field_alt_G", "alternate longitudinal field, Gauss")),
+        _DECOHERENCE + ("magnetic.b_field_alt_G",),
+        partial(_run_magnetic, field_key="magnetic.b_field_alt_G"),
     ),
-    _run_fig4c,
-)
-_register(
     ScenarioEntry(
         "mode_scan",
         "fundamental-mode surface intensity versus fiber diameter",
         "surface intensity peaks near 400 nm diameter",
-        _doc(
-            ("fiber.wavelength_nm", "vacuum wavelength, nm"),
-            ("fiber.core_index", "core refractive index, dimensionless"),
-            ("scan.diameter_min_nm", "smallest diameter, nm"),
-            ("scan.diameter_max_nm", "largest diameter, nm"),
-            ("scan.diameter_step_nm", "diameter step, nm"),
-        ),
+        ("fiber.wavelength_nm", "fiber.core_index", "scan.diameter_min_nm",
+         "scan.diameter_max_nm", "scan.diameter_step_nm"),
+        _run_mode_scan,
     ),
-    _run_mode_scan,
-)
-_register(
     ScenarioEntry(
         "custom",
         "free-form storage run; combine with --set overrides to explore"
         " operating points away from the reference",
         None,
-        _STORAGE_DOCS,
+        _STORAGE_POINT,
+        partial(_run_storage, with_target=False),
     ),
-    _run_custom,
 )
+_REGISTRY = {entry.scenario_id: entry for entry in _CATALOG}
 
 
 def list_scenarios() -> tuple:
-    """Catalog entries in stable registration order."""
-    return tuple(entry for entry, _ in _REGISTRY.values())
+    """Catalog entries in stable order."""
+    return _CATALOG
 
 
 def _format_cell(v) -> str:
@@ -684,11 +597,11 @@ def run_scenario(scenario: Scenario, config: Optional[dict] = None) -> dict:
             "unknown scenario %r; known: %s"
             % (scenario.scenario_id, ", ".join(_REGISTRY))
         )
-    entry, runner = _REGISTRY[scenario.scenario_id]
+    entry = _REGISTRY[scenario.scenario_id]
     cfg = dict(config) if config is not None else dict(DEFAULTS)
     for key, value in scenario.parameters.items():
         set_key(cfg, key, value)
-    columns, summary = runner(cfg, scenario.seed)
+    columns, summary = entry.runner(cfg, scenario.seed)
     path = scenario.output_path or "%s.csv" % scenario.scenario_id
     n_rows = _write_csv(path, scenario, cfg, columns)
     return {

@@ -28,7 +28,13 @@ from fibermem.ensemble import (
     atom_number_from_absorption,
     effective_atom_number,
 )
-from fibermem.scenarios import Scenario, _revival_peaks, _storage_inputs, run_scenario
+from fibermem.scenarios import (
+    Scenario,
+    _revival_peaks,
+    _storage_control,
+    _storage_inputs,
+    run_scenario,
+)
 from fibermem.waveguide import FiberSpec, solve_he11, surface_intensity_scan
 
 TRUTH = {
@@ -189,13 +195,19 @@ def test_06_slow_light_delay():
     assert centroid_rel < 0.05
 
 
+def storage_point(cfg):
+    """The fig3b propagation inputs, built as the scenario builds them."""
+    probe, grid, scheme = _storage_inputs(cfg)
+    return probe, _storage_control(cfg, cfg["storage.dark_ns"]), grid, scheme
+
+
 def test_07_storage_efficiency_properties(tmp_path):
     rep = run_scenario(
         Scenario("fig3b", seed=0, output_path=str(tmp_path / "fig3b.csv"))
     )
     eta = rep["summary"]["retrieval_efficiency"]
 
-    probe, ctrl, grid, scheme = _storage_inputs(dict(DEFAULTS))
+    probe, ctrl, grid, scheme = storage_point(dict(DEFAULTS))
     etas = []
     for res in eit.propagate_pulse(probe, ctrl, (1.0, 2.5, 5.0, 7.5, 10.0),
                                    scheme, grid):
@@ -205,7 +217,7 @@ def test_07_storage_efficiency_properties(tmp_path):
 
     late_cfg = dict(DEFAULTS)
     late_cfg["storage.switch_off_ns"] = 700.0
-    probe_l, ctrl_l, grid_l, scheme_l = _storage_inputs(late_cfg)
+    probe_l, ctrl_l, grid_l, scheme_l = storage_point(late_cfg)
     late = eit.propagate_pulse(probe_l, ctrl_l, 10.0, scheme_l, grid_l)
     assert_passive(late)
 
@@ -250,7 +262,7 @@ def test_08_fit_round_trips():
 
 
 def test_09_numerical_robustness():
-    probe, ctrl, grid, scheme = _storage_inputs(dict(DEFAULTS))
+    probe, ctrl, grid, scheme = storage_point(dict(DEFAULTS))
     delta = eit.refinement_delta(probe, ctrl, DEFAULTS["storage.od"], scheme, grid)
 
     delta_grid = np.linspace(-2 * math.pi * 30e6, 2 * math.pi * 30e6, 4001)

@@ -67,5 +67,3 @@ class TestSimulation:
             counting.CountingModel(efficiency=1.5)
         with pytest.raises(ValueError):
             counting.CountingModel(n_shots=0)
-        with pytest.raises(ValueError):
-            counting.CountingModel(window_s=0.0)

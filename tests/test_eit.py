@@ -12,7 +12,7 @@ from fibermem import eit
 from fibermem.config import DEFAULTS, apply_overrides
 from fibermem.constants import C_LIGHT
 from fibermem.ensemble import AbsorptionModel, lorentzian_transmission
-from fibermem.scenarios import _storage_inputs
+from fibermem.scenarios import _storage_control, _storage_inputs
 
 # frozen outputs of calibrate_control(); regression-pinned
 CAL = 0.08182080327802375
@@ -44,8 +44,8 @@ def storage_setup(od, **overrides):
     """Storage inputs as the scenarios build them from DEFAULTS."""
     cfg = dict(DEFAULTS)
     apply_overrides(cfg, ["%s=%s" % kv for kv in overrides.items()])
-    probe, ctrl, grid, sch = _storage_inputs(cfg)
-    return probe, ctrl, od, sch, grid
+    probe, grid, sch = _storage_inputs(cfg)
+    return probe, _storage_control(cfg, cfg["storage.dark_ns"]), od, sch, grid
 
 
 def default_scheme():
@@ -465,25 +465,3 @@ class TestBatchedPropagation:
                 tracemalloc.stop()
 
         assert peak(3 * eit.MAX_BATCH_ROWS) <= 1.5 * peak(eit.MAX_BATCH_ROWS)
-
-
-class TestStorageEfficiency:
-    def test_window_integral_matches_field(self):
-        probe, ctrl, od, sch, grid = fig3b_setup()
-        r = eit.propagate_pulse(probe, ctrl, od, sch, grid)
-        eta = eit.storage_efficiency(r, (r.readout_start_s, grid.t_stop_s))
-        assert eta == pytest.approx(r.retrieval_efficiency, rel=0.02)
-
-    def test_full_window_empty_medium_is_unity(self):
-        probe, ctrl, _, sch, grid = fig3b_setup()
-        r = eit.propagate_pulse(probe, ctrl, 0.0, sch, grid)
-        eta = eit.storage_efficiency(r, (grid.t_start_s, grid.t_stop_s))
-        assert eta == pytest.approx(1.0, rel=1e-12)
-
-    def test_empty_window_rejected(self):
-        probe, ctrl, od, sch, grid = fig3b_setup(t_stop=0.9e-6, dt=1e-9, nz=50)
-        r = eit.propagate_pulse(probe, ctrl, od, sch, grid)
-        with pytest.raises(ValueError):
-            eit.storage_efficiency(r, (400e-9, 400e-9))
-        with pytest.raises(ValueError):
-            eit.storage_efficiency(r, (2e-6, 3e-6))

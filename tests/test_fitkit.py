@@ -86,6 +86,16 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             fitkit.fit(fitkit.FitProblem("lorentzian_od", rows))
 
+    # an inf x or sigma used to fit and report convergence, a nan y to
+    # fail inside the SVD
+    @pytest.mark.parametrize("column, value", [(0, math.inf), (1, math.nan),
+                                               (2, math.inf)])
+    def test_non_finite_data_rejected(self, column, value):
+        rows = [[xi, yi, 0.01] for xi, yi in clean_problem("lorentzian_od").data]
+        rows[4][column] = value
+        with pytest.raises(ValueError, match="data row 5 holds a non-finite"):
+            fitkit.fit(fitkit.FitProblem("lorentzian_od", rows))
+
 
 class TestZeroNoiseRecovery:
     @pytest.mark.parametrize("model_id", sorted(TRUTH))

@@ -13,6 +13,7 @@ from fibermem import fitkit, scenarios, waveguide
 from fibermem.cli import _read_xy, entry
 from fibermem.config import (
     DEFAULTS,
+    KEY_DOCS,
     apply_overrides,
     config_digest,
     load_config,
@@ -28,6 +29,18 @@ from fibermem.scenarios import (
 )
 
 MHZ = 2.0 * math.pi * 1e6
+
+
+class ReadRecorder(dict):
+    """A configuration that records every key read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
 
 
 def run(tmp_path, scenario_id, seed=0, out=None, **overrides):
@@ -112,6 +125,18 @@ class TestCatalog:
                 documented.add(key)
         # every accepted key is documented, so an inert key cannot hide
         assert documented == set(DEFAULTS)
+        assert KEY_DOCS.keys() == DEFAULTS.keys()
+
+    @pytest.mark.parametrize("entry_", list_scenarios(), ids=lambda e: e.scenario_id)
+    def test_listed_keys_are_the_keys_the_runner_reads(self, entry_):
+        cfg = ReadRecorder(DEFAULTS)
+        if entry_.scenario_id == "fig3c":
+            # a short run: which keys are read does not depend on the grid
+            cfg.update({"storage.t_stop_ns": 600.0, "storage.dt_ns": 1.0,
+                        "storage.n_z": 50, "storage.dark_max_ns": 60.0})
+        entry_.runner(cfg, 0)
+        assert len(set(entry_.keys)) == len(entry_.keys)
+        assert set(cfg.reads) == set(entry_.keys)
 
     def test_storage_headline_cites_target(self):
         entry_ = {e.scenario_id: e for e in list_scenarios()}["fig3b"]
@@ -357,6 +382,18 @@ class TestCli:
         assert err.count("exceeds the limit of 10000") == 2
         assert "raise 'storage.dark_step_ns'" in err
         assert "raise 'scan.diameter_step_nm'" in err
+        # a deleted key is unknown, not silently accepted
+        assert entry(["sim", "fig3b", "--out", str(out),
+                      "--set", "counting.window_ns=100"]) == 2
+        assert not out.exists()
+        assert "unknown config key 'counting.window_ns'" in capsys.readouterr().err
+        # non-finite fit data is refused, naming the row
+        data = tmp_path / "bad.csv"
+        for bad_row in ("inf,0.5,0.01", "3,nan,0.01", "3,0.5,inf"):
+            data.write_text("detuning_MHz,transmission,sigma\n1,0.5,0.01\n"
+                            "2,0.6,0.01\n%s\n4,0.7,0.01\n" % bad_row)
+            assert entry(["fit", "lorentzian_od", "--data", str(data)]) == 2
+        assert capsys.readouterr().err.count("data row 3 holds a non-finite") == 3
         assert entry(["fit", "nomodel", "--data", "x.csv"]) == 2
         assert entry(["fit", "lorentzian_od", "--data", str(tmp_path / "no.csv")]) == 2
         assert entry(["frobnicate"]) == 2
