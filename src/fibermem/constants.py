@@ -1,7 +1,10 @@
 """Physical constants and cesium D2-line data, all in SI units, plus
-the scalar-return convention shared by the physics modules."""
+the scalar-return and finite-input conventions shared by the physics
+modules."""
 
+import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -39,3 +42,19 @@ SILICA_INDEX_852NM = 1.4525
 def scalar_or_array(out):
     """A 0-d result (from a scalar input) as a Python number, else `out`."""
     return out.item() if np.ndim(out) == 0 else out
+
+
+def check_fields(obj, positive=(), nonnegative=()) -> None:
+    """Reject a NaN or infinite number in any field of dataclass `obj`,
+    and a value <= 0 in the fields named in `positive`, < 0 in those
+    named in `nonnegative`."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (f.name, value))
+    for name in positive:
+        if getattr(obj, name) <= 0:
+            raise ValueError("%s must be positive" % name)
+    for name in nonnegative:
+        if getattr(obj, name) < 0:
+            raise ValueError("%s must be nonnegative" % name)

@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import check_fields
+
+# most shots one model draws; each shot holds two int64 counts
+MAX_SHOTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class CountingModel:
@@ -24,12 +29,13 @@ class CountingModel:
     n_shots: int = 10000
 
     def __post_init__(self):
-        if self.mean_photons_in < 0.0 or self.background_per_window < 0.0:
-            raise ValueError("means must be nonnegative")
+        check_fields(self, positive=("n_shots",),
+                     nonnegative=("mean_photons_in", "background_per_window"))
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
-        if self.n_shots < 1:
-            raise ValueError("n_shots must be at least 1")
+        if self.n_shots > MAX_SHOTS:
+            raise ValueError("n_shots %d exceeds the limit of %d"
+                             % (self.n_shots, MAX_SHOTS))
 
 
 @dataclass(frozen=True)

@@ -24,20 +24,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import (
-    CS_GF_GROUND, CS_MASS_KG, H_PLANCK, K_BOLTZMANN, MU_BOHR, scalar_or_array,
+    CS_GF_GROUND, CS_MASS_KG, H_PLANCK, K_BOLTZMANN, MU_BOHR, check_fields,
+    scalar_or_array,
 )
 
 # default ladder: phase integers 2m for clock-pair coherences, m = -3..3
 _DEFAULT_LADDER = tuple((2 * m, 1.0 / 7.0) for m in range(-3, 4))
 
 
-def thermal_velocity(temperature_K: float, mass_kg: float = CS_MASS_KG) -> float:
-    """One-dimensional thermal speed sqrt(kT/m)."""
+def thermal_velocity(temperature_K: float) -> float:
+    """One-dimensional thermal speed sqrt(kT/m) of a cesium atom."""
     if temperature_K < 0.0:
         raise ValueError("temperature_K must be nonnegative")
-    if mass_kg <= 0.0:
-        raise ValueError("mass_kg must be positive")
-    return math.sqrt(K_BOLTZMANN * temperature_K / mass_kg)
+    return math.sqrt(K_BOLTZMANN * temperature_K / CS_MASS_KG)
 
 
 def transit_time(radius_m: float, velocity_m_s: float) -> float:
@@ -107,61 +106,40 @@ def efficiency_decay(t_s, tau_D_s: float, tau_T_s: float) -> np.ndarray:
     return scalar_or_array(np.exp(-xd2 / (1.0 + xt2)) / (1.0 + xt2) ** 2)
 
 
-def half_larmor_period(b_field_T: float, g_f: float = CS_GF_GROUND) -> float:
+def half_larmor_period(b_field_T: float) -> float:
     """Half of the Larmor precession period, 1/(2 g_F mu_B B / h)."""
     if b_field_T <= 0.0:
         raise ValueError("b_field_T must be positive")
-    if g_f <= 0.0:
-        raise ValueError("g_f must be positive")
-    return 1.0 / (2.0 * g_f * MU_BOHR * b_field_T / H_PLANCK)
+    return 1.0 / (2.0 * CS_GF_GROUND * MU_BOHR * b_field_T / H_PLANCK)
 
 
 @dataclass(frozen=True)
 class DecoherenceParams:
-    """Physical inputs of the lifetime model.
-
-    tau_T_s and tau_D_s may be supplied directly (fit results); left as
-    None they are derived from the physical fields.
-    """
+    """Physical inputs of the lifetime model of a cesium cloud; the
+    lifetimes tau_T and tau_D derive from them."""
 
     temperature_K: float = 200e-6
-    atom_mass_kg: float = CS_MASS_KG
     fiber_radius_m: float = 200e-9
     wavelength_m: float = 852e-9
     control_angle_rad: float = math.radians(13.0)
     zeeman_broadening_Hz: float = 1e5
-    tau_T_s: float | None = None
-    tau_D_s: float | None = None
 
     def __post_init__(self):
-        for name in (
-            "temperature_K", "atom_mass_kg", "fiber_radius_m", "wavelength_m",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        check_fields(self, positive=("temperature_K", "fiber_radius_m", "wavelength_m"),
+                     nonnegative=("zeeman_broadening_Hz",))
         if not 0.0 <= self.control_angle_rad < math.pi:
             raise ValueError("control_angle_rad must lie in [0, pi)")
-        if self.zeeman_broadening_Hz < 0.0:
-            raise ValueError("zeeman_broadening_Hz must be nonnegative")
-        for name in ("tau_T_s", "tau_D_s"):
-            v = getattr(self, name)
-            if v is not None and v <= 0.0:
-                raise ValueError(f"{name} must be positive when supplied")
 
     @property
     def velocity_m_s(self) -> float:
-        return thermal_velocity(self.temperature_K, self.atom_mass_kg)
+        return thermal_velocity(self.temperature_K)
 
     @property
     def effective_tau_T_s(self) -> float:
-        if self.tau_T_s is not None:
-            return self.tau_T_s
         return transit_time(self.fiber_radius_m, self.velocity_m_s)
 
     @property
     def effective_tau_D_s(self) -> float:
-        if self.tau_D_s is not None:
-            return self.tau_D_s
         tau2 = motional_dephasing_time(
             self.wavelength_m, self.control_angle_rad, self.velocity_m_s
         )
@@ -176,22 +154,19 @@ class MagneticScenario:
     m_populations lists (phase integer, weight) pairs; each coherence
     accumulates phase integer * 2 pi nu_L t.  The default ladder holds
     the seven clock-pair coherences at even integers 2m, m = -3..3,
-    equally weighted, which rephase at every half Larmor period.
+    equally weighted, which rephase at every half Larmor period.  The
+    Lande factor is the cesium ground-state |g_F| = 1/4.
     """
 
     b_field_T: float = 0.4e-4
-    g_f: float = CS_GF_GROUND
     m_populations: tuple = field(default_factory=lambda: _DEFAULT_LADDER)
 
     def __post_init__(self):
-        if self.b_field_T < 0.0:
-            raise ValueError("b_field_T must be nonnegative")
-        if self.g_f <= 0.0:
-            raise ValueError("g_f must be positive")
+        check_fields(self, nonnegative=("b_field_T",))
         pops = tuple((int(m), float(w)) for m, w in self.m_populations)
         object.__setattr__(self, "m_populations", pops)
-        if any(w < 0.0 for _, w in pops):
-            raise ValueError("population weights must be nonnegative")
+        if not all(0.0 <= w < math.inf for _, w in pops):
+            raise ValueError("population weights must be finite and nonnegative")
         total = sum(w for _, w in pops)
         if abs(total - 1.0) > 1e-9:
             raise ValueError("population weights must sum to 1")
@@ -207,7 +182,7 @@ def revival_envelope(
     times.  At B=0 the interference factor is identically 1.
     """
     t = np.asarray(t_grid, dtype=float)
-    nu_larmor = scenario.g_f * MU_BOHR * scenario.b_field_T / H_PLANCK
+    nu_larmor = CS_GF_GROUND * MU_BOHR * scenario.b_field_T / H_PLANCK
     amp = np.zeros_like(t, dtype=complex)
     for m, w in scenario.m_populations:
         amp += w * np.exp(1j * m * 2.0 * np.pi * nu_larmor * t)

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .constants import C_LIGHT, CS_D2_ISAT_W_M2, scalar_or_array
+from .constants import C_LIGHT, CS_D2_ISAT_W_M2, check_fields, scalar_or_array
 
 # effective excited-state linewidth of the fiber-coupled ensemble
 GAMMA_EFF_RAD_PER_S = 2.0 * math.pi * 6.8e6
@@ -74,10 +74,8 @@ class LambdaScheme:
     gamma_gs_rad_per_s: float = GAMMA_GS_CALIBRATED_RAD_PER_S
 
     def __post_init__(self):
-        if self.gamma_ge_rad_per_s <= 0.0:
-            raise ValueError("gamma_ge_rad_per_s must be positive")
-        if self.gamma_gs_rad_per_s < 0.0:
-            raise ValueError("gamma_gs_rad_per_s must be nonnegative")
+        check_fields(self, positive=("gamma_ge_rad_per_s",),
+                     nonnegative=("gamma_gs_rad_per_s",))
         if self.gamma_gs_rad_per_s > 0.2 * self.gamma_ge_rad_per_s:
             warnings.warn(
                 "gamma_gs is not small against gamma_ge; EIT contrast will be poor",
@@ -98,10 +96,8 @@ def rabi_from_power(
     the unknown dipole projection onto the evanescent mode; its default
     is anchored so 1.6 mW yields 75% window transparency at od=3.
     """
-    if power_W < 0.0:
-        raise ValueError("power_W must be nonnegative")
-    if waist_m <= 0.0:
-        raise ValueError("waist_m must be positive")
+    if not (0.0 <= power_W < math.inf and 0.0 < waist_m < math.inf):
+        raise ValueError("power_W must be finite and >= 0, waist_m finite and > 0")
     intensity = 2.0 * power_W / (math.pi * waist_m**2)
     return calibration * gamma_rad_per_s * math.sqrt(
         intensity / (2.0 * CS_D2_ISAT_W_M2)
@@ -110,29 +106,19 @@ def rabi_from_power(
 
 @dataclass(frozen=True)
 class ControlField:
-    """Classical control beam.
+    """Classical control beam of peak Rabi frequency rabi_rad_per_s.
 
-    rabi_rad_per_s left as None is derived from power via
-    rabi_from_power; pass a value to override the calibration.
-    envelope(t) multiplies the Rabi frequency: it takes an array of
-    times and returns an array of values in [0, 1]; None means
-    constant drive.  Power, waist and Rabi frequency must be finite.
+    The Rabi frequency must be finite and nonnegative; convert a beam
+    power with rabi_from_power.  envelope(t) multiplies the Rabi
+    frequency: it takes an array of times and returns an array of
+    values in [0, 1]; None means constant drive.
     """
 
-    power_W: float = ANCHOR_POWER_LOW_W
-    waist_m: float = ANCHOR_WAIST_M
-    rabi_rad_per_s: Optional[float] = None
+    rabi_rad_per_s: float
     envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if not (0.0 <= self.power_W < math.inf and 0.0 < self.waist_m < math.inf):
-            raise ValueError("power_W must be finite and >= 0, waist_m finite and > 0")
-        if self.rabi_rad_per_s is None:
-            object.__setattr__(
-                self, "rabi_rad_per_s", rabi_from_power(self.power_W, self.waist_m)
-            )
-        elif not 0.0 <= self.rabi_rad_per_s < math.inf:
-            raise ValueError("rabi_rad_per_s must be finite and nonnegative")
+        check_fields(self, nonnegative=("rabi_rad_per_s",))
 
     def rabi_at(self, t_s) -> np.ndarray:
         if self.envelope is None:
@@ -151,10 +137,7 @@ class ProbePulse:
     peak_time_s: float = 300e-9
 
     def __post_init__(self):
-        if self.mean_photon_number <= 0.0:
-            raise ValueError("mean_photon_number must be positive")
-        if self.fwhm_s <= 0.0:
-            raise ValueError("fwhm_s must be positive")
+        check_fields(self, positive=("mean_photon_number", "fwhm_s"))
         if self.shape not in ("exponential-rising", "gaussian", "square"):
             raise ValueError("unknown pulse shape %r" % (self.shape,))
 
@@ -190,24 +173,18 @@ class ProbePulse:
 
 @dataclass(frozen=True)
 class PropagationGrid:
-    """Fixed-step grid for propagate_pulse."""
+    """Fixed-step grid for propagate_pulse, starting at t = 0."""
 
-    t_start_s: float = 0.0
     t_stop_s: float = 1.0e-6
     dt_s: float = 0.5e-9
     n_z: int = 200
 
     def __post_init__(self):
-        if self.t_stop_s <= self.t_start_s:
-            raise ValueError("t_stop_s must exceed t_start_s")
-        if self.dt_s <= 0.0:
-            raise ValueError("dt_s must be positive")
-        if self.n_z < 1:
-            raise ValueError("n_z must be positive")
+        check_fields(self, positive=("t_stop_s", "dt_s", "n_z"))
 
     def times(self) -> np.ndarray:
-        n = int(round((self.t_stop_s - self.t_start_s) / self.dt_s))
-        return self.t_start_s + self.dt_s * np.arange(n + 1)
+        n = int(round(self.t_stop_s / self.dt_s))
+        return self.dt_s * np.arange(n + 1)
 
 
 @dataclass(frozen=True)

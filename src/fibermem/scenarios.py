@@ -161,14 +161,26 @@ def _run_fig1c(cfg, seed):
 
 
 def _power_list(cfg) -> list:
-    out = []
+    """(column tag, power in mW) pairs of spectroscopy.powers_mW."""
+    out = {}
     for tok in str(cfg["spectroscopy.powers_mW"]).split(","):
         tok = tok.strip()
-        if tok:
-            out.append(float(tok))
+        if not tok:
+            continue
+        try:
+            p_mW = float(tok)
+        except ValueError:
+            p_mW = math.nan
+        if not math.isfinite(p_mW):
+            raise ValueError("spectroscopy.powers_mW: %r is not a finite number" % tok)
+        tag = ("%g" % p_mW).replace(".", "p")
+        if tag in out:
+            raise ValueError("spectroscopy.powers_mW: %r repeats the %s mW column"
+                             % (tok, tag))
+        out[tag] = p_mW
     if not out:
         raise ValueError("spectroscopy.powers_mW lists no powers")
-    return out
+    return list(out.items())
 
 
 def _run_fig2(cfg, seed):
@@ -179,10 +191,9 @@ def _run_fig2(cfg, seed):
     delta_MHz = np.linspace(-span, span, cfg["spectroscopy.points"])
     cols = [("detuning_MHz", delta_MHz)]
     summary = {}
-    for p_mW in _power_list(cfg):
+    for tag, p_mW in _power_list(cfg):
         omega = _rabi(cfg, p_mW * 1e-3)
         trans = eit_spectrum(od, scheme, omega, delta_MHz * MHZ)
-        tag = ("%g" % p_mW).replace(".", "p")
         cols.append(("transmission_%smW" % tag, trans))
         summary["transparency_%smW" % tag] = float(
             eit_spectrum(od, scheme, omega, 0.0)
@@ -245,9 +256,7 @@ def _sweep(cfg, key_pattern: str) -> np.ndarray:
 def _storage_control(cfg, dark_ns: float) -> ControlField:
     t_off = cfg["storage.switch_off_ns"] * 1e-9
     return ControlField(
-        power_W=cfg["control.power_mW"] * 1e-3,
-        waist_m=cfg["control.waist_um"] * 1e-6,
-        rabi_rad_per_s=_rabi(cfg, cfg["control.power_mW"] * 1e-3),
+        _rabi(cfg, cfg["control.power_mW"] * 1e-3),
         envelope=storage_ramp_envelope(
             t_off, t_off + dark_ns * 1e-9, cfg["storage.ramp_ns"] * 1e-9
         ),
@@ -263,7 +272,6 @@ def _storage_inputs(cfg):
         peak_time_s=cfg["probe.peak_ns"] * 1e-9,
     )
     grid = PropagationGrid(
-        t_start_s=0.0,
         t_stop_s=cfg["storage.t_stop_ns"] * 1e-9,
         dt_s=cfg["storage.dt_ns"] * 1e-9,
         n_z=cfg["storage.n_z"],
@@ -404,14 +412,11 @@ def _run_mode_scan(cfg, seed):
     """Surface intensity against fiber diameter at one watt guided."""
     d_nm = _sweep(cfg, "scan.diameter_%s_nm")
     scan = surface_intensity_scan(
-        cfg["fiber.wavelength_nm"] * 1e-9,
-        d_nm * 1e-9,
-        power_w=1.0,
-        core_index=cfg["fiber.core_index"],
+        cfg["fiber.wavelength_nm"] * 1e-9, d_nm * 1e-9, cfg["fiber.core_index"]
     )
     i_max = int(np.argmax(scan.surface_intensity_w_m2))
     summary = {
-        "argmax_diameter_nm": scan.argmax_diameter_m * 1e9,
+        "argmax_diameter_nm": float(scan.diameters_m[i_max]) * 1e9,
         "max_surface_intensity_W_m2": float(scan.surface_intensity_w_m2[i_max]),
         "n_eff_at_argmax": float(scan.n_eff[i_max]),
         "evanescent_fraction_at_argmax": float(scan.evanescent_fractions[i_max]),
@@ -586,8 +591,8 @@ def _write_csv(path: str, scenario: Scenario, cfg: dict, columns) -> int:
 def run_scenario(scenario: Scenario, config: Optional[dict] = None) -> dict:
     """Resolve the configuration, run, write the CSV, return the summary.
 
-    The returned dict carries the output path, the config digest, the
-    scenario's headline scalars and the fully resolved configuration.
+    The returned dict carries the output path, the row count, the seed,
+    the config digest and the scenario's headline scalars.
     The file write is atomic: a temporary file in the target directory
     is renamed over the destination.  A non-finite cell raises
     FloatingPointError (exit code 3) before any file is created.
@@ -605,12 +610,9 @@ def run_scenario(scenario: Scenario, config: Optional[dict] = None) -> dict:
     path = scenario.output_path or "%s.csv" % scenario.scenario_id
     n_rows = _write_csv(path, scenario, cfg, columns)
     return {
-        "scenario_id": scenario.scenario_id,
-        "description": entry.description,
         "output_path": path,
         "n_rows": n_rows,
         "seed": scenario.seed,
         "config_digest": config_digest(cfg),
         "summary": summary,
-        "resolved_config": cfg,
     }

@@ -21,10 +21,11 @@ the root of
 
     g = J + (1 + sbar)/2 K + sqrt(((1 - sbar)/2 K)^2 + R)
 
-with sbar = (n2/n1)^2 and R the right-hand side above.  The HE11 root
-is the sign change of g at the largest effective index on a fixed
-grid, closed in one stage by regula falsi with the Illinois rule.  All
-integrals use fixed-order Gauss-Legendre panels so results are
+with sbar = (n2/n1)^2 and R the right-hand side above; the cladding is
+vacuum, n2 = 1 (Le Kien et al., Opt. Commun. 242, 445 (2004)).  The
+HE11 root is the sign change of g at the largest effective index on a
+fixed grid, closed in one stage by regula falsi with the Illinois rule.
+All integrals use fixed-order Gauss-Legendre panels so results are
 bit-identical across runs.
 """
 
@@ -37,7 +38,9 @@ from typing import Callable
 import numpy as np
 from scipy.special import jv, jvp, kv, kvp
 
-from .constants import C_LIGHT, EPSILON_0, MU_0, SILICA_INDEX_852NM, scalar_or_array
+from .constants import (
+    C_LIGHT, EPSILON_0, MU_0, SILICA_INDEX_852NM, check_fields, scalar_or_array,
+)
 
 # Single-mode boundary of the two-layer cylinder (TE01 cutoff)
 V_SINGLE_MODE = 2.405
@@ -61,7 +64,7 @@ class EmptyScanError(RuntimeError):
 
 @dataclass(frozen=True)
 class FiberSpec:
-    """Geometry and material of the waveguide.
+    """Geometry and material of the waveguide in vacuum.
 
     Parameters
     ----------
@@ -70,30 +73,22 @@ class FiberSpec:
     wavelength_m : float
         Vacuum wavelength of the guided light in meters.
     core_index : float
-        Refractive index of the core.
-    cladding_index : float
-        Refractive index of the surrounding medium (vacuum by default).
+        Refractive index of the core, above the vacuum cladding's 1.
     """
 
     radius_m: float
     wavelength_m: float
     core_index: float = SILICA_INDEX_852NM
-    cladding_index: float = 1.0
 
     def __post_init__(self):
-        if self.radius_m <= 0.0:
-            raise ValueError("radius_m must be positive")
-        if self.wavelength_m <= 0.0:
-            raise ValueError("wavelength_m must be positive")
-        if self.core_index <= self.cladding_index:
-            raise ValueError("core_index must exceed cladding_index")
+        check_fields(self, positive=("radius_m", "wavelength_m"))
+        if self.core_index <= 1.0:
+            raise ValueError("core_index must exceed the vacuum cladding's 1")
 
     @property
     def v_number(self) -> float:
         k0 = 2.0 * math.pi / self.wavelength_m
-        return k0 * self.radius_m * math.sqrt(
-            self.core_index**2 - self.cladding_index**2
-        )
+        return k0 * self.radius_m * math.sqrt(self.core_index**2 - 1.0)
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,7 @@ class GuidedMode:
     spec : FiberSpec
         Geometry the mode was solved for.
     n_eff : float
-        Effective index, strictly between the cladding and core indices.
+        Effective index, strictly between 1 and the core index.
     beta_per_m : float
         Propagation constant n_eff * 2 pi / wavelength.
     evanescent_fraction : float
@@ -135,7 +130,7 @@ def _bessel_terms(spec: FiberSpec, n_eff):
     """u, w, J = J1'(u)/(u J1(u)) and K = K1'(w)/(w K1(w)) at n_eff."""
     k0a = 2.0 * math.pi / spec.wavelength_m * spec.radius_m
     u = k0a * np.sqrt(spec.core_index**2 - n_eff**2)
-    w = k0a * np.sqrt(n_eff**2 - spec.cladding_index**2)
+    w = k0a * np.sqrt(n_eff**2 - 1.0)
     return u, w, jvp(1, u) / (u * jv(1, u)), kvp(1, w) / (w * kv(1, w))
 
 
@@ -143,7 +138,7 @@ def _char_residual(spec: FiberSpec, n_eff) -> float:
     """HE-branch characteristic function, zero at a guided mode."""
     n_eff = np.asarray(n_eff, dtype=float)
     u, w, jterm, kterm = _bessel_terms(spec, n_eff)
-    sbar = (spec.cladding_index / spec.core_index) ** 2
+    sbar = (1.0 / spec.core_index) ** 2
     rhs = (n_eff / spec.core_index) ** 2 * (1.0 / u**2 + 1.0 / w**2) ** 2
     g = jterm + 0.5 * (1.0 + sbar) * kterm + np.sqrt(
         (0.5 * (1.0 - sbar) * kterm) ** 2 + rhs
@@ -166,7 +161,7 @@ def solve_he11(spec: FiberSpec) -> GuidedMode:
     exists, which for this geometry only happens through float
     underflow of the mode's decay constant.
     """
-    grid = np.linspace(spec.cladding_index + 1e-9, spec.core_index - 1e-9, 1024)
+    grid = np.linspace(1.0 + 1e-9, spec.core_index - 1e-9, 1024)
     vals = _char_residual(spec, grid)
     sign = np.sign(vals)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -208,7 +203,7 @@ def _field_coefficients(spec: FiberSpec, n_eff: float):
     return dict(
         a=a, omega=k0 * C_LIGHT, beta=n_eff * k0, h=u / a, q=w / a,
         s_par=s_par, c_out=jv(1, u) / kv(1, w),
-        n1=spec.core_index, n2=spec.cladding_index,
+        n1=spec.core_index,
     )
 
 
@@ -251,7 +246,7 @@ def _sz_unnormalized(par: dict, rho: np.ndarray) -> np.ndarray:
         q = par["q"]
         xo = q * r_out
         out[~inside] = _layer_flux(
-            par, kvp(1, xo), kv(1, xo) / r_out, q, par["n2"], par["c_out"]
+            par, kvp(1, xo), kv(1, xo) / r_out, q, 1.0, par["c_out"]
         )
     return out
 
@@ -306,28 +301,27 @@ def _build_mode(spec: FiberSpec, n_eff: float, residual: float) -> GuidedMode:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Surface-intensity scan over fiber diameters at fixed power."""
+    """Surface intensity per watt guided over fiber diameters."""
 
     diameters_m: np.ndarray
     surface_intensity_w_m2: np.ndarray
     n_eff: np.ndarray
     evanescent_fractions: np.ndarray
-    argmax_diameter_m: float
 
 
 def surface_intensity_scan(
     wavelength_m: float,
     diameters_m,
-    power_w: float = 1.0,
     core_index: float = SILICA_INDEX_852NM,
 ) -> ScanResult:
     """Scan the evanescent surface intensity against fiber diameter.
 
     For each diameter, solves the fundamental mode and evaluates the
-    power-normalized intensity just outside the surface times the
-    guided power.  Diameters that guide no mode are dropped from the
-    result.  The scan is a pure per-diameter map, safe to parallelize,
-    and evaluated here in input order for deterministic output.
+    power-normalized intensity just outside the surface, the surface
+    intensity per watt guided.  Diameters that guide no mode are dropped
+    from the result.  The scan is a pure per-diameter map, safe to
+    parallelize, and evaluated here in input order for deterministic
+    output.
     """
     diameters_m = np.asarray(diameters_m, dtype=float)
     kept_d = []
@@ -343,17 +337,14 @@ def surface_intensity_scan(
             continue
         rho_surf = 0.5 * d * (1.0 + 1e-12)
         kept_d.append(d)
-        kept_i.append(power_w * float(mode.intensity_profile(rho_surf)))
+        kept_i.append(float(mode.intensity_profile(rho_surf)))
         kept_n.append(mode.n_eff)
         kept_f.append(mode.evanescent_fraction)
     if not kept_d:
         raise EmptyScanError("no diameter in the scan guides a mode")
-    kept_d = np.array(kept_d)
-    kept_i = np.array(kept_i)
     return ScanResult(
-        diameters_m=kept_d,
-        surface_intensity_w_m2=kept_i,
+        diameters_m=np.array(kept_d),
+        surface_intensity_w_m2=np.array(kept_i),
         n_eff=np.array(kept_n),
         evanescent_fractions=np.array(kept_f),
-        argmax_diameter_m=float(kept_d[int(np.argmax(kept_i))]),
     )

@@ -56,8 +56,8 @@ def fig3b_setup(od=10.0, n_ph=0.6, t_stop=1.4e-6, dt=0.5e-9, nz=80):
     env = eit.storage_ramp_envelope(315e-9, 345e-9, 10e-9)
     probe = eit.ProbePulse(mean_photon_number=n_ph, fwhm_s=60e-9,
                            shape="exponential-rising", peak_time_s=300e-9)
-    ctrl = eit.ControlField(power_W=2.0e-3, envelope=env)
-    grid = eit.PropagationGrid(0.0, t_stop, dt, nz)
+    ctrl = eit.ControlField(eit.rabi_from_power(2.0e-3), env)
+    grid = eit.PropagationGrid(t_stop, dt, nz)
     return probe, ctrl, od, default_scheme(), grid
 
 
@@ -206,13 +206,8 @@ class TestPulseShapes:
         with pytest.raises(ValueError):
             eit.ProbePulse(shape="triangle")
 
-    def test_control_derives_rabi_from_power(self):
-        c = eit.ControlField(power_W=1.6e-3)
-        assert c.rabi_rad_per_s == pytest.approx(RABI_HIGH, rel=1e-9)
-        c2 = eit.ControlField(power_W=1.6e-3, rabi_rad_per_s=1e7)
-        assert c2.rabi_rad_per_s == 1e7
-
     @pytest.mark.parametrize("bad", [
+        # a power and a waist reach a control only through rabi_from_power
         {"power_W": -1e-3},
         {"power_W": math.nan},
         {"power_W": math.inf},
@@ -225,7 +220,10 @@ class TestPulseShapes:
     ])
     def test_control_validation(self, bad):
         with pytest.raises(ValueError):
-            eit.ControlField(**bad)
+            if "rabi_rad_per_s" in bad:
+                eit.ControlField(**bad)
+            else:
+                eit.rabi_from_power(**{"power_W": 1e-3, **bad})
 
     def test_storage_envelope_shape(self):
         env = eit.storage_ramp_envelope(300e-9, 400e-9, 20e-9)
@@ -245,23 +243,23 @@ class TestPulseShapes:
 class TestPropagation:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            eit.PropagationGrid(0.0, -1.0, 1e-9, 100)
+            eit.PropagationGrid(-1.0, 1e-9, 100)
         with pytest.raises(ValueError):
-            eit.PropagationGrid(0.0, 1e-6, 0.0, 100)
+            eit.PropagationGrid(1e-6, 0.0, 100)
 
     def test_step_size_guards(self):
         probe, ctrl, od, sch, _ = fig3b_setup()
         with pytest.raises(eit.GridError):
             eit.propagate_pulse(probe, ctrl, od, sch,
-                                eit.PropagationGrid(0.0, 1.4e-6, 10e-9, 80))
+                                eit.PropagationGrid(1.4e-6, 10e-9, 80))
         with pytest.raises(eit.GridError):
             eit.propagate_pulse(probe, ctrl, od, sch,
-                                eit.PropagationGrid(0.0, 1.4e-6, 0.5e-9, 30))
+                                eit.PropagationGrid(1.4e-6, 0.5e-9, 30))
         # the collective rate od Gamma/4 bounds the step too
         for big_od in (3000.0, 1e300):
             with pytest.raises(eit.GridError):
                 eit.propagate_pulse(probe, ctrl, big_od, sch,
-                                    eit.PropagationGrid(0.0, 1.4e-6, 0.5e-9, 80))
+                                    eit.PropagationGrid(1.4e-6, 0.5e-9, 80))
 
     def test_empty_medium_returns_input(self):
         probe, ctrl, _, sch, grid = fig3b_setup()
@@ -320,8 +318,8 @@ class TestPropagation:
         sch = default_scheme()
         probe = eit.ProbePulse(mean_photon_number=1.0, fwhm_s=1e-6,
                                shape="gaussian", peak_time_s=3e-6)
-        ctrl = eit.ControlField(power_W=0.0)
-        grid = eit.PropagationGrid(0.0, 6e-6, 4e-9, 60)
+        ctrl = eit.ControlField(0.0)
+        grid = eit.PropagationGrid(6e-6, 4e-9, 60)
         r = eit.propagate_pulse(probe, ctrl, 3.0, sch, grid)
         assert r.transmission == pytest.approx(math.exp(-3.0), rel=0.02)
 
@@ -329,16 +327,16 @@ class TestPropagation:
         sch = default_scheme()
         probe = eit.ProbePulse(mean_photon_number=1.0, fwhm_s=1e-6,
                                shape="gaussian", peak_time_s=2.5e-6)
-        ctrl = eit.ControlField(power_W=0.5e-3)
-        grid = eit.PropagationGrid(0.0, 6e-6, 4e-9, 60)
+        ctrl = eit.ControlField(eit.rabi_from_power(0.5e-3))
+        grid = eit.PropagationGrid(6e-6, 4e-9, 60)
         r = eit.propagate_pulse(probe, ctrl, 3.0, sch, grid)
         gd = eit.group_delay(3.0, sch, ctrl.rabi_rad_per_s)
         assert r.group_delay_s == pytest.approx(gd.delay_s, rel=0.05)
 
     def test_detuned_pulse_attenuates_more(self):
         sch = default_scheme()
-        ctrl = eit.ControlField(power_W=0.5e-3)
-        grid = eit.PropagationGrid(0.0, 6e-6, 4e-9, 60)
+        ctrl = eit.ControlField(eit.rabi_from_power(0.5e-3))
+        grid = eit.PropagationGrid(6e-6, 4e-9, 60)
         on = eit.ProbePulse(mean_photon_number=1.0, fwhm_s=1e-6,
                             shape="gaussian", peak_time_s=2.5e-6)
         off = eit.ProbePulse(mean_photon_number=1.0, fwhm_s=1e-6,
@@ -359,8 +357,8 @@ class TestPropagation:
         env = eit.storage_ramp_envelope(700e-9, 730e-9, 10e-9)
         probe = eit.ProbePulse(mean_photon_number=0.6, fwhm_s=60e-9,
                                shape="exponential-rising", peak_time_s=300e-9)
-        ctrl = eit.ControlField(power_W=2.0e-3, envelope=env)
-        grid = eit.PropagationGrid(0.0, 1.4e-6, 0.5e-9, 80)
+        ctrl = eit.ControlField(eit.rabi_from_power(2.0e-3), env)
+        grid = eit.PropagationGrid(1.4e-6, 0.5e-9, 80)
         r = eit.propagate_pulse(probe, ctrl, 10.0, sch, grid)
         assert r.retrieval_efficiency < 1e-3
 
@@ -419,7 +417,7 @@ class TestBatchedPropagation:
     def test_mixed_batch_equals_serial(self):
         probe, controls, sch, grid = short_rows((20.0, 60.0, 150.0), (0.8, 2.5))
         # a control that never goes dark stores nothing
-        controls.append(eit.ControlField(power_W=2.0e-3))
+        controls.append(eit.ControlField(eit.rabi_from_power(2.0e-3)))
         # an integer od stays an integer in its row's fingerprint
         ods = [1, 5.0, 12.0, 1.0, 5.0, 12.0, 5]
         rows = eit.propagate_pulse(probe, controls, ods, sch, grid)

@@ -366,6 +366,17 @@ class TestCli:
             assert entry(["sim", sim, "--out", str(out), "--set", bad]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.count("must be finite") == 2
+        # each control power is finite and gets a column of its own
+        for bad in ("inf", "nan", "1,1"):
+            assert entry(["sim", "fig2", "--out", str(out),
+                          "--set", "spectroscopy.powers_mW=" + bad]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("spectroscopy.powers_mW:") == 3
+        # counting shots are capped before any draw
+        assert entry(["sim", "fig3b", "--out", str(out),
+                      "--set", "counting.shots=1000000000"]) == 2
+        assert not out.exists()
+        assert "exceeds the limit of 1000000" in capsys.readouterr().err
         for sim, bad in (("fig3c", "storage.dark_step_ns=0"),
                          ("mode_scan", "scan.diameter_step_nm=0"),
                          ("mode_scan", "scan.diameter_step_nm=-5"),
@@ -449,19 +460,30 @@ class TestCli:
         ]
         assert unresolved == []
 
-    def test_import_loads_no_scipy_optimize_or_integrate(self):
-        # every command pays the import; scipy.optimize alone adds ~0.3 s
+    @staticmethod
+    def _loaded_after(module, prefixes):
+        """Modules starting with one of prefixes that a fresh interpreter
+        holds after importing module."""
         src = os.path.dirname(os.path.dirname(fibermem.__file__))
         code = (
-            "import sys, fibermem.cli; print(sorted(m for m in sys.modules"
-            " if m.startswith(('scipy.optimize', 'scipy.integrate'))))"
+            "import sys, %s; print(sorted(m for m in sys.modules"
+            " if m.startswith(%r)))" % (module, prefixes)
         )
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env=env, check=True,
         )
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_import_loads_no_scipy_optimize_or_integrate(self):
+        # every command pays the import; scipy.optimize alone adds ~0.3 s
+        assert self._loaded_after(
+            "fibermem.cli", ("scipy.optimize", "scipy.integrate")) == "[]"
+
+    def test_package_root_loads_no_submodule(self):
+        # the root holds only __version__: names come from their modules
+        assert self._loaded_after("fibermem", ("fibermem.", "scipy")) == "[]"
 
     def test_help_exits_zero(self, capsys):
         assert entry(["--help"]) == 0
