@@ -96,8 +96,10 @@ def rabi_from_power(
     the unknown dipole projection onto the evanescent mode; its default
     is anchored so 1.6 mW yields 75% window transparency at od=3.
     """
-    if not (0.0 <= power_W < math.inf and 0.0 < waist_m < math.inf):
-        raise ValueError("power_W must be finite and >= 0, waist_m finite and > 0")
+    if not 0.0 <= power_W < math.inf:
+        raise ValueError(f"power_W must be finite and >= 0, got {power_W!r}")
+    if not 0.0 < waist_m < math.inf:
+        raise ValueError(f"waist_m must be finite and > 0, got {waist_m!r}")
     intensity = 2.0 * power_W / (math.pi * waist_m**2)
     return calibration * gamma_rad_per_s * math.sqrt(
         intensity / (2.0 * CS_D2_ISAT_W_M2)

@@ -46,17 +46,14 @@ class CloudSpec:
     profile: str = "depleted"
 
     def __post_init__(self):
-        if self.peak_density_per_m3 <= 0.0:
-            raise ValueError("peak_density_per_m3 must be positive")
-        if self.temperature_K <= 0.0:
-            raise ValueError("temperature_K must be positive")
+        for name in ("peak_density_per_m3", "temperature_K", "c3_JK"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 < self.overlap_length_m <= NANOFIBER_WAIST_LENGTH_M:
             raise ValueError(
                 "overlap_length_m must lie in (0, %.0f mm]"
                 % (NANOFIBER_WAIST_LENGTH_M * 1e3)
             )
-        if self.c3_JK <= 0.0:
-            raise ValueError("c3_JK must be positive")
         if self.profile not in ("uniform", "depleted"):
             raise ValueError("profile must be 'uniform' or 'depleted'")
 
@@ -78,8 +75,8 @@ class AbsorptionModel:
 
     def __post_init__(self):
         for name in ("alpha0_L", "p_sat_W", "k_exp", "gamma_rad_per_s", "od"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 def density_profile(cloud: CloudSpec, fiber: FiberSpec, rho_m) -> np.ndarray:

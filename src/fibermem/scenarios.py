@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -283,13 +283,15 @@ def _run_storage(cfg, seed, with_target: bool):
     """Full storage and retrieval run plus a counting estimate."""
     probe, grid, scheme = _storage_inputs(cfg)
     control = _storage_control(cfg, cfg["storage.dark_ns"])
-    result = propagate_pulse(probe, control, cfg["storage.od"], scheme, grid)
+    # validated before the propagation; the efficiency is filled in after
     counting = CountingModel(
         mean_photons_in=cfg["probe.photons"],
-        efficiency=min(result.retrieval_efficiency, 1.0),
+        efficiency=0.0,
         background_per_window=cfg["counting.background"],
         n_shots=cfg["counting.shots"],
     )
+    result = propagate_pulse(probe, control, cfg["storage.od"], scheme, grid)
+    counting = replace(counting, efficiency=min(result.retrieval_efficiency, 1.0))
     counted = simulate_counting(counting, seed)
     summary = {
         "retrieval_efficiency": result.retrieval_efficiency,

@@ -16,7 +16,8 @@ core of radius a, the azimuthal-order-1 hybrid modes satisfy
 
     (J + K) (J + (n2/n1)^2 K) = (beta/(k0 n1))^2 (1/u^2 + 1/w^2)^2
 
-with J = J1'(u)/(u J1(u)) and K = K1'(w)/(w K1(w)).  The HE branch is
+with J = J1'(u)/(u J1(u)) and K = K1'(w)/(w K1(w)), evaluated through the
+order-1 recurrences J1' = J0 - J1/x and K1' = -K0 - K1/x.  The HE branch is
 the root of
 
     g = J + (1 + sbar)/2 K + sqrt(((1 - sbar)/2 K)^2 + R)
@@ -36,14 +37,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import jv, jvp, kv, kvp
 
 from .constants import (
     C_LIGHT, EPSILON_0, MU_0, SILICA_INDEX_852NM, check_fields, scalar_or_array,
 )
-
-# Single-mode boundary of the two-layer cylinder (TE01 cutoff)
-V_SINGLE_MODE = 2.405
 
 # Gauss-Legendre rule per radial panel, on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
@@ -101,16 +98,12 @@ class GuidedMode:
         Geometry the mode was solved for.
     n_eff : float
         Effective index, strictly between 1 and the core index.
-    beta_per_m : float
-        Propagation constant n_eff * 2 pi / wavelength.
     evanescent_fraction : float
         Share of the guided power flowing outside the core.
     cladding_decay_per_m : float
         Transverse decay constant q of the outer field.
     residual : float
         Characteristic-equation residual at the returned root.
-    multi_mode : bool
-        True when the geometry also guides higher-order modes.
     intensity_profile : callable
         rho (m) -> azimuthally averaged S_z, normalized to unit power
         (units 1/m^2).  Accepts scalars or arrays.
@@ -118,26 +111,29 @@ class GuidedMode:
 
     spec: FiberSpec
     n_eff: float
-    beta_per_m: float
     evanescent_fraction: float
     cladding_decay_per_m: float
     residual: float
-    multi_mode: bool
     intensity_profile: Callable[[np.ndarray], np.ndarray]
 
 
 def _bessel_terms(spec: FiberSpec, n_eff):
-    """u, w, J = J1'(u)/(u J1(u)) and K = K1'(w)/(w K1(w)) at n_eff."""
+    """u, w, J1(u), K1(w), J and K at n_eff."""
+    # lazy: importing scipy.special measured 0.2-0.3 s and 20 MB per process
+    from scipy.special import j0, j1, k0, k1
     k0a = 2.0 * math.pi / spec.wavelength_m * spec.radius_m
     u = k0a * np.sqrt(spec.core_index**2 - n_eff**2)
     w = k0a * np.sqrt(n_eff**2 - 1.0)
-    return u, w, jvp(1, u) / (u * jv(1, u)), kvp(1, w) / (w * kv(1, w))
+    j1u, k1w = j1(u), k1(w)
+    jterm = j0(u) / (u * j1u) - 1.0 / u**2
+    kterm = -k0(w) / (w * k1w) - 1.0 / w**2
+    return u, w, j1u, k1w, jterm, kterm
 
 
 def _char_residual(spec: FiberSpec, n_eff) -> float:
     """HE-branch characteristic function, zero at a guided mode."""
     n_eff = np.asarray(n_eff, dtype=float)
-    u, w, jterm, kterm = _bessel_terms(spec, n_eff)
+    u, w, _, _, jterm, kterm = _bessel_terms(spec, n_eff)
     sbar = (1.0 / spec.core_index) ** 2
     rhs = (n_eff / spec.core_index) ** 2 * (1.0 / u**2 + 1.0 / w**2) ** 2
     g = jterm + 0.5 * (1.0 + sbar) * kterm + np.sqrt(
@@ -197,12 +193,12 @@ def _field_coefficients(spec: FiberSpec, n_eff: float):
     """Reduced real field coefficients shared by profile and power."""
     a = spec.radius_m
     k0 = 2.0 * math.pi / spec.wavelength_m
-    u, w, jterm, kterm = _bessel_terms(spec, n_eff)
+    u, w, j1u, k1w, jterm, kterm = _bessel_terms(spec, n_eff)
     # hybrid-mode polarization parameter, H_z = i A (beta/(omega mu0)) s J1
     s_par = (1.0 / u**2 + 1.0 / w**2) / (jterm + kterm)
     return dict(
         a=a, omega=k0 * C_LIGHT, beta=n_eff * k0, h=u / a, q=w / a,
-        s_par=s_par, c_out=jv(1, u) / kv(1, w),
+        s_par=s_par, c_out=j1u / k1w,
         n1=spec.core_index,
     )
 
@@ -228,38 +224,35 @@ def _layer_flux(par: dict, fp, f_over_r, k: float, n: float, c: float):
 
 def _sz_unnormalized(par: dict, rho: np.ndarray) -> np.ndarray:
     """Azimuthally averaged longitudinal Poynting flux, arbitrary units."""
+    from scipy.special import j0, j1, k0, k1  # lazy, as in _bessel_terms
     rho = np.asarray(rho, dtype=float)
     out = np.zeros_like(rho)
     inside = rho <= par["a"]
-    # core, regular at rho=0: J1(hr)/r -> h/2
+    # core, regular at rho=0: J1(hr)/r -> h/2, J1' = J0 - J1/x -> 1/2
     r_in = rho[inside]
     h = par["h"]
     x = h * r_in
     with np.errstate(divide="ignore", invalid="ignore"):
         j1_over_r = np.where(
-            r_in > 0.0, jv(1, x) / np.where(r_in > 0.0, r_in, 1.0), h / 2.0
+            r_in > 0.0, j1(x) / np.where(r_in > 0.0, r_in, 1.0), h / 2.0
         )
-    out[inside] = _layer_flux(par, jvp(1, x), j1_over_r, h, par["n1"], 1.0)
-    # cladding, evanescent
+    out[inside] = _layer_flux(par, j0(x) - j1_over_r / h, j1_over_r, h, par["n1"], 1.0)
+    # cladding, evanescent: K1' = -K0 - K1/x
     r_out = rho[~inside]
-    if r_out.size:
-        q = par["q"]
-        xo = q * r_out
-        out[~inside] = _layer_flux(
-            par, kvp(1, xo), kv(1, xo) / r_out, q, 1.0, par["c_out"]
-        )
+    q = par["q"]
+    xo = q * r_out
+    k1_over_r = k1(xo) / r_out
+    out[~inside] = _layer_flux(
+        par, -k0(xo) - k1_over_r / q, k1_over_r, q, 1.0, par["c_out"]
+    )
     return out
 
 
 def _panel_nodes(edges: np.ndarray):
     """Gauss-Legendre nodes and weights over consecutive [edges] panels."""
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(0.5 * (hi + lo) + half * _GL_NODES)
-        weights.append(half * _GL_WEIGHTS)
-    return np.concatenate(nodes), np.concatenate(weights)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return (0.5 * (hi + lo) + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
 def _build_mode(spec: FiberSpec, n_eff: float, residual: float) -> GuidedMode:
@@ -276,25 +269,17 @@ def _build_mode(spec: FiberSpec, n_eff: float, residual: float) -> GuidedMode:
     p_tot = p_core + p_clad
     if p_tot <= 0.0:
         raise NoGuidedModeError("mode power integral is not positive")
-    sign = 1.0
-    if p_core < 0.0:
-        # overall field sign is arbitrary, flux is not
-        sign = -1.0
-        p_core, p_clad, p_tot = -p_core, -p_clad, -p_tot
-    norm = sign / p_tot
+    norm = 1.0 / p_tot
 
     def intensity_profile(rho):
         return scalar_or_array(_sz_unnormalized(par, rho) * norm)
 
-    k0 = 2.0 * math.pi / spec.wavelength_m
     return GuidedMode(
         spec=spec,
         n_eff=n_eff,
-        beta_per_m=n_eff * k0,
         evanescent_fraction=p_clad / p_tot,
         cladding_decay_per_m=q,
         residual=residual,
-        multi_mode=spec.v_number >= V_SINGLE_MODE,
         intensity_profile=intensity_profile,
     )
 

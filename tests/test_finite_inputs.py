@@ -7,6 +7,7 @@ import pytest
 from fibermem.counting import CountingModel
 from fibermem.decoherence import DecoherenceParams, MagneticScenario
 from fibermem.eit import LambdaScheme, ProbePulse, PropagationGrid
+from fibermem.ensemble import AbsorptionModel, CloudSpec
 from fibermem.waveguide import FiberSpec
 
 NAN, INF = math.nan, math.inf
@@ -34,6 +35,10 @@ CASES = [
     case(MagneticScenario, "m_populations", ((0, NAN),)),
     case(CountingModel, "mean_photons_in", NAN),
     case(CountingModel, "background_per_window", INF),
+    case(AbsorptionModel, "od", NAN),
+    case(AbsorptionModel, "gamma_rad_per_s", INF),
+    case(CloudSpec, "peak_density_per_m3", NAN),
+    case(CloudSpec, "temperature_K", INF),
 ]
 
 

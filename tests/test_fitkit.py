@@ -57,6 +57,12 @@ class TestEvaluateModel:
         with pytest.raises(ValueError):
             fitkit.evaluate_model("lorentzian_od", (1.0,), np.array([0.0]))
 
+    @pytest.mark.parametrize("model_id", sorted(fitkit.MODELS))
+    def test_bounds_positive_and_finite(self, model_id):
+        # the fit runs in log space, so a zero or infinite bound breaks it
+        for lo, hi in fitkit.MODELS[model_id].default_bounds:
+            assert 0.0 < lo < hi < math.inf
+
 
 class TestProblemValidation:
     def test_too_few_points(self):

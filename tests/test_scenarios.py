@@ -398,6 +398,14 @@ class TestCli:
                       "--set", "counting.window_ns=100"]) == 2
         assert not out.exists()
         assert "unknown config key 'counting.window_ns'" in capsys.readouterr().err
+        # a bad control power or waist is named on its own
+        for sim, bad, named, other in (
+                ("fig2", "spectroscopy.powers_mW=-1", "power_W", "waist_m"),
+                ("fig3b", "control.waist_um=0", "waist_m", "power_W")):
+            assert entry(["sim", sim, "--out", str(out), "--set", bad]) == 2
+            err = capsys.readouterr().err
+            assert named in err and other not in err
+        assert not out.exists()
         # non-finite fit data is refused, naming the row
         data = tmp_path / "bad.csv"
         for bad_row in ("inf,0.5,0.01", "3,nan,0.01", "3,0.5,inf"):
@@ -408,6 +416,21 @@ class TestCli:
         assert entry(["fit", "nomodel", "--data", "x.csv"]) == 2
         assert entry(["fit", "lorentzian_od", "--data", str(tmp_path / "no.csv")]) == 2
         assert entry(["frobnicate"]) == 2
+
+    def test_counting_inputs_refused_before_propagation(
+            self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return propagate_pulse(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "propagate_pulse", counted)
+        out = tmp_path / "counts.csv"
+        for bad in ("counting.shots=1000000000", "counting.background=-1"):
+            assert entry(["sim", "fig3b", "--out", str(out), "--set", bad]) == 2
+        assert not out.exists()
+        assert calls == []
 
     def test_exit_code_3_on_solver_failure(self, tmp_path, capsys, monkeypatch):
         rc = entry([
@@ -477,9 +500,11 @@ class TestCli:
         return done.stdout.strip()
 
     def test_import_loads_no_scipy_optimize_or_integrate(self):
-        # every command pays the import; scipy.optimize alone adds ~0.3 s
+        # every command pays the import; scipy.optimize alone adds ~0.3 s,
+        # and scipy.special waits for the first mode solve
         assert self._loaded_after(
-            "fibermem.cli", ("scipy.optimize", "scipy.integrate")) == "[]"
+            "fibermem.cli",
+            ("scipy.optimize", "scipy.integrate", "scipy.special")) == "[]"
 
     def test_package_root_loads_no_submodule(self):
         # the root holds only __version__: names come from their modules

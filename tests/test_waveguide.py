@@ -17,7 +17,6 @@ from fibermem.waveguide import (
     FiberSpec,
     GuidedMode,
     NoGuidedModeError,
-    V_SINGLE_MODE,
     solve_he11,
     surface_intensity_scan,
 )
@@ -34,7 +33,6 @@ def test_reference_geometry_frozen_values():
     assert mode.n_eff == pytest.approx(N_EFF_400, rel=1e-9)
     assert mode.evanescent_fraction == pytest.approx(EVAN_FRAC_400, rel=1e-6)
     assert mode.spec.v_number == pytest.approx(1.5537604732315082, rel=1e-12)
-    assert not mode.multi_mode
 
 
 def test_residual_below_tolerance():
@@ -91,8 +89,6 @@ def test_root_matches_full_precision_bisection():
 def test_effective_index_bounds_and_beta():
     mode = solve_he11(SPEC_400)
     assert 1.0 < mode.n_eff < SPEC_400.core_index
-    k0 = 2.0 * math.pi / SPEC_400.wavelength_m
-    assert mode.beta_per_m == pytest.approx(mode.n_eff * k0, rel=1e-14)
 
 
 def test_solver_deterministic():
@@ -100,14 +96,12 @@ def test_solver_deterministic():
     m2 = solve_he11(SPEC_400)
     assert m1.n_eff == m2.n_eff
     assert m1.evanescent_fraction == m2.evanescent_fraction
-    assert m1.beta_per_m == m2.beta_per_m
 
 
 def test_thick_fiber_limit():
     mode = solve_he11(FiberSpec(radius_m=1e-6, wavelength_m=852e-9))
     assert mode.evanescent_fraction < 0.05
     assert mode.n_eff > 1.40
-    assert mode.multi_mode
 
 
 def test_neff_increases_fraction_decreases_with_radius():
@@ -169,7 +163,7 @@ def test_cladding_decay_constant_matches_beta():
     mode = solve_he11(SPEC_400)
     a = SPEC_400.radius_m
     k0 = 2.0 * math.pi / SPEC_400.wavelength_m
-    q_from_beta = math.sqrt(mode.beta_per_m**2 - k0**2)
+    q_from_beta = math.sqrt((mode.n_eff * k0) ** 2 - k0**2)
     lo, hi = 8.0 * a, 12.0 * a
     slope = (
         math.log(hi * mode.intensity_profile(hi))
@@ -214,8 +208,3 @@ def test_scan_drops_unguided_and_empty_errors():
     assert scan.diameters_m.tolist() == [400e-9]
     with pytest.raises(EmptyScanError):
         surface_intensity_scan(852e-9, np.array([40e-9, 60e-9]))
-
-
-def test_v_number_single_mode_flag():
-    assert solve_he11(FiberSpec(radius_m=400e-9, wavelength_m=852e-9)).multi_mode
-    assert V_SINGLE_MODE == pytest.approx(2.405)
