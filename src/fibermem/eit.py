@@ -22,10 +22,14 @@ detunings equal, the control staying on its resonance.
 The system is linear and the slices couple only through E, so an RK4
 step with E frozen is one affine map of (P, S, E), the same on every
 slice: its coefficients are computed once per run, before time stepping.
-propagate_pulse also takes rows of operating points (a control and an
-od per row, one probe and grid) that do not couple to each other: their
-(P, S) states are stacked and advanced by one batched 2x2 map per time
-step, at most MAX_BATCH_ROWS rows at a time, so a sweep is one call.
+Each slice carries (P, S, f P), f = 0.5 dz i od Gamma/4 the trapezoid
+weight, so the one matrix product that steps (P, S) also yields the
+terms of the field sweep, and the field along zeta is one running sum
+seeded with the input field.  propagate_pulse also takes rows of
+operating points (a control and an od per row, one probe and grid) that
+do not couple to each other: their states are stacked and advanced by
+one batched 3x2 map per time step, at most MAX_BATCH_ROWS rows at a
+time, so a sweep is one call.
 """
 
 from __future__ import annotations
@@ -334,16 +338,18 @@ def propagate_pulse(
     the field frozen, the field is rebuilt by trapezoidal integration
     of dE/dzeta = i (od Gamma/4) P, then the atomic step is corrected
     with the time-averaged field; the RK4 coefficients of (P, S, E) are
-    computed once per run.  Retrieval starts where the control first
+    computed once per run.  The state is (P, S, f P) with f the
+    trapezoid weight, and each field sweep is one running sum seeded
+    with the input field.  Retrieval starts where the control first
     rises after a dark interval.  Deterministic for identical inputs.
 
     control may be a sequence of ControlFields and od a sequence of
     optical depths: each pair is one row, and a single value on either
     side is repeated to match the other.  The rows share the probe, the
-    scheme and the grid and are stepped together as one stacked (P, S)
-    state, MAX_BATCH_ROWS at a time.  A single control with a scalar od
-    returns one PropagationResult; any sequence returns a list, one
-    result per row, each equal to its own single-row call.
+    scheme and the grid and are stepped together as one stacked
+    (P, S, f P) state, MAX_BATCH_ROWS at a time.  A single control with
+    a scalar od returns one PropagationResult; any sequence returns a
+    list, one result per row, each equal to its own single-row call.
     """
     single = isinstance(control, ControlField) and np.ndim(od) == 0
     controls = [control] if isinstance(control, ControlField) else list(control)
@@ -425,24 +431,25 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
         sum_s += s
         return sum_p, sum_s
 
-    # step n of row r applied to each unit input (P, S, E): atoms[n, r]
-    # maps (P, S), drive[n, r] is the response of (P, S) to E
+    # the state of row r is (P, S, f P) with f = 0.5 dz i kappa, the weight
+    # of the trapezoid of dE/dzeta = i kappa P.  Step n of row r applied to
+    # each unit input (P, S, E): atoms[n, r] maps (P, S) to (P, S, f P),
+    # lead[n, r] is the f P response to E and drive[n, r] half of the
+    # (P, S, f P) response, so it takes the sum of the two step-end fields
     rates = (rabi_t[:, :-1].T, rabi_mid.T, rabi_t[:, 1:].T)
-    atoms = np.empty((nt - 1, len(ods), 2, 2), dtype=complex)
-    drive = np.empty((nt - 1, len(ods), 2, 1), dtype=complex)
+    f = (0.5j / nz) * kappa
+    atoms = np.empty((nt - 1, len(ods), 3, 2), dtype=complex)
+    drive = np.empty((nt - 1, len(ods), 3, 1), dtype=complex)
     for column, unit in zip((atoms[..., 0], atoms[..., 1], drive[..., 0]),
                             np.eye(3, dtype=complex)):
         column[..., 0], column[..., 1] = rk4_step(*unit, *rates)
+        np.multiply(f, column[..., 0], out=column[..., 2])
+    lead = drive[:, :, 2].copy()
+    drive *= 0.5
 
-    # cumulative trapezoid of i kappa P along zeta, 0.5 dz i kappa per row
-    incr = np.empty((len(ods), nz), dtype=complex)
-    cum = np.zeros((len(ods), nz + 1), dtype=complex)
-    factor = (0.5j / nz) * kappa[:, None]
-
-    def field_sweep(pol, e0):
-        np.add(pol[:, 1:], pol[:, :-1], out=incr)
-        incr.cumsum(axis=1, out=cum[:, 1:])
-        return e0 + factor * cum
+    # the field along zeta is one running sum: buf[:, 0] holds the input
+    # field e0, buf[:, 1:] the pairwise sums f (P[j] + P[j+1])
+    buf = np.empty((len(ods), nz + 1), dtype=complex)
 
     # the spin wave is kept at the first step the control has gone dark
     peak = np.array([c.rabi_rad_per_s for c in controls])[:, None]
@@ -454,19 +461,37 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
             snap_at.setdefault(int(dark[0]), []).append(r)
     spinwave = [None] * len(ods)
 
-    state = np.zeros((len(ods), 2, nz + 1), dtype=complex)
-    e_z = field_sweep(state[:, 0], e_in[0])
+    state = np.zeros((len(ods), 3, nz + 1), dtype=complex)
+    free = np.empty_like(state)
+    e_z = np.empty((len(ods), nz + 1), dtype=complex)
+    e_sum = np.empty_like(e_z)
+    fp_pred = np.empty_like(e_z)
+    p_s, free_fp, e_out = state[:, :2], free[:, 2], e_z[:, -1]
+    pairs, fp_hi, fp_lo = buf[:, 1:], state[:, 2, 1:], state[:, 2, :-1]
+    pred_hi, pred_lo = fp_pred[:, 1:], fp_pred[:, :-1]
+    buf[:, 0] = e_in[0]
+    np.add(fp_hi, fp_lo, out=pairs)
+    np.add.accumulate(buf, axis=1, out=e_z)
     out_e = np.empty((len(ods), nt), dtype=complex)
-    out_e[:, 0] = e_z[:, -1]
-    for n in range(nt - 1):
-        free = atoms[n] @ state
-        e_pred = field_sweep(free[:, 0] + drive[n, :, 0] * e_z, e_in[n + 1])
-        state = free + drive[n] * (0.5 * (e_z + e_pred))[:, None, :]
-        e_z = field_sweep(state[:, 0], e_in[n + 1])
-        out_e[:, n + 1] = e_z[:, -1]
+    out_e[:, 0] = e_out
+    for n, (a, ld, d, e0) in enumerate(zip(atoms, lead, drive, e_in[1:])):
+        # the atoms' step with E frozen at e_z predicts the step-end field
+        np.matmul(a, p_s, out=free)
+        np.multiply(ld, e_z, out=fp_pred)
+        fp_pred += free_fp
+        buf[:, 0] = e0
+        np.add(pred_hi, pred_lo, out=pairs)
+        np.add.accumulate(buf, axis=1, out=e_sum)
+        # the corrected step takes the sum of both step-end fields
+        e_sum += e_z
+        np.multiply(d, e_sum[:, None], out=state)
+        state += free
+        np.add(fp_hi, fp_lo, out=pairs)
+        np.add.accumulate(buf, axis=1, out=e_z)
+        out_e[:, n + 1] = e_out
         if n in snap_at:
             for r in snap_at[n]:
-                spinwave[r] = state[r, 1]
+                spinwave[r] = state[r, 1].copy()
     out_flux = np.abs(out_e) ** 2
 
     in_flux = np.abs(e_in) ** 2

@@ -98,10 +98,24 @@ def _scheme(cfg) -> LambdaScheme:
     )
 
 
-def _rabi(cfg, power_W: float) -> float:
+def _checked(key: str, value: float, positive: bool = False) -> float:
+    """The value of config key key, if finite and >= 0 (> 0 if positive).
+
+    A bad power or waist is reported under its config key and in the
+    units typed, before rabi_from_power sees it in SI units.
+    """
+    if not ((0.0 < value if positive else 0.0 <= value) and value < math.inf):
+        raise ValueError("config key %r must be finite and %s 0, got %.12g"
+                         % (key, ">" if positive else ">=", value))
+    return value
+
+
+def _rabi(cfg, p_mW: float) -> float:
+    """Control Rabi frequency at p_mW, a power checked under its key."""
+    waist_um = _checked("control.waist_um", cfg["control.waist_um"], positive=True)
     return rabi_from_power(
-        power_W,
-        waist_m=cfg["control.waist_um"] * 1e-6,
+        p_mW * 1e-3,
+        waist_m=waist_um * 1e-6,
         calibration=cfg["calibration.rabi_calibration"],
         gamma_rad_per_s=cfg["scheme.gamma_MHz"] * MHZ,
     )
@@ -192,7 +206,7 @@ def _run_fig2(cfg, seed):
     cols = [("detuning_MHz", delta_MHz)]
     summary = {}
     for tag, p_mW in _power_list(cfg):
-        omega = _rabi(cfg, p_mW * 1e-3)
+        omega = _rabi(cfg, _checked("spectroscopy.powers_mW", p_mW))
         trans = eit_spectrum(od, scheme, omega, delta_MHz * MHZ)
         cols.append(("transmission_%smW" % tag, trans))
         summary["transparency_%smW" % tag] = float(
@@ -207,21 +221,26 @@ def _run_fig3a(cfg, seed):
     scheme = _scheme(cfg)
     od = cfg["slowlight.od"]
     length_m = cfg["medium.length_mm"] * 1e-3
+    # a slow-light delay needs a control, so both ends must be positive
     p_mW = np.linspace(
-        cfg["slowlight.power_min_mW"],
-        cfg["slowlight.power_max_mW"],
+        _checked("slowlight.power_min_mW", cfg["slowlight.power_min_mW"],
+                 positive=True),
+        _checked("slowlight.power_max_mW", cfg["slowlight.power_max_mW"],
+                 positive=True),
         cfg["slowlight.points"],
     )
     delay_ns = np.empty_like(p_mW)
     slowdown = np.empty_like(p_mW)
     transparency = np.empty_like(p_mW)
     for i, p in enumerate(p_mW):
-        g = group_delay(od, scheme, _rabi(cfg, p * 1e-3), length_m)
+        g = group_delay(od, scheme, _rabi(cfg, p), length_m)
         delay_ns[i] = g.delay_s * 1e9
         slowdown[i] = g.slowdown
         transparency[i] = g.transparency
-    anchor_p = cfg["calibration.anchor_delay_power_mW"]
-    anchor = group_delay(od, scheme, _rabi(cfg, anchor_p * 1e-3), length_m)
+    anchor_p = _checked("calibration.anchor_delay_power_mW",
+                        cfg["calibration.anchor_delay_power_mW"],
+                        positive=True)
+    anchor = group_delay(od, scheme, _rabi(cfg, anchor_p), length_m)
     summary = {
         "delay_at_anchor_ns": anchor.delay_s * 1e9,
         "slowdown_at_anchor": anchor.slowdown,
@@ -256,7 +275,7 @@ def _sweep(cfg, key_pattern: str) -> np.ndarray:
 def _storage_control(cfg, dark_ns: float) -> ControlField:
     t_off = cfg["storage.switch_off_ns"] * 1e-9
     return ControlField(
-        _rabi(cfg, cfg["control.power_mW"] * 1e-3),
+        _rabi(cfg, _checked("control.power_mW", cfg["control.power_mW"])),
         envelope=storage_ramp_envelope(
             t_off, t_off + dark_ns * 1e-9, cfg["storage.ramp_ns"] * 1e-9
         ),
@@ -552,10 +571,6 @@ def list_scenarios() -> tuple:
     return _CATALOG
 
 
-def _format_cell(v) -> str:
-    return "%.12g" % float(v)
-
-
 def _write_csv(path: str, scenario: Scenario, cfg: dict, columns) -> int:
     names = [name for name, _ in columns]
     arrays = [np.asarray(arr, dtype=float) for _, arr in columns]
@@ -574,8 +589,8 @@ def _write_csv(path: str, scenario: Scenario, cfg: dict, columns) -> int:
     for cfg_line in render_config(cfg).splitlines():
         lines.append("# %s" % cfg_line)
     lines.append(",".join(names))
-    for i in range(n):
-        lines.append(",".join(_format_cell(a[i]) for a in arrays))
+    row_format = ",".join(["%.12g"] * len(arrays))
+    lines += [row_format % row for row in zip(*(a.tolist() for a in arrays))]
     text = "\n".join(lines) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

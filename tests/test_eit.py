@@ -94,9 +94,10 @@ class TestCalibration:
         assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
 
     def test_rabi_rejects_bad_args(self):
-        with pytest.raises(ValueError):
+        # each message names the bad argument and only that one
+        with pytest.raises(ValueError, match=r"^power_W must be .*, got -0\.001$"):
             eit.rabi_from_power(-1e-3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^waist_m must be .*, got 0\.0$"):
             eit.rabi_from_power(1e-3, waist_m=0.0)
 
 
@@ -433,6 +434,19 @@ class TestBatchedPropagation:
         # a one-element od sequence still returns a list
         (alone,) = eit.propagate_pulse(probe, controls[0], [1], sch, grid)
         assert_row_matches(alone, rows[0])
+
+    def test_empty_and_undriven_rows_among_ordinary_rows(self):
+        probe, controls, sch, grid = short_rows((20.0, 60.0, 150.0))
+        # an od = 0 row carries f P = 0, a zero-Rabi control never stores
+        controls.insert(1, eit.ControlField(0.0))
+        ods = [5.0, 3.0, 0.0, 12.0]
+        rows = eit.propagate_pulse(probe, controls, ods, sch, grid)
+        empty = rows[2]
+        assert np.max(np.abs(empty.output_intensity - empty.input_intensity)) <= (
+            1e-12 * np.max(empty.input_intensity))
+        for row, ctrl, od in zip(rows, controls, ods):
+            assert_row_matches(row, eit.propagate_pulse(probe, ctrl, od, sch, grid))
+        assert rows[1].readout_start_s is None and not np.any(rows[1].spinwave)
 
     def test_rows_above_the_cap_run_in_chunks(self):
         darks = np.linspace(20.0, 180.0, eit.MAX_BATCH_ROWS + 1)

@@ -197,6 +197,20 @@ class TestCsvOutput:
             assert fa.read() == fb.read()
         assert a["summary"]["snr_simulated"] == b["summary"]["snr_simulated"]
 
+    def test_rows_print_each_cell_as_12_significant_digits(self, tmp_path):
+        # signed zero, a subnormal, an inexact decimal, values past 12 digits
+        values = [-0.0, 5e-324, 0.1, 1e15 + 0.5, 123456789012.5, -2.75e-7]
+        columns = [("a", np.array(values)), ("b", values[::-1]), ("c", np.arange(6))]
+        path = tmp_path / "w.csv"
+        assert scenarios._write_csv(str(path), Scenario("fig1b"), dict(DEFAULTS),
+                                    columns) == 6
+        text = path.read_text()
+        lines = text.splitlines()
+        assert text.endswith("\n") and lines[-7] == "a,b,c"
+        assert lines[-6:] == [",".join("%.12g" % float(v) for v in row)
+                              for row in zip(values, values[::-1], range(6))]
+        assert lines[-6:-4] == ["-0,-2.75e-07,0", "4.94065645841e-324,123456789012,1"]
+
     def test_override_lands_in_comments_and_digest(self, tmp_path):
         base = run(tmp_path, "fig1c", out="base.csv")
         mod = run(tmp_path, "fig1c", out="mod.csv", spectroscopy__od="5")
@@ -398,13 +412,20 @@ class TestCli:
                       "--set", "counting.window_ns=100"]) == 2
         assert not out.exists()
         assert "unknown config key 'counting.window_ns'" in capsys.readouterr().err
-        # a bad control power or waist is named on its own
-        for sim, bad, named, other in (
-                ("fig2", "spectroscopy.powers_mW=-1", "power_W", "waist_m"),
-                ("fig3b", "control.waist_um=0", "waist_m", "power_W")):
-            assert entry(["sim", sim, "--out", str(out), "--set", bad]) == 2
+        # a bad control power or waist is named by its config key, with
+        # the number as typed rather than in SI units
+        for sim, key, value in (("fig2", "spectroscopy.powers_mW", "-1"),
+                                ("fig3b", "control.power_mW", "-2"),
+                                ("fig3b", "control.waist_um", "0"),
+                                ("fig3a", "slowlight.power_max_mW", "-3"),
+                                # a slow-light sweep needs a positive power
+                                ("fig3a", "slowlight.power_min_mW", "0"),
+                                ("fig3a", "calibration.anchor_delay_power_mW", "0")):
+            assert entry(["sim", sim, "--out", str(out),
+                          "--set", "%s=%s" % (key, value)]) == 2
             err = capsys.readouterr().err
-            assert named in err and other not in err
+            assert "config key %r" % key in err and err.endswith("got %s\n" % value)
+            assert "power_W" not in err and "waist_m" not in err
         assert not out.exists()
         # non-finite fit data is refused, naming the row
         data = tmp_path / "bad.csv"
