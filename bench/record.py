@@ -10,9 +10,12 @@ Each side is timed in fresh interpreters that import fibermem from that
 side's `src/`, alternating parent and change for ROUNDS rounds.  In one
 interpreter every timed call runs once as a warm-up and then REPEATS
 times; the record keeps the minimum over all rounds.  The timed calls
-are the default fig3b, custom, fig3c and mode_scan scenarios (CSV write
-included), one propagate_pulse at each storage grid in GRIDS, one
-solve_he11 and one 2,801-row _write_csv.  perfbench/run.py then runs
+are `fibermem sim` of the default fig3b, custom, fig3c and mode_scan
+scenarios through fibermem.cli.entry (CSV write included; fig3b writes
+2,801 rows), one propagate_pulse at each storage grid in GRIDS and one
+solve_he11.  The scenarios go through the command line because its
+arguments stay the same when the library calls change, so both sides
+run the same script.  perfbench/run.py then runs
 PAIRS pairs per workload at seeds 1..PAIRS, for the run_seconds of
 BENCHMARK.json, alternating which side goes first; the record keeps
 every run, the median of each end-to-end metric and the pairs the
@@ -23,6 +26,8 @@ side.  Ten pairs is the fewest that can back a claimed gain.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -39,7 +44,6 @@ PAIRS = 10
 SCENARIOS = ("fig3b", "custom", "fig3c", "mode_scan")
 # (n_z, dt in ns) of the single propagate_pulse timings, all at 800 ns
 GRIDS = tuple((nz, dt) for nz in (50, 200, 400) for dt in (0.25, 0.5))
-CSV_ROWS = 2801
 WORKLOADS = ("kernels", "analysis")
 
 
@@ -55,17 +59,21 @@ def _best(call) -> float:
 
 def worker() -> dict:
     """Timings of the fibermem on sys.path, printed as one JSON object."""
-    import numpy as np
-
-    from fibermem import eit, scenarios, waveguide
+    from fibermem import cli, eit, scenarios, waveguide
     from fibermem.config import DEFAULTS, apply_overrides
 
-    out = {"scenario_s": {}, "kernel_s": {}, "csv_s": {}}
+    def sim(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.entry(argv)
+        if code:
+            raise RuntimeError("fibermem %s exited %d" % (" ".join(argv), code))
+
+    out = {"scenario_s": {}, "kernel_s": {}}
     with tempfile.TemporaryDirectory() as tmp:
         csv = os.path.join(tmp, "out.csv")
         for sid in SCENARIOS:
-            scenario = scenarios.Scenario(sid, seed=0, output_path=csv)
-            out["scenario_s"][sid] = _best(lambda: scenarios.run_scenario(scenario))
+            argv = ["sim", sid, "--out", csv]
+            out["scenario_s"][sid] = _best(lambda: sim(argv))
 
         for nz, dt in GRIDS:
             cfg = dict(DEFAULTS)
@@ -78,13 +86,6 @@ def worker() -> dict:
                                             scheme, grid))
         fiber = waveguide.FiberSpec(radius_m=200e-9, wavelength_m=852e-9)
         out["kernel_s"]["solve_he11"] = _best(lambda: waveguide.solve_he11(fiber))
-
-        rng = np.random.default_rng(0)
-        columns = [(name, rng.standard_normal(CSV_ROWS) * scale) for name, scale in
-                   (("a", 1e3), ("b", 1e7), ("c", 1e-3), ("d", 1.0))]
-        scenario = scenarios.Scenario("fig3b", seed=0)
-        out["csv_s"]["write_csv_%d_rows" % CSV_ROWS] = _best(
-            lambda: scenarios._write_csv(csv, scenario, dict(DEFAULTS), columns))
     return out
 
 
@@ -163,14 +164,12 @@ def record(args) -> dict:
                           " interpreter per side and round, %d rounds alternating"
                           " parent and change; the minimum over the rounds, in"
                           " seconds" % (REPEATS, ROUNDS),
-            "scenario_s": "scenarios.run_scenario(Scenario(id, seed=0,"
-                          " output_path=<temp csv>)) at the default"
+            "scenario_s": "fibermem.cli.entry(['sim', id, '--out', <temp csv>])"
+                          " with stdout captured, at the default"
                           " configuration, CSV write included",
             "kernel_s": "propagate_pulse at the default storage inputs with"
                         " storage.t_stop_ns=800 and the named n_z and dt_ns;"
                         " solve_he11 for a 200 nm radius fiber at 852 nm",
-            "csv_s": "scenarios._write_csv of %d rows x 4 seeded normal columns"
-                     % CSV_ROWS,
         },
         "parent": timings["parent"],
         "change": timings["change"],

@@ -23,14 +23,8 @@ from typing import Optional
 
 from .config import apply_overrides, load_config
 from .eit import GridError
-from .ensemble import DensityDomainError
-from .fitkit import MODELS, FitProblem, fit, format_result
-from .scenarios import (
-    Scenario,
-    UnknownScenarioError,
-    list_scenarios,
-    run_scenario,
-)
+from .fitkit import MODELS, fit, format_result
+from .scenarios import list_scenarios, run_scenario
 from .waveguide import EmptyScanError, NoGuidedModeError
 
 # header-suffix factors to SI; frequency suffixes mean f/2pi quantities
@@ -53,7 +47,6 @@ _SOLVER_ERRORS = (
     GridError,
     NoGuidedModeError,
     EmptyScanError,
-    DensityDomainError,
     FloatingPointError,
 )
 
@@ -66,7 +59,11 @@ def _column_factor(name: str) -> float:
 
 
 def _read_xy(path: str):
-    """Rows of (x, y[, sigma]) from a CSV, comments and header honored."""
+    """Rows of (x, y[, sigma]) from a CSV, comments and header honored.
+
+    A third column must be headed sigma, or the file have no header; a
+    fourth column and a row wider or narrower than the header (or the
+    first row) are refused."""
     header: Optional[list] = None
     rows = []
     with open(path) as fh:
@@ -82,21 +79,23 @@ def _read_xy(path: str):
                     header = cells
                     continue
                 header = []
-            vals = [float(c) for c in cells]
-            rows.append(vals)
+            width = len(header or (rows[0] if rows else cells))
+            if len(cells) != width:
+                raise ValueError("data row %d of %s has %d columns, not %d"
+                                 % (len(rows) + 1, path, len(cells), width))
+            rows.append([float(c) for c in cells])
     if len(rows) == 0:
         raise ValueError("no data rows in %s" % path)
-    width = min(len(r) for r in rows)
     if width < 2:
         raise ValueError("need at least x and y columns in %s" % path)
+    if header and width > 2 and header[2] != "sigma":
+        raise ValueError("column 3 %r of %s is not sigma: fit reads x, y and"
+                         " an optional sigma column" % (header[2], path))
+    if width > 3:
+        raise ValueError("column 4 of %s: fit reads x, y and an optional"
+                         " sigma column" % path)
     x_factor = _column_factor(header[0]) if header else 1.0
-    out = []
-    for r in rows:
-        rec = [r[0] * x_factor, r[1]]
-        if width > 2:
-            rec.append(r[2])
-        out.append(tuple(rec))
-    return out
+    return [(r[0] * x_factor,) + tuple(r[1:]) for r in rows]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -158,15 +157,14 @@ def _format_summary_value(value) -> str:
 def _cmd_sim(args) -> int:
     config = load_config(args.config)
     apply_overrides(config, args.overrides)
-    scenario = Scenario(args.scenario, seed=args.seed, output_path=args.out)
-    report = run_scenario(scenario, config=config)
+    report = run_scenario(args.scenario, config, args.seed, args.out)
     print(
         "wrote %s (%d rows, config %s, seed %d)"
         % (
             report["output_path"],
             report["n_rows"],
             report["config_digest"],
-            report["seed"],
+            args.seed,
         )
     )
     for key in sorted(report["summary"]):
@@ -175,10 +173,6 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.model not in MODELS:
-        raise ValueError(
-            "unknown model %r; known: %s" % (args.model, ", ".join(sorted(MODELS)))
-        )
     data = _read_xy(args.data)
     guess = None
     if args.guess is not None:
@@ -186,7 +180,7 @@ def _cmd_fit(args) -> int:
     frozen = frozenset(
         tok.strip() for tok in (args.frozen or "").split(",") if tok.strip()
     )
-    result = fit(FitProblem(args.model, data, initial_guess=guess, frozen=frozen))
+    result = fit(args.model, data, guess, frozen)
     print(format_result(result))
     return 0 if result.converged else 4
 
@@ -206,7 +200,7 @@ def entry(argv=None) -> int:
     except _SOLVER_ERRORS as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         return 3
-    except (UnknownScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -144,5 +144,6 @@ def render_config(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_digest(cfg: dict) -> str:
-    return hashlib.sha256(render_config(cfg).encode()).hexdigest()[:16]
+def config_digest(rendered: str) -> str:
+    """First 16 hex digits of the SHA-256 of a render_config text."""
+    return hashlib.sha256(rendered.encode()).hexdigest()[:16]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -113,54 +113,9 @@ def evaluate_model(model_id: str, parameters, x_grid):
 
 def _model_spec(model_id: str) -> ModelSpec:
     if model_id not in MODELS:
-        raise ValueError("unknown model_id %r" % (model_id,))
+        raise ValueError("unknown model %r; known: %s"
+                         % (model_id, ", ".join(sorted(MODELS))))
     return MODELS[model_id]
-
-
-@dataclass(frozen=True)
-class FitProblem:
-    model_id: str
-    data: Sequence
-    initial_guess: Optional[Sequence] = None
-    frozen: frozenset = field(default_factory=frozenset)
-
-    def resolved(self):
-        spec = _model_spec(self.model_id)
-        n_par = len(spec.param_names)
-        rows = list(self.data)
-        if len(rows) < max(3, n_par + 1):
-            raise ValueError("need at least %d data points" % max(3, n_par + 1))
-        x = np.array([r[0] for r in rows], dtype=float)
-        y = np.array([r[1] for r in rows], dtype=float)
-        sig = np.array(
-            [r[2] if len(r) > 2 and r[2] is not None else 1.0 for r in rows],
-            dtype=float,
-        )
-        finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(sig)
-        if not finite.all():
-            raise ValueError(
-                "data row %d holds a non-finite x, y or sigma_y"
-                % (np.flatnonzero(~finite)[0] + 1)
-            )
-        if np.any(sig <= 0.0):
-            raise ValueError("sigma_y must be positive")
-        weighted = any(len(r) > 2 and r[2] is not None for r in rows)
-        guess = (
-            np.asarray(self.initial_guess, dtype=float)
-            if self.initial_guess is not None
-            else np.array(spec.default_guess)
-        )
-        if guess.shape != (n_par,):
-            raise ValueError("initial_guess length mismatch")
-        for g, (lo, hi), name in zip(guess, spec.default_bounds, spec.param_names):
-            if not lo <= g <= hi:
-                raise ValueError(
-                    "guess %s=%g outside bounds [%g, %g]" % (name, g, lo, hi)
-                )
-        unknown = set(self.frozen) - set(spec.param_names)
-        if unknown:
-            raise ValueError("frozen names not in model: %s" % sorted(unknown))
-        return spec, x, y, sig, weighted, guess
 
 
 @dataclass(frozen=True)
@@ -185,19 +140,56 @@ class FitResult:
         return float(math.sqrt(max(self.covariance[i, i], 0.0)))
 
 
-def fit(problem: FitProblem) -> FitResult:
+def fit(model_id: str, data: Sequence, initial_guess: Optional[Sequence] = None,
+        frozen: frozenset = frozenset()) -> FitResult:
     """Minimize the weighted squared residuals of a registered model.
 
+    data holds (x, y) or (x, y, sigma_y) rows; a sigma_y of None counts
+    as 1.  frozen names parameters held at their initial_guess values.
     Deterministic: no randomness anywhere in the loop.  Returns with
     converged=False instead of raising when the iteration cap or damping
     ceiling is hit.  Parameters whose Jacobian direction is degenerate
     at the solution are listed in unidentifiable.
     """
-    spec, x, y, sig, weighted, guess = problem.resolved()
-    bounds = spec.default_bounds
+    spec = _model_spec(model_id)
     names = spec.param_names
     n_par = len(names)
-    free = np.array([nm not in problem.frozen for nm in names])
+    rows = list(data)
+    if len(rows) < max(3, n_par + 1):
+        raise ValueError("need at least %d data points" % max(3, n_par + 1))
+    x = np.array([r[0] for r in rows], dtype=float)
+    y = np.array([r[1] for r in rows], dtype=float)
+    sig = np.array(
+        [r[2] if len(r) > 2 and r[2] is not None else 1.0 for r in rows],
+        dtype=float,
+    )
+    finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(sig)
+    if not finite.all():
+        raise ValueError(
+            "data row %d holds a non-finite x, y or sigma_y"
+            % (np.flatnonzero(~finite)[0] + 1)
+        )
+    if np.any(sig <= 0.0):
+        raise ValueError("sigma_y must be positive")
+    weighted = any(len(r) > 2 and r[2] is not None for r in rows)
+    guess = (
+        np.asarray(initial_guess, dtype=float)
+        if initial_guess is not None
+        else np.array(spec.default_guess)
+    )
+    if guess.shape != (n_par,):
+        raise ValueError("initial_guess length mismatch")
+    for g, (lo, hi), name in zip(guess, spec.default_bounds, names):
+        if not lo <= g <= hi:
+            raise ValueError(
+                "guess %s=%g outside bounds [%g, %g]" % (name, g, lo, hi)
+            )
+    unknown = set(frozen) - set(names)
+    if unknown:
+        raise ValueError("frozen names not in model: %s" % sorted(unknown))
+
+    bounds = spec.default_bounds
+    free = np.array([nm not in frozen for nm in names])
     lo_int, hi_int = np.log(np.array(bounds, dtype=float)).T
     w = 1.0 / sig
 
@@ -286,7 +278,7 @@ def fit(problem: FitProblem) -> FitResult:
         cov[np.ix_(idx_free, idx_free)] = cov_int * np.outer(scale, scale)
 
     return FitResult(
-        model_id=problem.model_id,
+        model_id=model_id,
         param_names=names,
         param_units=spec.param_units,
         parameters=params,

@@ -1,7 +1,8 @@
 """Named experiment scenarios: each renders one CSV plus summary scalars.
 
-A scenario is a parameter-free recipe over the shared configuration;
-overrides come in as dotted key=value pairs.  Output files carry the
+A scenario is a parameter-free recipe over the resolved configuration
+that config builds from the defaults, an INI file and key=value
+overrides; a run only reads it.  Output files carry the
 scenario id, the seed, and a digest of the fully resolved configuration
 in comment lines, followed by unit-suffixed column headers and rows
 printed with %.12g.  Identical scenario, configuration and seed give a
@@ -16,13 +17,14 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULTS, KEY_DOCS, config_digest, render_config, set_key
+# set_key stays bound here for perfbench/tracer.py, which wraps it by name
+from .config import KEY_DOCS, config_digest, render_config, set_key  # noqa: F401
 from .counting import (
     CountingModel,
     analytic_snr,
@@ -53,26 +55,12 @@ from .ensemble import (
     lorentzian_transmission,
     saturation_transmission,
 )
-from .fitkit import MODELS, FitProblem, fit
+from .fitkit import MODELS, fit
 from .waveguide import surface_intensity_scan
 
 MHZ = 2.0 * math.pi * 1e6  # detunings quoted as frequencies
-# longest fig3c or mode_scan sweep accepted
+# most samples accepted on one axis: a points key or a fig3c/mode_scan sweep
 MAX_SWEEP_POINTS = 10_000
-
-
-class UnknownScenarioError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One run request: id, config overrides, seed, output file."""
-
-    scenario_id: str
-    parameters: dict = field(default_factory=dict)
-    seed: int = 0
-    output_path: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -131,6 +119,23 @@ def _decoherence(cfg) -> DecoherenceParams:
     )
 
 
+def _count(n: int, key: str, remedy: str) -> int:
+    """n, a number of samples set through config key key, if it lies in
+    1..MAX_SWEEP_POINTS; remedy says which way to move key when too many."""
+    if n < 1:
+        raise ValueError("config key %r must give at least 1 point, got %d"
+                         % (key, n))
+    if n > MAX_SWEEP_POINTS:
+        raise ValueError("sweep of %d points exceeds the limit of %d: %s %r"
+                         % (n, MAX_SWEEP_POINTS, remedy, key))
+    return n
+
+
+def _points(cfg, key: str) -> int:
+    """The sample count at config key key, checked by _count."""
+    return _count(cfg[key], key, "lower")
+
+
 def _run_fig1b(cfg, seed):
     """Saturation of the transmitted power, with a self-fit check."""
     model = AbsorptionModel(
@@ -141,10 +146,10 @@ def _run_fig1b(cfg, seed):
     p_nW = np.geomspace(
         cfg["absorption.power_min_nW"],
         cfg["absorption.power_max_nW"],
-        cfg["absorption.points"],
+        _points(cfg, "absorption.points"),
     )
     trans = saturation_transmission(p_nW * 1e-9, model)
-    res = fit(FitProblem("saturation", list(zip(p_nW * 1e-9, trans))))
+    res = fit("saturation", list(zip(p_nW * 1e-9, trans)))
     summary = {
         "alpha0_L_fit": res.parameter("alpha0_L"),
         "p_sat_fit_nW": res.parameter("p_sat_W") * 1e9,
@@ -161,9 +166,9 @@ def _run_fig1c(cfg, seed):
         gamma_rad_per_s=cfg["scheme.gamma_MHz"] * MHZ, od=cfg["spectroscopy.od"]
     )
     span = cfg["spectroscopy.span_MHz"]
-    delta_MHz = np.linspace(-span, span, cfg["spectroscopy.points"])
+    delta_MHz = np.linspace(-span, span, _points(cfg, "spectroscopy.points"))
     trans = lorentzian_transmission(delta_MHz * MHZ, model)
-    res = fit(FitProblem("lorentzian_od", list(zip(delta_MHz * MHZ, trans))))
+    res = fit("lorentzian_od", list(zip(delta_MHz * MHZ, trans)))
     summary = {
         "od_fit": res.parameter("od"),
         "od_err": res.uncertainty("od"),
@@ -202,7 +207,7 @@ def _run_fig2(cfg, seed):
     scheme = _scheme(cfg)
     od = cfg["spectroscopy.od"]
     span = cfg["spectroscopy.span_MHz"]
-    delta_MHz = np.linspace(-span, span, cfg["spectroscopy.points"])
+    delta_MHz = np.linspace(-span, span, _points(cfg, "spectroscopy.points"))
     cols = [("detuning_MHz", delta_MHz)]
     summary = {}
     for tag, p_mW in _power_list(cfg):
@@ -227,7 +232,7 @@ def _run_fig3a(cfg, seed):
                  positive=True),
         _checked("slowlight.power_max_mW", cfg["slowlight.power_max_mW"],
                  positive=True),
-        cfg["slowlight.points"],
+        _points(cfg, "slowlight.points"),
     )
     delay_ns = np.empty_like(p_mW)
     slowdown = np.empty_like(p_mW)
@@ -266,9 +271,7 @@ def _sweep(cfg, key_pattern: str) -> np.ndarray:
     count = math.ceil((hi + 0.5 * step - lo) / step)
     if count <= 0:
         raise ValueError("empty sweep: %r exceeds %r" % (lo_key, hi_key))
-    if count > MAX_SWEEP_POINTS:
-        raise ValueError("sweep of %d points exceeds the limit of %d: raise %r"
-                         % (count, MAX_SWEEP_POINTS, step_key))
+    _count(count, step_key, "raise")
     return np.arange(lo, hi + 0.5 * step, step)
 
 
@@ -363,13 +366,14 @@ def _run_fig3c(cfg, seed):
 def _run_fig4a(cfg, seed):
     """Field-free memory decay, with the lifetime fit back out."""
     params = _decoherence(cfg)
-    t_us = np.linspace(0.0, cfg["decoherence.t_max_us"], cfg["decoherence.points"])
+    t_us = np.linspace(0.0, cfg["decoherence.t_max_us"],
+                       _points(cfg, "decoherence.points"))
     curve = revival_envelope(t_us * 1e-6, MagneticScenario(b_field_T=0.0), params)
     # start at the configured cloud: from the model's fixed default guess
     # the fit walks tau_D to its bound at many ordinary clouds
     lo, hi = np.array(MODELS["decay_lifetime"].default_bounds).T
     guess = np.clip([params.effective_tau_D_s, params.effective_tau_T_s], lo, hi)
-    res = fit(FitProblem("decay_lifetime", list(zip(t_us * 1e-6, curve)), guess))
+    res = fit("decay_lifetime", list(zip(t_us * 1e-6, curve)), guess)
     tau2 = motional_dephasing_time(
         params.wavelength_m, params.control_angle_rad, params.velocity_m_s
     )
@@ -407,7 +411,8 @@ def _run_magnetic(cfg, seed, field_key: str):
     b_field_G = cfg[field_key]
     params = _decoherence(cfg)
     scenario = MagneticScenario(b_field_T=b_field_G * 1e-4)
-    t_us = np.linspace(0.0, cfg["decoherence.t_max_us"], cfg["decoherence.points"])
+    t_us = np.linspace(0.0, cfg["decoherence.t_max_us"],
+                       _points(cfg, "decoherence.points"))
     curve = revival_envelope(t_us * 1e-6, scenario, params)
     free = revival_envelope(t_us * 1e-6, MagneticScenario(b_field_T=0.0), params)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -571,7 +576,8 @@ def list_scenarios() -> tuple:
     return _CATALOG
 
 
-def _write_csv(path: str, scenario: Scenario, cfg: dict, columns) -> int:
+def _write_csv(path: str, comments: list, columns) -> int:
+    """Write comments as # lines, a header and the rows; return the row count."""
     names = [name for name, _ in columns]
     arrays = [np.asarray(arr, dtype=float) for _, arr in columns]
     n = arrays[0].size
@@ -581,13 +587,7 @@ def _write_csv(path: str, scenario: Scenario, cfg: dict, columns) -> int:
         if not np.all(np.isfinite(a)):
             # a solver failure, caught before any file is created
             raise FloatingPointError("column %r holds a non-finite value" % name)
-    lines = [
-        "# scenario: %s" % scenario.scenario_id,
-        "# seed: %d" % scenario.seed,
-        "# config sha256: %s" % config_digest(cfg),
-    ]
-    for cfg_line in render_config(cfg).splitlines():
-        lines.append("# %s" % cfg_line)
+    lines = ["# %s" % comment for comment in comments]
     lines.append(",".join(names))
     row_format = ",".join(["%.12g"] * len(arrays))
     lines += [row_format % row for row in zip(*(a.tolist() for a in arrays))]
@@ -605,31 +605,29 @@ def _write_csv(path: str, scenario: Scenario, cfg: dict, columns) -> int:
     return n
 
 
-def run_scenario(scenario: Scenario, config: Optional[dict] = None) -> dict:
-    """Resolve the configuration, run, write the CSV, return the summary.
+def run_scenario(scenario_id: str, cfg: dict, seed: int = 0,
+                 output_path: Optional[str] = None) -> dict:
+    """Run scenario_id on the resolved configuration cfg, write its CSV
+    to output_path (default <scenario_id>.csv) and return the summary.
 
-    The returned dict carries the output path, the row count, the seed,
-    the config digest and the scenario's headline scalars.
-    The file write is atomic: a temporary file in the target directory
+    The returned dict carries the output path, the row count, the config
+    digest and the scenario's headline scalars.  The file write is atomic: a temporary file in the target directory
     is renamed over the destination.  A non-finite cell raises
     FloatingPointError (exit code 3) before any file is created.
     """
-    if scenario.scenario_id not in _REGISTRY:
-        raise UnknownScenarioError(
-            "unknown scenario %r; known: %s"
-            % (scenario.scenario_id, ", ".join(_REGISTRY))
-        )
-    entry = _REGISTRY[scenario.scenario_id]
-    cfg = dict(config) if config is not None else dict(DEFAULTS)
-    for key, value in scenario.parameters.items():
-        set_key(cfg, key, value)
-    columns, summary = entry.runner(cfg, scenario.seed)
-    path = scenario.output_path or "%s.csv" % scenario.scenario_id
-    n_rows = _write_csv(path, scenario, cfg, columns)
+    if scenario_id not in _REGISTRY:
+        raise ValueError("unknown scenario %r; known: %s"
+                         % (scenario_id, ", ".join(_REGISTRY)))
+    columns, summary = _REGISTRY[scenario_id].runner(cfg, seed)
+    rendered = render_config(cfg)
+    digest = config_digest(rendered)
+    path = output_path or "%s.csv" % scenario_id
+    comments = ["scenario: %s" % scenario_id, "seed: %d" % seed,
+                "config sha256: %s" % digest] + rendered.splitlines()
+    n_rows = _write_csv(path, comments, columns)
     return {
         "output_path": path,
         "n_rows": n_rows,
-        "seed": scenario.seed,
-        "config_digest": config_digest(cfg),
+        "config_digest": digest,
         "summary": summary,
     }

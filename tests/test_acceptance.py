@@ -29,7 +29,6 @@ from fibermem.ensemble import (
     effective_atom_number,
 )
 from fibermem.scenarios import (
-    Scenario,
     _revival_peaks,
     _storage_control,
     _storage_inputs,
@@ -202,9 +201,7 @@ def storage_point(cfg):
 
 
 def test_07_storage_efficiency_properties(tmp_path):
-    rep = run_scenario(
-        Scenario("fig3b", seed=0, output_path=str(tmp_path / "fig3b.csv"))
-    )
+    rep = run_scenario("fig3b", dict(DEFAULTS), 0, str(tmp_path / "fig3b.csv"))
     eta = rep["summary"]["retrieval_efficiency"]
 
     probe, ctrl, grid, scheme = storage_point(dict(DEFAULTS))
@@ -235,7 +232,7 @@ def test_08_fit_round_trips():
     for model_id, truth in TRUTH.items():
         x = GRIDS[model_id]
         y0 = fitkit.evaluate_model(model_id, truth, x)
-        clean = fitkit.fit(fitkit.FitProblem(model_id, list(zip(x, y0))))
+        clean = fitkit.fit(model_id, list(zip(x, y0)))
         assert clean.converged
         for i, tv in enumerate(truth):
             rel = abs(clean.parameters[i] - tv) / abs(tv)
@@ -250,7 +247,7 @@ def test_08_fit_round_trips():
         for seed in range(20):
             rng = np.random.default_rng(seed)
             y = y0 + rng.normal(0.0, sig)
-            res = fitkit.fit(fitkit.FitProblem(model_id, list(zip(x, y, sig))))
+            res = fitkit.fit(model_id, list(zip(x, y, sig)))
             assert res.converged
             for i, tv in enumerate(truth):
                 z = abs(res.parameters[i] - tv) / math.sqrt(res.covariance[i, i])
@@ -285,7 +282,7 @@ def test_10_byte_identical_outputs(tmp_path):
         paths = []
         for tag in "ab":
             path = str(tmp_path / ("%s_%s.csv" % (scenario_id, tag)))
-            run_scenario(Scenario(scenario_id, seed=seed, output_path=path))
+            run_scenario(scenario_id, dict(DEFAULTS), seed, path)
             paths.append(path)
         with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
             pairs.append(fa.read() == fb.read())

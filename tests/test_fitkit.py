@@ -21,10 +21,10 @@ GRIDS = {
 }
 
 
-def clean_problem(model_id):
+def clean_rows(model_id):
     x = GRIDS[model_id]
     y = fitkit.evaluate_model(model_id, TRUTH[model_id], x)
-    return fitkit.FitProblem(model_id=model_id, data=list(zip(x, y)))
+    return list(zip(x, y))
 
 
 class TestEvaluateModel:
@@ -69,44 +69,40 @@ class TestProblemValidation:
         x = GRIDS["lorentzian_od"][:2]
         y = np.ones(2)
         with pytest.raises(ValueError):
-            fitkit.fit(fitkit.FitProblem("lorentzian_od", list(zip(x, y))))
+            fitkit.fit("lorentzian_od", list(zip(x, y)))
 
     def test_guess_outside_bounds(self):
-        prob = clean_problem("lorentzian_od")
-        bad = fitkit.FitProblem("lorentzian_od", prob.data,
-                                initial_guess=(2e3, 2 * math.pi * 6e6))
         with pytest.raises(ValueError):
-            fitkit.fit(bad)
+            fitkit.fit("lorentzian_od", clean_rows("lorentzian_od"),
+                       initial_guess=(2e3, 2 * math.pi * 6e6))
 
     def test_unknown_frozen_name(self):
-        prob = clean_problem("lorentzian_od")
-        bad = fitkit.FitProblem("lorentzian_od", prob.data,
-                                frozen=frozenset({"bogus"}))
         with pytest.raises(ValueError):
-            fitkit.fit(bad)
+            fitkit.fit("lorentzian_od", clean_rows("lorentzian_od"),
+                       frozen=frozenset({"bogus"}))
 
     def test_nonpositive_sigma_rejected(self):
         x = GRIDS["lorentzian_od"]
         y = np.ones_like(x)
         rows = [(xi, yi, 0.0) for xi, yi in zip(x, y)]
         with pytest.raises(ValueError):
-            fitkit.fit(fitkit.FitProblem("lorentzian_od", rows))
+            fitkit.fit("lorentzian_od", rows)
 
     # an inf x or sigma used to fit and report convergence, a nan y to
     # fail inside the SVD
     @pytest.mark.parametrize("column, value", [(0, math.inf), (1, math.nan),
                                                (2, math.inf)])
     def test_non_finite_data_rejected(self, column, value):
-        rows = [[xi, yi, 0.01] for xi, yi in clean_problem("lorentzian_od").data]
+        rows = [[xi, yi, 0.01] for xi, yi in clean_rows("lorentzian_od")]
         rows[4][column] = value
         with pytest.raises(ValueError, match="data row 5 holds a non-finite"):
-            fitkit.fit(fitkit.FitProblem("lorentzian_od", rows))
+            fitkit.fit("lorentzian_od", rows)
 
 
 class TestZeroNoiseRecovery:
     @pytest.mark.parametrize("model_id", sorted(TRUTH))
     def test_exact_fixed_point(self, model_id):
-        res = fitkit.fit(clean_problem(model_id))
+        res = fitkit.fit(model_id, clean_rows(model_id))
         assert res.converged
         truth = np.array(TRUTH[model_id])
         assert np.max(np.abs(res.parameters - truth) / truth) < 1e-6
@@ -123,7 +119,7 @@ class TestNoisyRecovery:
             rng = np.random.default_rng(seed)
             sig = 0.01 * np.abs(y0)
             y = y0 + rng.normal(0.0, sig)
-            res = fitkit.fit(fitkit.FitProblem(model_id, list(zip(x, y, sig))))
+            res = fitkit.fit(model_id, list(zip(x, y, sig)))
             assert res.converged
             for i, tv in enumerate(truth):
                 err = math.sqrt(res.covariance[i, i])
@@ -132,17 +128,16 @@ class TestNoisyRecovery:
 
 class TestFitContract:
     def test_deterministic(self):
-        r1 = fitkit.fit(clean_problem("lorentzian_od"))
-        r2 = fitkit.fit(clean_problem("lorentzian_od"))
+        r1 = fitkit.fit("lorentzian_od", clean_rows("lorentzian_od"))
+        r2 = fitkit.fit("lorentzian_od", clean_rows("lorentzian_od"))
         assert np.array_equal(r1.parameters, r2.parameters)
         assert r1.n_iterations == r2.n_iterations
 
     def test_reorder_invariance(self):
-        prob = clean_problem("lorentzian_od")
-        rows = list(prob.data)
+        rows = clean_rows("lorentzian_od")
         shuffled = rows[::2] + rows[1::2][::-1]
-        r1 = fitkit.fit(prob)
-        r2 = fitkit.fit(fitkit.FitProblem("lorentzian_od", shuffled))
+        r1 = fitkit.fit("lorentzian_od", rows)
+        r2 = fitkit.fit("lorentzian_od", shuffled)
         assert np.max(np.abs(r1.parameters - r2.parameters)
                       / r1.parameters) < 1e-9
 
@@ -153,13 +148,13 @@ class TestFitContract:
         y = y0 + rng.normal(0.0, 0.01 * np.abs(y0))
         rows1 = [(xi, yi, 0.01) for xi, yi in zip(x, y)]
         rows5 = [(xi, yi, 0.05) for xi, yi in zip(x, y)]
-        r1 = fitkit.fit(fitkit.FitProblem("lorentzian_od", rows1))
-        r5 = fitkit.fit(fitkit.FitProblem("lorentzian_od", rows5))
+        r1 = fitkit.fit("lorentzian_od", rows1)
+        r5 = fitkit.fit("lorentzian_od", rows5)
         assert np.max(np.abs(r1.parameters - r5.parameters)
                       / r1.parameters) < 1e-9
 
     def test_cost_history_nonincreasing(self):
-        res = fitkit.fit(clean_problem("decay_lifetime"))
+        res = fitkit.fit("decay_lifetime", clean_rows("decay_lifetime"))
         hist = np.array(res.cost_history)
         assert np.all(np.diff(hist) <= 0.0)
 
@@ -169,7 +164,7 @@ class TestFitContract:
         rng = np.random.default_rng(11)
         sig = 0.01 * np.abs(y0)
         y = y0 + rng.normal(0.0, sig)
-        res = fitkit.fit(fitkit.FitProblem("lorentzian_od", list(zip(x, y, sig))))
+        res = fitkit.fit("lorentzian_od", list(zip(x, y, sig)))
         cov = res.covariance
         assert np.allclose(cov, cov.T)
         assert np.min(np.linalg.eigvalsh(cov)) > -1e-12
@@ -178,9 +173,9 @@ class TestFitContract:
         x = GRIDS["lorentzian_od"]
         y = fitkit.evaluate_model("lorentzian_od", TRUTH["lorentzian_od"], x)
         guess = (1.5, 2 * math.pi * 6.8e6)
-        res = fitkit.fit(fitkit.FitProblem(
+        res = fitkit.fit(
             "lorentzian_od", list(zip(x, y)), initial_guess=guess,
-            frozen=frozenset({"gamma_rad_per_s"})))
+            frozen=frozenset({"gamma_rad_per_s"}))
         assert res.parameters[1] == guess[1]
         assert res.parameters[0] == pytest.approx(3.0, rel=1e-8)
         assert res.covariance[1, 1] == 0.0
@@ -189,7 +184,7 @@ class TestFitContract:
         monkeypatch.setattr(fitkit, "_MAX_ITER", 1)
         x = GRIDS["eit_spectrum"]
         y0 = fitkit.evaluate_model("eit_spectrum", TRUTH["eit_spectrum"], x)
-        res = fitkit.fit(fitkit.FitProblem("eit_spectrum", list(zip(x, y0))))
+        res = fitkit.fit("eit_spectrum", list(zip(x, y0)))
         assert not res.converged
         assert res.n_iterations == 1
 
@@ -198,22 +193,22 @@ class TestFitContract:
         x = np.zeros(10)
         y = fitkit.evaluate_model(
             "lorentzian_od", TRUTH["lorentzian_od"], x)
-        res = fitkit.fit(fitkit.FitProblem(
+        res = fitkit.fit(
             "lorentzian_od", list(zip(x, y)),
-            initial_guess=(2.0, 2 * math.pi * 6.8e6)))
+            initial_guess=(2.0, 2 * math.pi * 6.8e6))
         assert "gamma_rad_per_s" in res.unidentifiable
 
     def test_unweighted_flagged_unitless(self):
-        res = fitkit.fit(clean_problem("lorentzian_od"))
+        res = fitkit.fit("lorentzian_od", clean_rows("lorentzian_od"))
         assert res.chi2_unitless
         x = GRIDS["lorentzian_od"]
         y = fitkit.evaluate_model("lorentzian_od", TRUTH["lorentzian_od"], x)
         rows = [(xi, yi, 0.01) for xi, yi in zip(x, y)]
-        res_w = fitkit.fit(fitkit.FitProblem("lorentzian_od", rows))
+        res_w = fitkit.fit("lorentzian_od", rows)
         assert not res_w.chi2_unitless
 
     def test_format_result_mentions_every_parameter(self):
-        res = fitkit.fit(clean_problem("saturation"))
+        res = fitkit.fit("saturation", clean_rows("saturation"))
         text = fitkit.format_result(res)
         for name in res.param_names:
             assert name in text

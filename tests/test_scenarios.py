@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import fibermem
-from fibermem import fitkit, scenarios, waveguide
+from fibermem import config, fitkit, scenarios, waveguide
 from fibermem.cli import _read_xy, entry
 from fibermem.config import (
     DEFAULTS,
@@ -21,12 +22,7 @@ from fibermem.config import (
     set_key,
 )
 from fibermem.eit import propagate_pulse
-from fibermem.scenarios import (
-    Scenario,
-    UnknownScenarioError,
-    list_scenarios,
-    run_scenario,
-)
+from fibermem.scenarios import list_scenarios, run_scenario
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -45,13 +41,10 @@ class ReadRecorder(dict):
 
 def run(tmp_path, scenario_id, seed=0, out=None, **overrides):
     path = str(tmp_path / (out or (scenario_id + ".csv")))
-    sc = Scenario(
-        scenario_id,
-        parameters={k.replace("__", "."): v for k, v in overrides.items()},
-        seed=seed,
-        output_path=path,
-    )
-    return run_scenario(sc)
+    cfg = dict(DEFAULTS)
+    for key, value in overrides.items():
+        set_key(cfg, key.replace("__", "."), value)
+    return run_scenario(scenario_id, cfg, seed, path)
 
 
 class TestConfig:
@@ -96,9 +89,9 @@ class TestConfig:
     def test_digest_tracks_content(self):
         a = dict(DEFAULTS)
         b = dict(DEFAULTS)
-        assert config_digest(a) == config_digest(b)
+        assert config_digest(render_config(a)) == config_digest(render_config(b))
         b["storage.od"] = 11.0
-        assert config_digest(a) != config_digest(b)
+        assert config_digest(render_config(a)) != config_digest(render_config(b))
 
     def test_render_is_sorted_and_complete(self):
         text = render_config(dict(DEFAULTS))
@@ -143,8 +136,8 @@ class TestCatalog:
         assert "0.10" in entry_.headline
 
     def test_unknown_scenario_raises(self, tmp_path):
-        with pytest.raises(UnknownScenarioError):
-            run_scenario(Scenario("fig9z"))
+        with pytest.raises(ValueError, match="unknown scenario 'fig9z'"):
+            run_scenario("fig9z", dict(DEFAULTS))
 
 
 def read_csv(path):
@@ -202,8 +195,7 @@ class TestCsvOutput:
         values = [-0.0, 5e-324, 0.1, 1e15 + 0.5, 123456789012.5, -2.75e-7]
         columns = [("a", np.array(values)), ("b", values[::-1]), ("c", np.arange(6))]
         path = tmp_path / "w.csv"
-        assert scenarios._write_csv(str(path), Scenario("fig1b"), dict(DEFAULTS),
-                                    columns) == 6
+        assert scenarios._write_csv(str(path), ["scenario: fig1b"], columns) == 6
         text = path.read_text()
         lines = text.splitlines()
         assert text.endswith("\n") and lines[-7] == "a,b,c"
@@ -217,6 +209,27 @@ class TestCsvOutput:
         assert mod["config_digest"] != base["config_digest"]
         comments, _, _ = read_csv(mod["output_path"])
         assert "# spectroscopy.od = 5" in comments
+
+
+    def test_digest_is_of_the_echoed_config(self, tmp_path, monkeypatch, capsys):
+        renders = []
+
+        def counted(cfg):
+            renders.append(1)
+            return render_config(cfg)
+
+        # config_digest used to render the configuration again
+        monkeypatch.setattr(scenarios, "render_config", counted)
+        monkeypatch.setattr(config, "render_config", counted)
+        path = tmp_path / "line.csv"
+        assert entry(["sim", "fig1c", "--out", str(path)]) == 0
+        assert len(renders) == 1
+        comments, _, _ = read_csv(str(path))
+        # the digest can be checked from the file alone
+        echoed = "".join(line[2:] + "\n" for line in comments[3:])
+        digest = hashlib.sha256(echoed.encode()).hexdigest()[:16]
+        assert comments[2] == "# config sha256: %s" % digest
+        assert "config %s," % digest in capsys.readouterr().out
 
 
 class TestScenarioPhysics:
@@ -370,6 +383,64 @@ class TestCli:
         f.write_text("1.0,0.5,0.01\n2.0,0.7,0.01\n3.0,0.9,0.01\n")
         rows = _read_xy(str(f))
         assert rows[0] == (1.0, 0.5, 0.01)
+
+    def test_fit_third_column_must_be_sigma(self, tmp_path, capsys):
+        spectra = tmp_path / "fig2.csv"
+        assert entry(["sim", "fig2", "--out", str(spectra)]) == 0
+        capsys.readouterr()
+        assert entry(["fit", "lorentzian_od", "--data", str(spectra)]) == 2
+        assert "column 3 'transmission_1mW'" in capsys.readouterr().err
+        data = tmp_path / "d.csv"
+        data.write_text("x,y,sigma,w\n1,0.5,0.01,1\n2,0.6,0.01,1\n"
+                        "3,0.7,0.01,1\n4,0.8,0.01,1\n")
+        assert entry(["fit", "lorentzian_od", "--data", str(data)]) == 2
+        assert "column 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, row", [
+        ("x,y,sigma\n1,0.5,0.01\n2,0.6\n3,0.7,0.01\n", 2),
+        ("x,y\n1,0.5\n2,0.6\n3,0.7,0.01\n", 3),
+        ("1,0.5,0.01\n2,0.6,0.01\n3,0.7\n", 3),
+    ])
+    def test_fit_refuses_ragged_rows(self, tmp_path, capsys, text, row):
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        assert entry(["fit", "lorentzian_od", "--data", str(data)]) == 2
+        assert "data row %d of" % row in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["detuning_MHz,transmission,sigma\n", ""])
+    def test_fit_weights_sigma_column(self, tmp_path, capsys, header):
+        x = np.linspace(-25.0, 25.0, 41)
+        y = fitkit.evaluate_model("lorentzian_od", (3.0, 6.8 * MHZ), x * MHZ)
+        data = tmp_path / "d.csv"
+        data.write_text(header + "".join(
+            "%.12g,%.12g,0.01\n" % (xi * (MHZ if not header else 1.0), yi)
+            for xi, yi in zip(x, y)))
+        assert entry(["fit", "lorentzian_od", "--data", str(data)]) == 0
+        out = capsys.readouterr().out
+        assert "converged: True" in out and "unit-less" not in out
+
+    # fig1c is test_fit_round_trip_with_unit_header
+    @pytest.mark.parametrize("sim, model", [("fig1b", "saturation"),
+                                            ("fig4a", "decay_lifetime")])
+    def test_fit_round_trips_two_column_scenarios(self, tmp_path, capsys, sim, model):
+        path = tmp_path / (sim + ".csv")
+        assert entry(["sim", sim, "--out", str(path)]) == 0
+        assert entry(["fit", model, "--data", str(path)]) == 0
+        assert "converged: True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sim, key", [("fig1b", "absorption.points"),
+                                          ("fig2", "spectroscopy.points"),
+                                          ("fig3a", "slowlight.points"),
+                                          ("fig4b", "decoherence.points")])
+    def test_sample_counts_bounded(self, tmp_path, capsys, sim, key):
+        out = tmp_path / "n.csv"
+        for value in ("0", "-5", "10001"):
+            assert entry(["sim", sim, "--out", str(out),
+                          "--set", "%s=%s" % (key, value)]) == 2
+            err = capsys.readouterr().err
+            assert "%r" % key in err and "numpy" not in err.lower()
+        assert not out.exists()
+        assert entry(["sim", sim, "--out", str(out), "--set", key + "=10000"]) == 0
 
     def test_exit_code_2_on_bad_input(self, tmp_path, capsys):
         assert entry(["sim", "fig9z"]) == 2
