@@ -21,7 +21,7 @@ import math
 import sys
 from typing import Optional
 
-from .config import apply_overrides, load_config
+from .config import apply_overrides, domain_text, load_config
 from .eit import GridError
 from .fitkit import MODELS, fit, format_result
 from .scenarios import list_scenarios, run_scenario
@@ -140,7 +140,8 @@ def _cmd_list() -> int:
         if entry.headline:
             print("  headline: %s" % entry.headline)
         for key, doc in entry.parameter_docs:
-            print("    %-28s %s" % (key, doc))
+            domain = domain_text(key)
+            print("    %-28s %s%s" % (key, doc, domain and " [%s]" % domain))
     return 0
 
 
@@ -176,7 +177,10 @@ def _cmd_fit(args) -> int:
     data = _read_xy(args.data)
     guess = None
     if args.guess is not None:
-        guess = [float(tok) for tok in args.guess.split(",") if tok.strip()]
+        try:
+            guess = [float(tok) for tok in args.guess.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ValueError("--guess %r: %s" % (args.guess, exc)) from None
     frozen = frozenset(
         tok.strip() for tok in (args.frozen or "").split(",") if tok.strip()
     )

@@ -3,11 +3,14 @@
 Keys are dotted section.key names.  Values at this boundary use lab
 units (MHz, ns, mW, Gauss ...) called out in the key name; scenario
 builders convert to SI on the way in.  Each key is declared once, with
-its default and a one-line doc that `fibermem list` shows under every
-scenario reading the key.  The resolved configuration is
-rendered to a stable text form whose SHA-256 digest is stamped into
-every output file, so a CSV can always be traced to the exact settings
-that produced it.
+its default, its domain and a one-line doc that `fibermem list` shows
+under every scenario reading the key.  set_key refuses a value outside
+the key's domain, naming the key, so every single-key range check
+lives in this table; a rule that ties two keys together (min <= max,
+sweep length) stays with the scenario that reads them.  The resolved
+configuration is rendered to a stable text form whose SHA-256 digest
+is stamped into every output file, so a CSV can always be traced to
+the exact settings that produced it.
 """
 
 from __future__ import annotations
@@ -17,71 +20,108 @@ import hashlib
 import math
 from typing import Optional
 
+from .counting import MAX_SHOTS
 from .eit import GAMMA_GS_CALIBRATED_RAD_PER_S, RABI_CALIBRATION
 
-_KEYS = {  # key: (default, doc)
+# a domain: FINITE, GT0 (> 0), GE0 (>= 0), (lo, hi) an inclusive int
+# range with hi None for no top, or a tuple of string choices
+FINITE, GT0, GE0 = "finite", "positive", "nonnegative"
+# most samples accepted on one axis: a points key or a fig3c/mode_scan sweep
+MAX_POINTS = 10_000
+
+_KEYS = {  # key: (default, domain, doc)
     # effective linewidth of the fiber-coupled line (frequency, not angular)
-    "scheme.gamma_MHz": (6.8, "excited-state linewidth as a frequency, MHz"),
+    "scheme.gamma_MHz": (6.8, GT0, "excited-state linewidth as a frequency, MHz"),
     # residual ground-state coherence decay; anchored together with
     # calibration.rabi_calibration so the default spectrum shows 75%
     # window transparency at 1.6 mW and a 60 ns delay at 0.5 mW
-    "scheme.gamma_gs_rad_per_s": (
-        GAMMA_GS_CALIBRATED_RAD_PER_S, "ground-state coherence decay rate, rad/s"),
+    "scheme.gamma_gs_rad_per_s": (GAMMA_GS_CALIBRATED_RAD_PER_S, GE0,
+                                  "ground-state coherence decay rate, rad/s"),
     "calibration.rabi_calibration": (
-        RABI_CALIBRATION, "power to Rabi factor, dimensionless"),
-    "calibration.anchor_delay_power_mW": (0.5, "power of the reported delay, mW"),
-    "medium.length_mm": (5.0, "medium length for the slowdown factor, mm"),
-    "fiber.radius_nm": (200.0, "fiber radius setting the transit length, nm"),
-    "fiber.wavelength_nm": (852.0, "vacuum wavelength, nm"),
-    "fiber.core_index": (1.4525, "core refractive index, dimensionless"),
-    "scan.diameter_min_nm": (250.0, "smallest diameter, nm"),
-    "scan.diameter_max_nm": (800.0, "largest diameter, nm"),
-    "scan.diameter_step_nm": (5.0, "diameter step, nm"),
-    "absorption.alpha0_L": (8.0 / 1.3, "weak-probe optical depth, dimensionless"),
-    "absorption.p_sat_nW": (1.3, "saturation power, nW"),
-    "absorption.k_exp": (1.0, "saturation exponent, dimensionless"),
-    "absorption.power_min_nW": (0.01, "lowest probe power, nW"),
-    "absorption.power_max_nW": (100.0, "highest probe power, nW"),
-    "absorption.points": (101, "number of power samples"),
-    "spectroscopy.od": (3.0, "resonant optical depth, dimensionless"),
-    "spectroscopy.span_MHz": (25.0, "half width of the detuning grid, MHz"),
-    "spectroscopy.points": (201, "number of detuning samples"),
-    "spectroscopy.powers_mW": ("0.5,1.0,1.6,2.4", "comma list of control powers, mW"),
-    "slowlight.od": (3.0, "resonant optical depth, dimensionless"),
-    "slowlight.power_min_mW": (0.2, "lowest control power, mW"),
-    "slowlight.power_max_mW": (3.2, "highest control power, mW"),
-    "slowlight.points": (31, "number of power samples"),
-    "probe.photons": (0.6, "mean photon number per probe pulse, dimensionless"),
-    "probe.fwhm_ns": (60.0, "probe intensity FWHM, ns"),
-    "probe.shape": (
-        "exponential-rising", "probe envelope: exponential-rising, gaussian or square"),
-    "probe.peak_ns": (300.0, "probe peak arrival time, ns"),
-    "probe.detuning_MHz": (0.0, "probe detuning from line center, MHz"),
-    "control.power_mW": (2.0, "control beam power, mW"),
-    "control.waist_um": (400.0, "control beam 1/e^2 waist, micrometers"),
-    "control.angle_deg": (13.0, "beam angle entering the motional phase, degrees"),
-    "storage.od": (10.0, "resonant optical depth, dimensionless"),
-    "storage.switch_off_ns": (315.0, "control switch-off time, ns"),
-    "storage.dark_ns": (30.0, "dark interval before reopening the control, ns"),
-    "storage.ramp_ns": (10.0, "control ramp duration, ns"),
-    "storage.t_stop_ns": (1400.0, "end of the simulated span, ns"),
-    "storage.dt_ns": (0.5, "time step, ns"),
-    "storage.n_z": (80, "number of medium slices, dimensionless"),
-    "storage.dark_min_ns": (20.0, "shortest dark interval, ns"),
-    "storage.dark_max_ns": (200.0, "longest dark interval, ns"),
-    "storage.dark_step_ns": (20.0, "dark interval step, ns"),
-    "decoherence.temperature_uK": (200.0, "atom temperature, microkelvin"),
-    "decoherence.zeeman_kHz": (100.0, "residual Zeeman broadening, kHz"),
-    "decoherence.t_max_us": (12.0, "end of the storage-time axis, microseconds"),
-    "decoherence.points": (1201, "number of time samples"),
-    "magnetic.b_field_G": (0.4, "longitudinal field, Gauss"),
-    "magnetic.b_field_alt_G": (0.6, "alternate longitudinal field, Gauss"),
-    "counting.background": (0.003, "mean background counts per window, dimensionless"),
-    "counting.shots": (10000, "number of repeated shots"),
+        RABI_CALIBRATION, GT0, "power to Rabi factor, dimensionless"),
+    "calibration.anchor_delay_power_mW": (0.5, GT0, "power of the reported delay, mW"),
+    "medium.length_mm": (5.0, GT0, "medium length for the slowdown factor, mm"),
+    "fiber.radius_nm": (200.0, GT0, "fiber radius setting the transit length, nm"),
+    "fiber.wavelength_nm": (852.0, GT0, "vacuum wavelength, nm"),
+    "fiber.core_index": (1.4525, GT0, "core refractive index, dimensionless"),
+    "scan.diameter_min_nm": (250.0, GT0, "smallest diameter, nm"),
+    "scan.diameter_max_nm": (800.0, GT0, "largest diameter, nm"),
+    "scan.diameter_step_nm": (5.0, GT0, "diameter step, nm"),
+    "absorption.alpha0_L": (8.0 / 1.3, GT0, "weak-probe optical depth, dimensionless"),
+    "absorption.p_sat_nW": (1.3, GT0, "saturation power, nW"),
+    "absorption.k_exp": (1.0, GT0, "saturation exponent, dimensionless"),
+    "absorption.power_min_nW": (0.01, GT0, "lowest probe power, nW"),
+    "absorption.power_max_nW": (100.0, GT0, "highest probe power, nW"),
+    # the floors of the points keys are what the self-fits need
+    "absorption.points": (101, (4, MAX_POINTS), "number of power samples"),
+    "spectroscopy.od": (3.0, GT0, "resonant optical depth, dimensionless"),
+    "spectroscopy.span_MHz": (25.0, GT0, "half width of the detuning grid, MHz"),
+    "spectroscopy.points": (201, (3, MAX_POINTS), "number of detuning samples"),
+    # each listed power is checked by scenarios._power_list
+    "spectroscopy.powers_mW": (
+        "0.5,1.0,1.6,2.4", None, "comma list of control powers, mW"),
+    "slowlight.od": (3.0, GT0, "resonant optical depth, dimensionless"),
+    "slowlight.power_min_mW": (0.2, GT0, "lowest control power, mW"),
+    "slowlight.power_max_mW": (3.2, GT0, "highest control power, mW"),
+    "slowlight.points": (31, (1, MAX_POINTS), "number of power samples"),
+    "probe.photons": (0.6, GT0, "mean photon number per probe pulse, dimensionless"),
+    "probe.fwhm_ns": (60.0, GT0, "probe intensity FWHM, ns"),
+    "probe.shape": ("exponential-rising", ("exponential-rising", "gaussian", "square"),
+                    "probe envelope"),
+    "probe.peak_ns": (300.0, FINITE, "probe peak arrival time, ns"),
+    "probe.detuning_MHz": (0.0, FINITE, "probe detuning from line center, MHz"),
+    "control.power_mW": (2.0, GE0, "control beam power, mW"),
+    "control.waist_um": (400.0, GT0, "control beam 1/e^2 waist, micrometers"),
+    "control.angle_deg": (13.0, GE0, "beam angle entering the motional phase, degrees"),
+    "storage.od": (10.0, GE0, "resonant optical depth, dimensionless"),
+    "storage.switch_off_ns": (315.0, FINITE, "control switch-off time, ns"),
+    "storage.dark_ns": (30.0, GE0, "dark interval before reopening the control, ns"),
+    "storage.ramp_ns": (10.0, GT0, "control ramp duration, ns"),
+    "storage.t_stop_ns": (1400.0, GT0, "end of the simulated span, ns"),
+    "storage.dt_ns": (0.5, GT0, "time step, ns"),
+    "storage.n_z": (80, (1, None), "number of medium slices, dimensionless"),
+    "storage.dark_min_ns": (20.0, GE0, "shortest dark interval, ns"),
+    "storage.dark_max_ns": (200.0, GE0, "longest dark interval, ns"),
+    "storage.dark_step_ns": (20.0, GT0, "dark interval step, ns"),
+    "decoherence.temperature_uK": (200.0, GT0, "atom temperature, microkelvin"),
+    "decoherence.zeeman_kHz": (100.0, GE0, "residual Zeeman broadening, kHz"),
+    "decoherence.t_max_us": (12.0, GT0, "end of the storage-time axis, microseconds"),
+    "decoherence.points": (1201, (3, MAX_POINTS), "number of time samples"),
+    "magnetic.b_field_G": (0.4, GT0, "longitudinal field, Gauss"),
+    "magnetic.b_field_alt_G": (0.6, GT0, "alternate longitudinal field, Gauss"),
+    "counting.background": (0.003, GE0, "mean background counts per window"),
+    "counting.shots": (10000, (1, MAX_SHOTS), "number of repeated shots"),
 }
 
-DEFAULTS = {key: default for key, (default, _) in _KEYS.items()}
-KEY_DOCS = {key: doc for key, (_, doc) in _KEYS.items()}
+DEFAULTS = {key: default for key, (default, _, _) in _KEYS.items()}
+KEY_DOCS = {key: doc for key, (_, _, doc) in _KEYS.items()}
+
+
+def domain_text(key: str) -> str:
+    """The domain of key as fibermem list shows it; "" for none."""
+    domain = _KEYS[key][1] or ""
+    if isinstance(domain, str):
+        return domain
+    if isinstance(domain[0], str):
+        return "one of " + ", ".join(domain)
+    return "integer %d..%s" % (domain[0], "" if domain[1] is None else domain[1])
+
+
+def _breach(value, domain) -> Optional[str]:
+    """How value falls outside domain, or None if it lies inside."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "must be finite"
+    if domain == GT0 and value <= 0.0:
+        return "must be positive"
+    if domain == GE0 and value < 0.0:
+        return "must be nonnegative"
+    if isinstance(value, str) and domain is not None and value not in domain:
+        return "must be one of " + ", ".join(domain)
+    if isinstance(value, int) and value < domain[0]:
+        return "must be at least %d" % domain[0]
+    if isinstance(value, int) and domain[1] is not None and value > domain[1]:
+        return "exceeds the limit of %d" % domain[1]
+    return None
 
 
 def load_config(path: Optional[str] = None) -> dict:
@@ -100,26 +140,20 @@ def load_config(path: Optional[str] = None) -> dict:
 
 
 def set_key(cfg: dict, dotted: str, raw) -> None:
-    """Assign one key, coercing to the default's type; floats must be finite."""
-    if dotted not in DEFAULTS:
+    """Assign one key, coerced to its default's type and held to its domain."""
+    if dotted not in _KEYS:
         raise ValueError("unknown config key %r" % (dotted,))
-    default = DEFAULTS[dotted]
-    if isinstance(default, bool):
-        raise ValueError("boolean keys unsupported")
+    default, domain, _ = _KEYS[dotted]
     try:
-        if isinstance(default, int):
-            value = int(str(raw))
-        elif isinstance(default, float):
-            value = float(str(raw))
-        else:
-            value = str(raw)
+        value = type(default)(str(raw))  # int, float or str
     except ValueError:
         raise ValueError(
             "config key %r expects %s, got %r"
             % (dotted, type(default).__name__, raw)
         ) from None
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError("config key %r must be finite, got %r" % (dotted, raw))
+    breach = _breach(value, domain)
+    if breach:
+        raise ValueError("config key %r %s, got %s" % (dotted, breach, raw))
     cfg[dotted] = value
 
 

@@ -23,8 +23,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .config import KEY_DOCS, MAX_POINTS, config_digest, render_config
 # set_key stays bound here for perfbench/tracer.py, which wraps it by name
-from .config import KEY_DOCS, config_digest, render_config, set_key  # noqa: F401
+from .config import set_key  # noqa: F401
 from .counting import (
     CountingModel,
     analytic_snr,
@@ -59,8 +60,6 @@ from .fitkit import MODELS, fit
 from .waveguide import surface_intensity_scan
 
 MHZ = 2.0 * math.pi * 1e6  # detunings quoted as frequencies
-# most samples accepted on one axis: a points key or a fig3c/mode_scan sweep
-MAX_SWEEP_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -86,24 +85,11 @@ def _scheme(cfg) -> LambdaScheme:
     )
 
 
-def _checked(key: str, value: float, positive: bool = False) -> float:
-    """The value of config key key, if finite and >= 0 (> 0 if positive).
-
-    A bad power or waist is reported under its config key and in the
-    units typed, before rabi_from_power sees it in SI units.
-    """
-    if not ((0.0 < value if positive else 0.0 <= value) and value < math.inf):
-        raise ValueError("config key %r must be finite and %s 0, got %.12g"
-                         % (key, ">" if positive else ">=", value))
-    return value
-
-
 def _rabi(cfg, p_mW: float) -> float:
-    """Control Rabi frequency at p_mW, a power checked under its key."""
-    waist_um = _checked("control.waist_um", cfg["control.waist_um"], positive=True)
+    """Control Rabi frequency at p_mW."""
     return rabi_from_power(
         p_mW * 1e-3,
-        waist_m=waist_um * 1e-6,
+        waist_m=cfg["control.waist_um"] * 1e-6,
         calibration=cfg["calibration.rabi_calibration"],
         gamma_rad_per_s=cfg["scheme.gamma_MHz"] * MHZ,
     )
@@ -119,23 +105,6 @@ def _decoherence(cfg) -> DecoherenceParams:
     )
 
 
-def _count(n: int, key: str, remedy: str) -> int:
-    """n, a number of samples set through config key key, if it lies in
-    1..MAX_SWEEP_POINTS; remedy says which way to move key when too many."""
-    if n < 1:
-        raise ValueError("config key %r must give at least 1 point, got %d"
-                         % (key, n))
-    if n > MAX_SWEEP_POINTS:
-        raise ValueError("sweep of %d points exceeds the limit of %d: %s %r"
-                         % (n, MAX_SWEEP_POINTS, remedy, key))
-    return n
-
-
-def _points(cfg, key: str) -> int:
-    """The sample count at config key key, checked by _count."""
-    return _count(cfg[key], key, "lower")
-
-
 def _run_fig1b(cfg, seed):
     """Saturation of the transmitted power, with a self-fit check."""
     model = AbsorptionModel(
@@ -146,7 +115,7 @@ def _run_fig1b(cfg, seed):
     p_nW = np.geomspace(
         cfg["absorption.power_min_nW"],
         cfg["absorption.power_max_nW"],
-        _points(cfg, "absorption.points"),
+        cfg["absorption.points"],
     )
     trans = saturation_transmission(p_nW * 1e-9, model)
     res = fit("saturation", list(zip(p_nW * 1e-9, trans)))
@@ -166,7 +135,7 @@ def _run_fig1c(cfg, seed):
         gamma_rad_per_s=cfg["scheme.gamma_MHz"] * MHZ, od=cfg["spectroscopy.od"]
     )
     span = cfg["spectroscopy.span_MHz"]
-    delta_MHz = np.linspace(-span, span, _points(cfg, "spectroscopy.points"))
+    delta_MHz = np.linspace(-span, span, cfg["spectroscopy.points"])
     trans = lorentzian_transmission(delta_MHz * MHZ, model)
     res = fit("lorentzian_od", list(zip(delta_MHz * MHZ, trans)))
     summary = {
@@ -192,6 +161,9 @@ def _power_list(cfg) -> list:
             p_mW = math.nan
         if not math.isfinite(p_mW):
             raise ValueError("spectroscopy.powers_mW: %r is not a finite number" % tok)
+        if p_mW < 0.0:
+            raise ValueError("config key 'spectroscopy.powers_mW' must be"
+                             " nonnegative, got %s" % tok)
         tag = ("%g" % p_mW).replace(".", "p")
         if tag in out:
             raise ValueError("spectroscopy.powers_mW: %r repeats the %s mW column"
@@ -207,11 +179,11 @@ def _run_fig2(cfg, seed):
     scheme = _scheme(cfg)
     od = cfg["spectroscopy.od"]
     span = cfg["spectroscopy.span_MHz"]
-    delta_MHz = np.linspace(-span, span, _points(cfg, "spectroscopy.points"))
+    delta_MHz = np.linspace(-span, span, cfg["spectroscopy.points"])
     cols = [("detuning_MHz", delta_MHz)]
     summary = {}
     for tag, p_mW in _power_list(cfg):
-        omega = _rabi(cfg, _checked("spectroscopy.powers_mW", p_mW))
+        omega = _rabi(cfg, p_mW)
         trans = eit_spectrum(od, scheme, omega, delta_MHz * MHZ)
         cols.append(("transmission_%smW" % tag, trans))
         summary["transparency_%smW" % tag] = float(
@@ -226,14 +198,8 @@ def _run_fig3a(cfg, seed):
     scheme = _scheme(cfg)
     od = cfg["slowlight.od"]
     length_m = cfg["medium.length_mm"] * 1e-3
-    # a slow-light delay needs a control, so both ends must be positive
-    p_mW = np.linspace(
-        _checked("slowlight.power_min_mW", cfg["slowlight.power_min_mW"],
-                 positive=True),
-        _checked("slowlight.power_max_mW", cfg["slowlight.power_max_mW"],
-                 positive=True),
-        _points(cfg, "slowlight.points"),
-    )
+    p_mW = np.linspace(cfg["slowlight.power_min_mW"], cfg["slowlight.power_max_mW"],
+                       cfg["slowlight.points"])
     delay_ns = np.empty_like(p_mW)
     slowdown = np.empty_like(p_mW)
     transparency = np.empty_like(p_mW)
@@ -242,9 +208,7 @@ def _run_fig3a(cfg, seed):
         delay_ns[i] = g.delay_s * 1e9
         slowdown[i] = g.slowdown
         transparency[i] = g.transparency
-    anchor_p = _checked("calibration.anchor_delay_power_mW",
-                        cfg["calibration.anchor_delay_power_mW"],
-                        positive=True)
+    anchor_p = cfg["calibration.anchor_delay_power_mW"]
     anchor = group_delay(od, scheme, _rabi(cfg, anchor_p), length_m)
     summary = {
         "delay_at_anchor_ns": anchor.delay_s * 1e9,
@@ -265,20 +229,20 @@ def _sweep(cfg, key_pattern: str) -> np.ndarray:
     """min..max inclusive in steps, keys key_pattern % "min"/"max"/"step"."""
     lo_key, hi_key, step_key = (key_pattern % k for k in ("min", "max", "step"))
     lo, hi, step = cfg[lo_key], cfg[hi_key], cfg[step_key]
-    if step <= 0.0:
-        raise ValueError("config key %r must be positive, got %r" % (step_key, step))
     # the length np.arange gives, counted before anything is allocated
     count = math.ceil((hi + 0.5 * step - lo) / step)
     if count <= 0:
         raise ValueError("empty sweep: %r exceeds %r" % (lo_key, hi_key))
-    _count(count, step_key, "raise")
+    if count > MAX_POINTS:
+        raise ValueError("sweep of %d points exceeds the limit of %d: raise %r"
+                         % (count, MAX_POINTS, step_key))
     return np.arange(lo, hi + 0.5 * step, step)
 
 
 def _storage_control(cfg, dark_ns: float) -> ControlField:
     t_off = cfg["storage.switch_off_ns"] * 1e-9
     return ControlField(
-        _rabi(cfg, _checked("control.power_mW", cfg["control.power_mW"])),
+        _rabi(cfg, cfg["control.power_mW"]),
         envelope=storage_ramp_envelope(
             t_off, t_off + dark_ns * 1e-9, cfg["storage.ramp_ns"] * 1e-9
         ),
@@ -366,8 +330,7 @@ def _run_fig3c(cfg, seed):
 def _run_fig4a(cfg, seed):
     """Field-free memory decay, with the lifetime fit back out."""
     params = _decoherence(cfg)
-    t_us = np.linspace(0.0, cfg["decoherence.t_max_us"],
-                       _points(cfg, "decoherence.points"))
+    t_us = np.linspace(0.0, cfg["decoherence.t_max_us"], cfg["decoherence.points"])
     curve = revival_envelope(t_us * 1e-6, MagneticScenario(b_field_T=0.0), params)
     # start at the configured cloud: from the model's fixed default guess
     # the fit walks tau_D to its bound at many ordinary clouds
@@ -391,19 +354,12 @@ def _run_fig4a(cfg, seed):
 
 def _revival_peaks(t_us, comb, t_half_us) -> list:
     """Local maxima of the interference comb, parabola-refined."""
-    peaks = []
-    for i in range(1, t_us.size - 1):
-        if not (comb[i] >= comb[i - 1] and comb[i] > comb[i + 1]):
-            continue
-        if comb[i] < 0.5 or t_us[i] < 0.25 * t_half_us:
-            continue
-        denom = comb[i - 1] - 2.0 * comb[i] + comb[i + 1]
-        shift = 0.0
-        if denom < 0.0:
-            shift = 0.5 * (comb[i - 1] - comb[i + 1]) / denom
-        dt = t_us[1] - t_us[0]
-        peaks.append(float(t_us[i] + shift * dt))
-    return peaks
+    c0, c1, c2 = comb[:-2], comb[1:-1], comb[2:]
+    peak = (c1 >= c0) & (c1 > c2) & (c1 >= 0.5) & (t_us[1:-1] >= 0.25 * t_half_us)
+    c0, c1, c2 = c0[peak], c1[peak], c2[peak]
+    denom = c0 - 2.0 * c1 + c2
+    shift = np.divide(0.5 * (c0 - c2), denom, out=np.zeros(c1.size), where=denom < 0.0)
+    return (t_us[1:-1][peak] + shift * (t_us[1] - t_us[0])).tolist()
 
 
 def _run_magnetic(cfg, seed, field_key: str):
@@ -411,8 +367,7 @@ def _run_magnetic(cfg, seed, field_key: str):
     b_field_G = cfg[field_key]
     params = _decoherence(cfg)
     scenario = MagneticScenario(b_field_T=b_field_G * 1e-4)
-    t_us = np.linspace(0.0, cfg["decoherence.t_max_us"],
-                       _points(cfg, "decoherence.points"))
+    t_us = np.linspace(0.0, cfg["decoherence.t_max_us"], cfg["decoherence.points"])
     curve = revival_envelope(t_us * 1e-6, scenario, params)
     free = revival_envelope(t_us * 1e-6, MagneticScenario(b_field_T=0.0), params)
     with np.errstate(invalid="ignore", divide="ignore"):

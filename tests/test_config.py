@@ -1,23 +1,64 @@
 """Property tests of config coercion at the set_key boundary."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibermem.config import DEFAULTS, set_key
+from fibermem import config
+from fibermem.config import DEFAULTS, FINITE, GE0, GT0, set_key
 
 FLOAT_KEYS = sorted(k for k, v in DEFAULTS.items() if isinstance(v, float))
 INT_KEYS = sorted(
     k for k, v in DEFAULTS.items() if isinstance(v, int) and not isinstance(v, bool)
 )
 KEY_ALPHABET = "abcdefghijklmnopqrstuvwxyzMHGWK._-=0123456789 "
+DOMAINS = {key: domain for key, (_, domain, _) in config._KEYS.items()}
+REAL = dict(allow_nan=False, allow_infinity=False)
+
+
+def inside(key):
+    """Values of key's type that lie in its domain."""
+    domain = DOMAINS[key]
+    if domain == GT0:
+        return st.floats(min_value=0.0, exclude_min=True, **REAL)
+    if domain == GE0:
+        return st.floats(min_value=0.0, **REAL)
+    if domain == FINITE:
+        return st.floats(**REAL)
+    lo, hi = domain
+    return st.integers(min_value=lo, max_value=hi)
+
+
+def outside(key):
+    """Text that set_key coerces to a value outside key's domain."""
+    domain = DOMAINS[key]
+    if domain == GT0:
+        return st.floats(max_value=0.0, **REAL).map(repr)
+    if domain == GE0:
+        return st.floats(max_value=0.0, exclude_max=True, **REAL).map(repr)
+    if domain == FINITE:
+        return st.sampled_from(["nan", "inf", "-inf", "1e999"])
+    if isinstance(domain[0], str):
+        return st.text(alphabet=KEY_ALPHABET).filter(lambda t: t not in domain)
+    lo, hi = domain
+    below = st.integers(max_value=lo - 1)
+    ints = below if hi is None else st.one_of(below, st.integers(min_value=hi + 1))
+    return ints.map(str)
+
+
+def key_and(strategy, keys):
+    """(key, drawn) pairs: a key from keys and a draw from strategy(key)."""
+    return st.sampled_from(keys).flatmap(lambda k: st.tuples(st.just(k), strategy(k)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(key=st.sampled_from(FLOAT_KEYS), value=st.floats(allow_nan=False, allow_infinity=False))
-def test_finite_float_survives_repr(key, value):
+@given(key_value=key_and(inside, FLOAT_KEYS))
+def test_finite_float_survives_repr(key_value):
+    # every float the key's domain holds, not every finite float
+    key, value = key_value
     cfg = dict(DEFAULTS)
     set_key(cfg, key, repr(value))
     assert repr(cfg[key]) == repr(value)
@@ -36,8 +77,10 @@ def test_non_finite_float_rejected(key, text):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(key=st.sampled_from(INT_KEYS), value=st.integers())
-def test_int_key_round_trips_integer_text(key, value):
+@given(key_value=key_and(inside, INT_KEYS))
+def test_int_key_round_trips_integer_text(key_value):
+    # every integer the key's domain holds, not every integer
+    key, value = key_value
     cfg = dict(DEFAULTS)
     set_key(cfg, key, str(value))
     assert cfg[key] == value and type(cfg[key]) is int
@@ -71,4 +114,24 @@ def test_unknown_key_rejected(key, value):
     cfg = dict(DEFAULTS)
     with pytest.raises(ValueError, match="unknown config key"):
         set_key(cfg, key, value)
+    assert cfg == DEFAULTS
+
+
+def test_every_default_lies_in_its_domain():
+    cfg = dict(DEFAULTS)
+    for key, value in DEFAULTS.items():
+        set_key(cfg, key, repr(value) if isinstance(value, float) else value)
+    assert cfg == DEFAULTS
+    # the one key without a domain: its reader checks each listed power
+    assert [k for k, d in DOMAINS.items() if d is None] == ["spectroscopy.powers_mW"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(key_text=key_and(outside, sorted(k for k, d in DOMAINS.items() if d)))
+def test_out_of_domain_value_rejected_naming_key(key_text):
+    key, text = key_text
+    cfg = dict(DEFAULTS)
+    with pytest.raises(ValueError, match=re.escape("config key %r " % key)) as err:
+        set_key(cfg, key, text)
+    assert str(err.value).endswith("got %s" % text)
     assert cfg == DEFAULTS

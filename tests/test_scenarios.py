@@ -39,6 +39,27 @@ class ReadRecorder(dict):
         return super().__getitem__(key)
 
 
+def just_outside_domains():
+    """Params (scenario, key, text): text lies just outside one bound of
+    key's domain, and scenario is the first catalog entry that reads key."""
+    first = {config.FINITE: "nan", config.GT0: "0", config.GE0: "-1e-9"}
+    cases = []
+    for key, (_, domain, _) in config._KEYS.items():
+        if domain is None:
+            continue
+        if isinstance(domain, str):
+            texts = [first[domain]]
+        elif isinstance(domain[0], str):
+            texts = ["Gaussian"]
+        else:
+            lo, hi = domain
+            texts = [str(lo - 1)] + ([] if hi is None else [str(hi + 1)])
+        sim = next(e.scenario_id for e in list_scenarios() if key in e.keys)
+        cases += [pytest.param(sim, key, text, id="%s=%s" % (key, text))
+                  for text in texts]
+    return cases
+
+
 def run(tmp_path, scenario_id, seed=0, out=None, **overrides):
     path = str(tmp_path / (out or (scenario_id + ".csv")))
     cfg = dict(DEFAULTS)
@@ -333,6 +354,16 @@ class TestCli:
         assert "fig3b" in out and "target 0.10" in out
         assert "mode_scan" in out
 
+    def test_list_shows_each_domain(self, capsys):
+        assert entry(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for key in DEFAULTS:
+            domain = config.domain_text(key)
+            shown = [line for line in lines if line.split()[:1] == [key]]
+            assert shown
+            assert all(line.endswith(" [%s]" % domain) == bool(domain)
+                       for line in shown)
+
     def test_sim_writes_and_reports(self, tmp_path, capsys):
         path = tmp_path / "line.csv"
         rc = entry(["sim", "fig1c", "--out", str(path)])
@@ -427,6 +458,24 @@ class TestCli:
         assert entry(["sim", sim, "--out", str(path)]) == 0
         assert entry(["fit", model, "--data", str(path)]) == 0
         assert "converged: True" in capsys.readouterr().out
+
+    def test_fit_guess_names_flag_and_token(self, tmp_path, capsys):
+        path = tmp_path / "line.csv"
+        assert entry(["sim", "fig1c", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert entry(["fit", "lorentzian_od", "--data", str(path),
+                      "--guess", "abc,3e7"]) == 2
+        err = capsys.readouterr().err
+        assert "--guess 'abc,3e7'" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("sim, key, text", just_outside_domains())
+    def test_value_outside_domain_refused_naming_key(
+            self, tmp_path, capsys, sim, key, text):
+        out = tmp_path / "x.csv"
+        assert entry(["sim", sim, "--out", str(out),
+                      "--set", "%s=%s" % (key, text)]) == 2
+        assert "config key %r" % key in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sim, key", [("fig1b", "absorption.points"),
                                           ("fig2", "spectroscopy.points"),
