@@ -17,9 +17,11 @@ command reproduces its output byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
-from typing import Optional
+
+import numpy as np
 
 from .config import apply_overrides, domain_text, load_config
 from .eit import GridError
@@ -51,41 +53,46 @@ _SOLVER_ERRORS = (
 )
 
 
-def _column_factor(name: str) -> float:
-    for suffix, factor in _UNIT_FACTORS.items():
-        if name.endswith(suffix):
-            return factor
-    return 1.0
+def _read_xy(path: str) -> np.ndarray:
+    """(n, 2) or (n, 3) array of x, y[, sigma] from a CSV, x in SI units.
 
-
-def _read_xy(path: str):
-    """Rows of (x, y[, sigma]) from a CSV, comments and header honored.
-
-    A third column must be headed sigma, or the file have no header; a
-    fourth column and a row wider or narrower than the header (or the
-    first row) are refused."""
-    header: Optional[list] = None
-    rows = []
+    Comment (#) and empty lines are skipped and a header is optional; its
+    first column's unit suffix scales x.  A third column must be headed
+    sigma, or the file have no header; a fourth column and a row wider or
+    narrower than the header (or the first row) are refused."""
     with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        header = None
+        while True:  # to the first data line
+            start = fh.tell()
+            line = fh.readline()
+            if not line:
+                raise ValueError("no data rows in %s" % path)
+            cells = [c.strip() for c in line.split("#", 1)[0].split(",")]
+            if cells == [""]:
                 continue
-            cells = [c.strip() for c in line.split(",")]
             if header is None:
                 try:
                     float(cells[0])
                 except ValueError:
                     header = cells
                     continue
-                header = []
-            width = len(header or (rows[0] if rows else cells))
-            if len(cells) != width:
-                raise ValueError("data row %d of %s has %d columns, not %d"
-                                 % (len(rows) + 1, path, len(cells), width))
-            rows.append([float(c) for c in cells])
-    if len(rows) == 0:
-        raise ValueError("no data rows in %s" % path)
+            break
+        width = len(header or cells)
+        fh.seek(start)
+        try:
+            data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+            if data.shape[1] != width:
+                raise ValueError  # every row disagrees with the header
+        except ValueError:
+            # name the first ragged data row, 1-based as loadtxt counts rows
+            fh.seek(start)
+            rows = (raw.split("#", 1)[0].rstrip("\n") for raw in fh)
+            for row, text in enumerate(filter(None, rows), 1):
+                n_cells = text.count(",") + 1
+                if n_cells != width:
+                    raise ValueError("data row %d of %s has %d columns, not %d"
+                                     % (row, path, n_cells, width)) from None
+            raise
     if width < 2:
         raise ValueError("need at least x and y columns in %s" % path)
     if header and width > 2 and header[2] != "sigma":
@@ -94,10 +101,12 @@ def _read_xy(path: str):
     if width > 3:
         raise ValueError("column 4 of %s: fit reads x, y and an optional"
                          " sigma column" % path)
-    x_factor = _column_factor(header[0]) if header else 1.0
-    return [(r[0] * x_factor,) + tuple(r[1:]) for r in rows]
+    if header:  # the x unit is the header text from its last underscore on
+        data[:, 0] *= _UNIT_FACTORS.get(header[0][header[0].rfind("_"):], 1.0)
+    return data
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibermem",

@@ -23,9 +23,17 @@ from typing import Optional
 from .counting import MAX_SHOTS
 from .eit import GAMMA_GS_CALIBRATED_RAD_PER_S, RABI_CALIBRATION
 
-# a domain: FINITE, GT0 (> 0), GE0 (>= 0), (lo, hi) an inclusive int
+# a domain: a float rule named in _HOLDS, (lo, hi) an inclusive int
 # range with hi None for no top, or a tuple of string choices
 FINITE, GT0, GE0 = "finite", "positive", "nonnegative"
+GT1, HALF_TURN = "greater than 1", "at least 0 and below 180"
+_HOLDS = {
+    FINITE: lambda v: True,
+    GT0: lambda v: v > 0.0,
+    GE0: lambda v: v >= 0.0,
+    GT1: lambda v: v > 1.0,  # a core index above the vacuum cladding's
+    HALF_TURN: lambda v: 0.0 <= v < 180.0,  # an angle in degrees
+}
 # most samples accepted on one axis: a points key or a fig3c/mode_scan sweep
 MAX_POINTS = 10_000
 
@@ -43,7 +51,7 @@ _KEYS = {  # key: (default, domain, doc)
     "medium.length_mm": (5.0, GT0, "medium length for the slowdown factor, mm"),
     "fiber.radius_nm": (200.0, GT0, "fiber radius setting the transit length, nm"),
     "fiber.wavelength_nm": (852.0, GT0, "vacuum wavelength, nm"),
-    "fiber.core_index": (1.4525, GT0, "core refractive index, dimensionless"),
+    "fiber.core_index": (1.4525, GT1, "core refractive index, dimensionless"),
     "scan.diameter_min_nm": (250.0, GT0, "smallest diameter, nm"),
     "scan.diameter_max_nm": (800.0, GT0, "largest diameter, nm"),
     "scan.diameter_step_nm": (5.0, GT0, "diameter step, nm"),
@@ -72,7 +80,8 @@ _KEYS = {  # key: (default, domain, doc)
     "probe.detuning_MHz": (0.0, FINITE, "probe detuning from line center, MHz"),
     "control.power_mW": (2.0, GE0, "control beam power, mW"),
     "control.waist_um": (400.0, GT0, "control beam 1/e^2 waist, micrometers"),
-    "control.angle_deg": (13.0, GE0, "beam angle entering the motional phase, degrees"),
+    "control.angle_deg": (
+        13.0, HALF_TURN, "beam angle entering the motional phase, degrees"),
     "storage.od": (10.0, GE0, "resonant optical depth, dimensionless"),
     "storage.switch_off_ns": (315.0, FINITE, "control switch-off time, ns"),
     "storage.dark_ns": (30.0, GE0, "dark interval before reopening the control, ns"),
@@ -111,10 +120,8 @@ def _breach(value, domain) -> Optional[str]:
     """How value falls outside domain, or None if it lies inside."""
     if isinstance(value, float) and not math.isfinite(value):
         return "must be finite"
-    if domain == GT0 and value <= 0.0:
-        return "must be positive"
-    if domain == GE0 and value < 0.0:
-        return "must be nonnegative"
+    if isinstance(domain, str) and not _HOLDS[domain](value):
+        return "must be " + domain
     if isinstance(value, str) and domain is not None and value not in domain:
         return "must be one of " + ", ".join(domain)
     if isinstance(value, int) and value < domain[0]:

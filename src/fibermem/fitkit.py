@@ -140,12 +140,13 @@ class FitResult:
         return float(math.sqrt(max(self.covariance[i, i], 0.0)))
 
 
-def fit(model_id: str, data: Sequence, initial_guess: Optional[Sequence] = None,
+def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
         frozen: frozenset = frozenset()) -> FitResult:
     """Minimize the weighted squared residuals of a registered model.
 
-    data holds (x, y) or (x, y, sigma_y) rows; a sigma_y of None counts
-    as 1.  frozen names parameters held at their initial_guess values.
+    data is an (n, 2) or (n, 3) array-like of x, y[, sigma_y] rows in SI
+    units; the third column weights the fit.  frozen names parameters
+    held at their initial_guess values.
     Deterministic: no randomness anywhere in the loop.  Returns with
     converged=False instead of raising when the iteration cap or damping
     ceiling is hit.  Parameters whose Jacobian direction is degenerate
@@ -154,24 +155,21 @@ def fit(model_id: str, data: Sequence, initial_guess: Optional[Sequence] = None,
     spec = _model_spec(model_id)
     names = spec.param_names
     n_par = len(names)
-    rows = list(data)
-    if len(rows) < max(3, n_par + 1):
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[1] not in (2, 3):
+        raise ValueError("data must be an (n, 2) or (n, 3) array of x, y and"
+                         " an optional sigma_y, got shape %s" % (data.shape,))
+    if len(data) < max(3, n_par + 1):
         raise ValueError("need at least %d data points" % max(3, n_par + 1))
-    x = np.array([r[0] for r in rows], dtype=float)
-    y = np.array([r[1] for r in rows], dtype=float)
-    sig = np.array(
-        [r[2] if len(r) > 2 and r[2] is not None else 1.0 for r in rows],
-        dtype=float,
-    )
-    finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(sig)
-    if not finite.all():
-        raise ValueError(
-            "data row %d holds a non-finite x, y or sigma_y"
-            % (np.flatnonzero(~finite)[0] + 1)
-        )
+    weighted = data.shape[1] == 3
+    x, y = data[:, 0], data[:, 1]
+    sig = data[:, 2] if weighted else np.ones(len(data))
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError("data row %d holds a non-finite x, y or sigma_y"
+                         % (bad[0] + 1))
     if np.any(sig <= 0.0):
         raise ValueError("sigma_y must be positive")
-    weighted = any(len(r) > 2 and r[2] is not None for r in rows)
     guess = (
         np.asarray(initial_guess, dtype=float)
         if initial_guess is not None

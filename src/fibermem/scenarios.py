@@ -105,6 +105,14 @@ def _decoherence(cfg) -> DecoherenceParams:
     )
 
 
+def _span(cfg, key_pattern: str) -> tuple:
+    """(min, max) of keys key_pattern % "min"/"max", refused when descending."""
+    lo_key, hi_key = key_pattern % "min", key_pattern % "max"
+    if cfg[lo_key] > cfg[hi_key]:
+        raise ValueError("descending axis: %r exceeds %r" % (lo_key, hi_key))
+    return cfg[lo_key], cfg[hi_key]
+
+
 def _run_fig1b(cfg, seed):
     """Saturation of the transmitted power, with a self-fit check."""
     model = AbsorptionModel(
@@ -112,13 +120,9 @@ def _run_fig1b(cfg, seed):
         p_sat_W=cfg["absorption.p_sat_nW"] * 1e-9,
         k_exp=cfg["absorption.k_exp"],
     )
-    p_nW = np.geomspace(
-        cfg["absorption.power_min_nW"],
-        cfg["absorption.power_max_nW"],
-        cfg["absorption.points"],
-    )
+    p_nW = np.geomspace(*_span(cfg, "absorption.power_%s_nW"), cfg["absorption.points"])
     trans = saturation_transmission(p_nW * 1e-9, model)
-    res = fit("saturation", list(zip(p_nW * 1e-9, trans)))
+    res = fit("saturation", np.column_stack((p_nW * 1e-9, trans)))
     summary = {
         "alpha0_L_fit": res.parameter("alpha0_L"),
         "p_sat_fit_nW": res.parameter("p_sat_W") * 1e9,
@@ -137,7 +141,7 @@ def _run_fig1c(cfg, seed):
     span = cfg["spectroscopy.span_MHz"]
     delta_MHz = np.linspace(-span, span, cfg["spectroscopy.points"])
     trans = lorentzian_transmission(delta_MHz * MHZ, model)
-    res = fit("lorentzian_od", list(zip(delta_MHz * MHZ, trans)))
+    res = fit("lorentzian_od", np.column_stack((delta_MHz * MHZ, trans)))
     summary = {
         "od_fit": res.parameter("od"),
         "od_err": res.uncertainty("od"),
@@ -198,8 +202,7 @@ def _run_fig3a(cfg, seed):
     scheme = _scheme(cfg)
     od = cfg["slowlight.od"]
     length_m = cfg["medium.length_mm"] * 1e-3
-    p_mW = np.linspace(cfg["slowlight.power_min_mW"], cfg["slowlight.power_max_mW"],
-                       cfg["slowlight.points"])
+    p_mW = np.linspace(*_span(cfg, "slowlight.power_%s_mW"), cfg["slowlight.points"])
     delay_ns = np.empty_like(p_mW)
     slowdown = np.empty_like(p_mW)
     transparency = np.empty_like(p_mW)
@@ -262,6 +265,12 @@ def _storage_inputs(cfg):
         dt_s=cfg["storage.dt_ns"] * 1e-9,
         n_z=cfg["storage.n_z"],
     )
+    # propagate_pulse's own test, made here to name the keys it ties together
+    t = grid.times()
+    if np.trapezoid(probe.field_envelope(t) ** 2, t) <= 0.0:
+        raise ValueError("'probe.peak_ns', 'probe.fwhm_ns' and 'probe.shape' put the"
+                         " probe outside the grid of 'storage.t_stop_ns' and"
+                         " 'storage.dt_ns'")
     return probe, grid, _scheme(cfg)
 
 
@@ -336,7 +345,7 @@ def _run_fig4a(cfg, seed):
     # the fit walks tau_D to its bound at many ordinary clouds
     lo, hi = np.array(MODELS["decay_lifetime"].default_bounds).T
     guess = np.clip([params.effective_tau_D_s, params.effective_tau_T_s], lo, hi)
-    res = fit("decay_lifetime", list(zip(t_us * 1e-6, curve)), guess)
+    res = fit("decay_lifetime", np.column_stack((t_us * 1e-6, curve)), guess)
     tau2 = motional_dephasing_time(
         params.wavelength_m, params.control_angle_rad, params.velocity_m_s
     )

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibermem import config
-from fibermem.config import DEFAULTS, FINITE, GE0, GT0, set_key
+from fibermem.config import DEFAULTS, FINITE, GE0, GT0, GT1, HALF_TURN, set_key
 
 FLOAT_KEYS = sorted(k for k, v in DEFAULTS.items() if isinstance(v, float))
 INT_KEYS = sorted(
@@ -28,6 +28,10 @@ def inside(key):
         return st.floats(min_value=0.0, **REAL)
     if domain == FINITE:
         return st.floats(**REAL)
+    if domain == GT1:
+        return st.floats(min_value=1.0, exclude_min=True, **REAL)
+    if domain == HALF_TURN:
+        return st.floats(min_value=0.0, max_value=180.0, exclude_max=True)
     lo, hi = domain
     return st.integers(min_value=lo, max_value=hi)
 
@@ -41,6 +45,11 @@ def outside(key):
         return st.floats(max_value=0.0, exclude_max=True, **REAL).map(repr)
     if domain == FINITE:
         return st.sampled_from(["nan", "inf", "-inf", "1e999"])
+    if domain == GT1:
+        return st.floats(max_value=1.0, **REAL).map(repr)
+    if domain == HALF_TURN:
+        return st.one_of(st.floats(max_value=0.0, exclude_max=True, **REAL),
+                         st.floats(min_value=180.0, **REAL)).map(repr)
     if isinstance(domain[0], str):
         return st.text(alphabet=KEY_ALPHABET).filter(lambda t: t not in domain)
     lo, hi = domain

@@ -81,6 +81,11 @@ class TestProblemValidation:
             fitkit.fit("lorentzian_od", clean_rows("lorentzian_od"),
                        frozen=frozenset({"bogus"}))
 
+    @pytest.mark.parametrize("shape", [(12, 4), (12,)])
+    def test_data_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="array of x, y and an optional sigma_y"):
+            fitkit.fit("lorentzian_od", np.ones(shape))
+
     def test_nonpositive_sigma_rejected(self):
         x = GRIDS["lorentzian_od"]
         y = np.ones_like(x)

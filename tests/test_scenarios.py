@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -42,13 +43,15 @@ class ReadRecorder(dict):
 def just_outside_domains():
     """Params (scenario, key, text): text lies just outside one bound of
     key's domain, and scenario is the first catalog entry that reads key."""
-    first = {config.FINITE: "nan", config.GT0: "0", config.GE0: "-1e-9"}
+    # GT1 refuses its bound 1 and also 0, the bound of a positive key
+    beyond = {config.FINITE: ["nan"], config.GT0: ["0"], config.GE0: ["-1e-9"],
+              config.GT1: ["0", "1"], config.HALF_TURN: ["-1e-9", "180"]}
     cases = []
     for key, (_, domain, _) in config._KEYS.items():
         if domain is None:
             continue
         if isinstance(domain, str):
-            texts = [first[domain]]
+            texts = beyond[domain]
         elif isinstance(domain[0], str):
             texts = ["Gaussian"]
         else:
@@ -413,7 +416,7 @@ class TestCli:
         f = tmp_path / "d.csv"
         f.write_text("1.0,0.5,0.01\n2.0,0.7,0.01\n3.0,0.9,0.01\n")
         rows = _read_xy(str(f))
-        assert rows[0] == (1.0, 0.5, 0.01)
+        assert list(rows[0]) == [1.0, 0.5, 0.01]
 
     def test_fit_third_column_must_be_sigma(self, tmp_path, capsys):
         spectra = tmp_path / "fig2.csv"
@@ -437,6 +440,38 @@ class TestCli:
         data.write_text(text)
         assert entry(["fit", "lorentzian_od", "--data", str(data)]) == 2
         assert "data row %d of" % row in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n1,0.5\n2,abc\n3,0.7\n4,0.8\n", "'abc'"),
+        ("detuning_MHz,transmission\n# no rows follow\n\n", "no data rows"),
+        ("x\n1\n2\n3\n4\n", "need at least x and y"),
+        ("1\n2\n3\n4\n", "need at least x and y"),
+        # rows are counted past comment and blank lines
+        ("1,0.5\n# note\n\n2,nan\n3,0.7\n4,0.8\n",
+         "data row 2 holds a non-finite"),
+    ], ids=["non-numeric", "header-only", "one-column", "headerless-one-column",
+            "nan-after-comment"])
+    def test_fit_refuses_unreadable_data(self, tmp_path, capsys, text, message):
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        assert entry(["fit", "lorentzian_od", "--data", str(data)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_fit_skips_comment_and_blank_lines_between_rows(self, tmp_path, capsys):
+        x = np.linspace(-25.0, 25.0, 41)
+        y = fitkit.evaluate_model("lorentzian_od", (3.0, 6.8 * MHZ), x * MHZ)
+        rows = ["%.12g,%.12g" % xy for xy in zip(x, y)]
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("detuning_MHz,transmission\n" + "\n".join(rows) + "\n")
+        spaced.write_text("# run 1\n\ndetuning_MHz,transmission\n# first half\n"
+                          + "\n".join(rows[:20]) + "\n\n# second half\n\n"
+                          + "\n".join(rows[20:]) + "\n# end\n")
+        outputs = []
+        for path in (plain, spaced):
+            assert entry(["fit", "lorentzian_od", "--data", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and "od = 3" in outputs[0]
+        assert np.array_equal(_read_xy(str(plain)), _read_xy(str(spaced)))
 
     @pytest.mark.parametrize("header", ["detuning_MHz,transmission,sigma\n", ""])
     def test_fit_weights_sigma_column(self, tmp_path, capsys, header):
@@ -557,6 +592,74 @@ class TestCli:
         assert entry(["fit", "nomodel", "--data", "x.csv"]) == 2
         assert entry(["fit", "lorentzian_od", "--data", str(tmp_path / "no.csv")]) == 2
         assert entry(["frobnicate"]) == 2
+
+    @staticmethod
+    def _digest_and_seed(stdout):
+        match = re.search(r"config ([0-9a-f]{16}), seed (\d+)\)", stdout)
+        return match.group(1), int(match.group(2))
+
+    def test_parser_reuse_keeps_calls_apart(self, tmp_path, capsys):
+        # the parser is built once per process: each call must see only
+        # its own --set list, and defaults must come back when a flag is
+        # left out
+        out = str(tmp_path / "line.csv")
+        ini = tmp_path / "run.ini"
+        ini.write_text("[spectroscopy]\nod = 4\n")
+
+        def expected(*assignments, path=None):
+            cfg = load_config(path)
+            apply_overrides(cfg, assignments)
+            return config_digest(render_config(cfg))
+
+        calls = [
+            (["--set", "spectroscopy.od=5"], (expected("spectroscopy.od=5"), 0)),
+            (["--set", "scheme.gamma_MHz=7"], (expected("scheme.gamma_MHz=7"), 0)),
+            (["--config", str(ini), "--seed", "3", "--set", "spectroscopy.points=51"],
+             (expected("spectroscopy.points=51", path=str(ini)), 3)),
+            ([], (expected(), 0)),
+        ]
+        for flags, want in calls:
+            assert entry(["sim", "fig1c", "--out", out] + flags) == 0
+            assert self._digest_and_seed(capsys.readouterr().out) == want
+        assert len({digest for _, (digest, _) in calls}) == len(calls)
+
+    @pytest.mark.parametrize("sim, bad, lo_key, hi_key", [
+        ("fig3a", "slowlight.power_min_mW=5",
+         "slowlight.power_min_mW", "slowlight.power_max_mW"),
+        ("fig1b", "absorption.power_min_nW=200",
+         "absorption.power_min_nW", "absorption.power_max_nW"),
+        ("fig3c", "storage.dark_min_ns=300", "storage.dark_min_ns", "storage.dark_max_ns"),
+        ("mode_scan", "scan.diameter_min_nm=900",
+         "scan.diameter_min_nm", "scan.diameter_max_nm"),
+    ])
+    def test_min_above_max_refused_naming_both_keys(
+            self, tmp_path, capsys, sim, bad, lo_key, hi_key):
+        out = tmp_path / "x.csv"
+        assert entry(["sim", sim, "--out", str(out), "--set", bad]) == 2
+        assert "%r exceeds %r" % (lo_key, hi_key) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sim, sets", [
+        ("fig3b", ["probe.peak_ns=-5000"]),
+        ("fig3b", ["probe.peak_ns=1e7"]),
+        ("custom", ["probe.peak_ns=-500", "probe.shape=square"]),
+        ("fig3c", ["probe.peak_ns=-5000"]),
+    ])
+    def test_probe_without_support_refused_naming_keys(
+            self, tmp_path, monkeypatch, capsys, sim, sets):
+        calls = []
+        monkeypatch.setattr(scenarios, "propagate_pulse",
+                            lambda *args: calls.append(1))
+        out = tmp_path / "probe.csv"
+        argv = ["sim", sim, "--out", str(out)]
+        for item in sets:
+            argv += ["--set", item]
+        assert entry(argv) == 2
+        err = capsys.readouterr().err
+        for key in ("probe.peak_ns", "probe.fwhm_ns", "storage.t_stop_ns",
+                    "storage.dt_ns"):
+            assert "%r" % key in err
+        assert calls == [] and not out.exists()
 
     def test_counting_inputs_refused_before_propagation(
             self, tmp_path, monkeypatch, capsys):
