@@ -84,14 +84,21 @@ def _read_xy(path: str) -> np.ndarray:
             if data.shape[1] != width:
                 raise ValueError  # every row disagrees with the header
         except ValueError:
-            # name the first ragged data row, 1-based as loadtxt counts rows
+            # name the first ragged or non-numeric data row, counted from 1
             fh.seek(start)
             rows = (raw.split("#", 1)[0].rstrip("\n") for raw in fh)
             for row, text in enumerate(filter(None, rows), 1):
-                n_cells = text.count(",") + 1
-                if n_cells != width:
+                cells = text.split(",")
+                if len(cells) != width:
                     raise ValueError("data row %d of %s has %d columns, not %d"
-                                     % (row, path, n_cells, width)) from None
+                                     % (row, path, len(cells), width)) from None
+                for col, cell in enumerate(cells, 1):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ValueError(
+                            "%r in data row %d, column %d of %s is not a number"
+                            % (cell.strip(), row, col, path)) from None
             raise
     if width < 2:
         raise ValueError("need at least x and y columns in %s" % path)

@@ -26,8 +26,15 @@ with sbar = (n2/n1)^2 and R the right-hand side above; the cladding is
 vacuum, n2 = 1 (Le Kien et al., Opt. Commun. 242, 445 (2004)).  The
 HE11 root is the sign change of g at the largest effective index on a
 fixed grid, closed in one stage by regula falsi with the Illinois rule.
-All integrals use fixed-order Gauss-Legendre panels so results are
-bit-identical across runs.
+
+In each layer the azimuthally averaged flux is S_z = a0 F0(k rho)^2 +
+a2 F2(k rho)^2, with F = J (k = h) in the core and F = K (k = q) outside,
+so the mode power is closed form through the Lommel integrals
+
+    int_0^a J_n(h rho)^2 rho drho = a^2/2 (J_n^2 - J_(n-1) J_(n+1))(u)
+    int_a^inf K_n(q rho)^2 rho drho = a^2/2 (K_(n-1) K_(n+1) - K_n^2)(w)
+
+(Le Kien et al., above; Snyder & Love, Optical Waveguide Theory, 1983).
 """
 
 from __future__ import annotations
@@ -42,10 +49,6 @@ from .constants import (
     C_LIGHT, EPSILON_0, MU_0, SILICA_INDEX_852NM, check_fields, scalar_or_array,
 )
 
-# Gauss-Legendre rule per radial panel, on [-1, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
-# Cladding integration reaches exp(-_CLAD_FOLDS) suppression of the field
-_CLAD_FOLDS = 40.0
 # Cap on the regula-falsi points of one root search; diameters of
 # 60 nm to 2.45 um at 780-1064 nm take at most 17
 _ROOT_ITERATIONS = 40
@@ -118,22 +121,22 @@ class GuidedMode:
 
 
 def _bessel_terms(spec: FiberSpec, n_eff):
-    """u, w, J1(u), K1(w), J and K at n_eff."""
+    """u, w, J0(u), J1(u), K0(w), K1(w), J and K at n_eff."""
     # lazy: importing scipy.special measured 0.2-0.3 s and 20 MB per process
     from scipy.special import j0, j1, k0, k1
     k0a = 2.0 * math.pi / spec.wavelength_m * spec.radius_m
     u = k0a * np.sqrt(spec.core_index**2 - n_eff**2)
     w = k0a * np.sqrt(n_eff**2 - 1.0)
-    j1u, k1w = j1(u), k1(w)
-    jterm = j0(u) / (u * j1u) - 1.0 / u**2
-    kterm = -k0(w) / (w * k1w) - 1.0 / w**2
-    return u, w, j1u, k1w, jterm, kterm
+    j0u, j1u, k0w, k1w = j0(u), j1(u), k0(w), k1(w)
+    jterm = j0u / (u * j1u) - 1.0 / u**2
+    kterm = -k0w / (w * k1w) - 1.0 / w**2
+    return u, w, j0u, j1u, k0w, k1w, jterm, kterm
 
 
 def _char_residual(spec: FiberSpec, n_eff) -> float:
     """HE-branch characteristic function, zero at a guided mode."""
     n_eff = np.asarray(n_eff, dtype=float)
-    u, w, _, _, jterm, kterm = _bessel_terms(spec, n_eff)
+    u, w, *_, jterm, kterm = _bessel_terms(spec, n_eff)
     sbar = (1.0 / spec.core_index) ** 2
     rhs = (n_eff / spec.core_index) ** 2 * (1.0 / u**2 + 1.0 / w**2) ** 2
     g = jterm + 0.5 * (1.0 + sbar) * kterm + np.sqrt(
@@ -189,90 +192,52 @@ def solve_he11(spec: FiberSpec) -> GuidedMode:
     return _build_mode(spec, x[best], abs(g[best]))
 
 
-def _field_coefficients(spec: FiberSpec, n_eff: float):
-    """Reduced real field coefficients shared by profile and power."""
-    a = spec.radius_m
-    k0 = 2.0 * math.pi / spec.wavelength_m
-    u, w, j1u, k1w, jterm, kterm = _bessel_terms(spec, n_eff)
-    # hybrid-mode polarization parameter, H_z = i A (beta/(omega mu0)) s J1
-    s_par = (1.0 / u**2 + 1.0 / w**2) / (jterm + kterm)
-    return dict(
-        a=a, omega=k0 * C_LIGHT, beta=n_eff * k0, h=u / a, q=w / a,
-        s_par=s_par, c_out=j1u / k1w,
-        n1=spec.core_index,
-    )
+def _field_coefficients(spec: FiberSpec, n_eff: float, terms):
+    """(k, a0, a2) of the core and of the cladding, S_z = a0 F0^2 + a2 F2^2.
 
-
-def _layer_flux(par: dict, fp, f_over_r, k: float, n: float, c: float):
-    """S_z of one layer whose radial field is c F(k rho), F = J1 or K1.
-
-    fp is F'(k rho) and f_over_r is F(k rho) / rho.
+    terms is _bessel_terms at n_eff; F is J in the core, K outside.
     """
-    beta = par["beta"]
-    omega = par["omega"]
-    s = par["s_par"]
-    x1 = (c * beta / k**2) * (k * fp - s * f_over_r)
-    x2 = (c * beta / k**2) * (f_over_r - s * k * fp)
-    y1 = (c / k**2) * (
-        omega * EPSILON_0 * n**2 * k * fp - beta**2 * s * f_over_r / (omega * MU_0)
-    )
-    y2 = (c / k**2) * (
-        beta**2 * s * k * fp / (omega * MU_0) - omega * EPSILON_0 * n**2 * f_over_r
-    )
-    return 0.5 * (x1 * y1 - x2 * y2)
-
-
-def _sz_unnormalized(par: dict, rho: np.ndarray) -> np.ndarray:
-    """Azimuthally averaged longitudinal Poynting flux, arbitrary units."""
-    from scipy.special import j0, j1, k0, k1  # lazy, as in _bessel_terms
-    rho = np.asarray(rho, dtype=float)
-    out = np.zeros_like(rho)
-    inside = rho <= par["a"]
-    # core, regular at rho=0: J1(hr)/r -> h/2, J1' = J0 - J1/x -> 1/2
-    r_in = rho[inside]
-    h = par["h"]
-    x = h * r_in
-    with np.errstate(divide="ignore", invalid="ignore"):
-        j1_over_r = np.where(
-            r_in > 0.0, j1(x) / np.where(r_in > 0.0, r_in, 1.0), h / 2.0
-        )
-    out[inside] = _layer_flux(par, j0(x) - j1_over_r / h, j1_over_r, h, par["n1"], 1.0)
-    # cladding, evanescent: K1' = -K0 - K1/x
-    r_out = rho[~inside]
-    q = par["q"]
-    xo = q * r_out
-    k1_over_r = k1(xo) / r_out
-    out[~inside] = _layer_flux(
-        par, -k0(xo) - k1_over_r / q, k1_over_r, q, 1.0, par["c_out"]
-    )
-    return out
-
-
-def _panel_nodes(edges: np.ndarray):
-    """Gauss-Legendre nodes and weights over consecutive [edges] panels."""
-    lo, hi = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (hi - lo)
-    return (0.5 * (hi + lo) + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+    k0 = 2.0 * math.pi / spec.wavelength_m
+    u, w, _, j1u, _, k1w, jterm, kterm = terms
+    omega, beta = k0 * C_LIGHT, n_eff * k0
+    # hybrid-mode polarization parameter, H_z = i A (beta/(omega mu0)) s J1
+    s = (1.0 / u**2 + 1.0 / w**2) / (jterm + kterm)
+    m = s * beta**2 / (omega * MU_0)
+    layers = []
+    for k, n, c in ((u / spec.radius_m, spec.core_index, 1.0),
+                    (w / spec.radius_m, 1.0, j1u / k1w)):
+        e = omega * EPSILON_0 * n**2
+        scale = c**2 * beta / (4.0 * k**2)
+        layers.append((k, scale * (1.0 - s) * (e - m), scale * (1.0 + s) * (e + m)))
+    return layers
 
 
 def _build_mode(spec: FiberSpec, n_eff: float, residual: float) -> GuidedMode:
-    par = _field_coefficients(spec, n_eff)
-    a = spec.radius_m
-    q = par["q"]
-    # radial power integrals P = int S_z 2 pi rho drho on fixed panels
-    r_core, w_core = _panel_nodes(np.array([0.0, 0.5 * a, a]))
-    reach = _CLAD_FOLDS / (2.0 * q)
-    edges = a + reach * np.array([0.0, 0.05, 0.2, 0.5, 1.0])
-    r_clad, w_clad = _panel_nodes(edges)
-    p_core = float(np.sum(_sz_unnormalized(par, r_core) * 2.0 * np.pi * r_core * w_core))
-    p_clad = float(np.sum(_sz_unnormalized(par, r_clad) * 2.0 * np.pi * r_clad * w_clad))
+    terms = _bessel_terms(spec, n_eff)
+    (h, a0_in, a2_in), (q, a0_out, a2_out) = _field_coefficients(spec, n_eff, terms)
+    u, w, j0u, j1u, k0w, k1w, _, _ = terms
+    j2u = 2.0 * j1u / u - j0u
+    j3u = 4.0 * j2u / u - j1u
+    k2w = k0w + 2.0 * k1w / w
+    k3w = k1w + 4.0 * k2w / w
+    # P = int S_z 2 pi rho drho over each layer, by the Lommel integrals
+    area = math.pi * spec.radius_m**2
+    p_core = float(area * (a0_in * (j0u**2 + j1u**2) + a2_in * (j2u**2 - j1u * j3u)))
+    p_clad = float(area * (a0_out * (k1w**2 - k0w**2) + a2_out * (k1w * k3w - k2w**2)))
     p_tot = p_core + p_clad
     if p_tot <= 0.0:
         raise NoGuidedModeError("mode power integral is not positive")
-    norm = 1.0 / p_tot
 
     def intensity_profile(rho):
-        return scalar_or_array(_sz_unnormalized(par, rho) * norm)
+        from scipy.special import j0, jv, k0, kv  # lazy, as in _bessel_terms
+        rho = np.asarray(rho, dtype=float)
+        out = np.empty_like(rho)
+        inside = rho <= spec.radius_m
+        x = h * rho[inside]
+        out[inside] = a0_in * j0(x) ** 2 + a2_in * jv(2, x) ** 2
+        x = q * rho[~inside]
+        out[~inside] = a0_out * k0(x) ** 2 + a2_out * kv(2, x) ** 2
+        return scalar_or_array(out / p_tot)
 
     return GuidedMode(
         spec=spec,

@@ -86,6 +86,16 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="array of x, y and an optional sigma_y"):
             fitkit.fit("lorentzian_od", np.ones(shape))
 
+    def test_fewer_distinct_x_than_free_parameters_rejected(self):
+        x = np.repeat(GRIDS["saturation"][[10, 60]], 50)
+        data = np.column_stack((x, fitkit.evaluate_model("saturation", TRUTH["saturation"], x)))
+        with pytest.raises(ValueError, match="2 distinct x values cannot identify 3 free"):
+            fitkit.fit("saturation", data)
+        # with k_exp frozen, two powers fix the two free parameters
+        res = fitkit.fit("saturation", data, initial_guess=TRUTH["saturation"],
+                         frozen=frozenset({"k_exp"}))
+        assert res.parameter("alpha0_L") == pytest.approx(TRUTH["saturation"][0], rel=1e-6)
+
     def test_nonpositive_sigma_rejected(self):
         x = GRIDS["lorentzian_od"]
         y = np.ones_like(x)
@@ -194,13 +204,14 @@ class TestFitContract:
         assert res.n_iterations == 1
 
     def test_singular_jacobian_flags_unidentifiable(self):
-        # sampled only at line center, where the width drops out exactly
+        # sampled only at line center, where the width drops out exactly;
+        # od is frozen, as one x value cannot fit two free parameters
         x = np.zeros(10)
         y = fitkit.evaluate_model(
             "lorentzian_od", TRUTH["lorentzian_od"], x)
         res = fitkit.fit(
             "lorentzian_od", list(zip(x, y)),
-            initial_guess=(2.0, 2 * math.pi * 6.8e6))
+            initial_guess=(2.0, 2 * math.pi * 6.8e6), frozen=frozenset({"od"}))
         assert "gamma_rad_per_s" in res.unidentifiable
 
     def test_unweighted_flagged_unitless(self):

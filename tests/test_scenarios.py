@@ -442,7 +442,7 @@ class TestCli:
         assert "data row %d of" % row in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
-        ("x,y\n1,0.5\n2,abc\n3,0.7\n4,0.8\n", "'abc'"),
+        ("x,y\n1,0.5\n2,abc\n3,0.7\n4,0.8\n", "'abc' in data row 2, column 2 of"),
         ("detuning_MHz,transmission\n# no rows follow\n\n", "no data rows"),
         ("x\n1\n2\n3\n4\n", "need at least x and y"),
         ("1\n2\n3\n4\n", "need at least x and y"),
@@ -637,6 +637,14 @@ class TestCli:
         out = tmp_path / "x.csv"
         assert entry(["sim", sim, "--out", str(out), "--set", bad]) == 2
         assert "%r exceeds %r" % (lo_key, hi_key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fig1b_at_one_power_refused(self, tmp_path, capsys):
+        # 101 samples at one power cannot identify the three saturation parameters
+        out = tmp_path / "x.csv"
+        argv = ["sim", "fig1b", "--out", str(out), "--set", "absorption.power_min_nW=100"]
+        assert entry(argv) == 2
+        assert "1 distinct x values cannot identify 3 free" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("sim, sets", [

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fibermem import waveguide
+from fibermem.constants import C_LIGHT, EPSILON_0, MU_0
 from fibermem.waveguide import (
     EmptyScanError,
     FiberSpec,
@@ -146,6 +147,67 @@ def test_intensity_normalization_independent_quadrature():
     rho = np.linspace(0.0, a + 40.0 / (2.0 * q), 400001)
     total = np.trapezoid(mode.intensity_profile(rho) * 2.0 * np.pi * rho, rho)
     assert total == pytest.approx(1.0, abs=1e-5)
+
+
+def _quadrature_reference(spec, n_eff):
+    """(P_core, P_clad, S_z) of the HE11 mode at n_eff from its J1'/(J1/rho)
+    field form, integrated by adaptive quadrature in t = rho/a.
+
+    S_z(t) is unnormalized; P = int S_z t dt, the mode power over 2 pi a^2.
+    """
+    from scipy.integrate import quad
+    from scipy.special import j0, j1, k0, k1
+
+    a = spec.radius_m
+    k_vac = 2.0 * math.pi / spec.wavelength_m
+    omega, beta = k_vac * C_LIGHT, n_eff * k_vac
+    u = k_vac * a * math.sqrt(spec.core_index**2 - n_eff**2)
+    w = k_vac * a * math.sqrt(n_eff**2 - 1.0)
+    jterm = j0(u) / (u * j1(u)) - 1.0 / u**2
+    kterm = -k0(w) / (w * k1(w)) - 1.0 / w**2
+    s = (1.0 / u**2 + 1.0 / w**2) / (jterm + kterm)
+
+    def layer(fp, f_over_r, k, n, c):
+        # S_z of a layer with radial field c F(k rho): fp = F', f_over_r = F/rho
+        e, m = omega * EPSILON_0 * n**2, beta**2 * s / (omega * MU_0)
+        x1 = (c * beta / k**2) * (k * fp - s * f_over_r)
+        x2 = (c * beta / k**2) * (f_over_r - s * k * fp)
+        y1 = (c / k**2) * (e * k * fp - m * f_over_r)
+        y2 = (c / k**2) * (m * k * fp - e * f_over_r)
+        return 0.5 * (x1 * y1 - x2 * y2)
+
+    def flux(t):
+        rho = t * a
+        if t <= 1.0:
+            h = u / a
+            j1_over_r = j1(h * rho) / rho if rho > 0.0 else h / 2.0
+            return layer(j0(h * rho) - j1_over_r / h, j1_over_r, h, spec.core_index, 1.0)
+        q = w / a
+        k1_over_r = k1(q * rho) / rho
+        return layer(-k0(q * rho) - k1_over_r / q, k1_over_r, q, 1.0, j1(u) / k1(w))
+
+    def power(lo, hi):
+        return quad(lambda t: flux(t) * t, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    return power(0.0, 1.0), power(1.0, np.inf), flux
+
+
+@pytest.mark.parametrize("d_nm, lam_nm, core", [
+    (175, 1064, 1.44), (200, 1064, 1.44), (255, 1064, 1.44), (400, 852, 1.4525),
+    (600, 935, 1.45), (1200, 780, 1.47), (2000, 1064, 1.44),
+])
+def test_closed_form_power_matches_quadrature_reference(d_nm, lam_nm, core):
+    spec = FiberSpec(radius_m=0.5e-9 * d_nm, wavelength_m=1e-9 * lam_nm, core_index=core)
+    mode = solve_he11(spec)
+    p_core, p_clad, flux = _quadrature_reference(spec, mode.n_eff)
+    assert mode.evanescent_fraction == pytest.approx(p_clad / (p_core + p_clad), rel=1e-12)
+    t = np.array([0.0, 0.3, 0.7, 1.0, 1.0 + 1e-12, 1.5, 3.0])
+    reference = np.array([flux(x) for x in t]) / (
+        2.0 * math.pi * spec.radius_m**2 * (p_core + p_clad))
+    # past a fraction of 0.999 the flux is a small difference of large
+    # terms in both forms; the reference loses up to 1.5e-8 there
+    rel = 1e-12 if mode.evanescent_fraction <= 0.999 else 1e-7
+    assert mode.intensity_profile(t * spec.radius_m) == pytest.approx(reference, rel=rel)
 
 
 def test_boundary_jump_is_bounded_dielectric_discontinuity():
