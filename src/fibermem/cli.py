@@ -93,8 +93,8 @@ def _read_xy(path: str) -> np.ndarray:
                     raise ValueError("data row %d of %s has %d columns, not %d"
                                      % (row, path, len(cells), width)) from None
                 for col, cell in enumerate(cells, 1):
-                    try:
-                        float(cell)
+                    try:  # loadtxt reads float()'s syntax less "_" and non-ASCII
+                        float(cell if cell.isascii() and "_" not in cell else "?")
                     except ValueError:
                         raise ValueError(
                             "%r in data row %d, column %d of %s is not a number"

@@ -270,10 +270,10 @@ def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
         jac = jacobian(theta, r)
         jtj = jac.T @ jac
         u, s, vt = np.linalg.svd(jtj)
-        if s[-1] <= s[0] / _COND_LIMIT:
+        if s[0] == 0.0 or s[-1] / s[0] < 1.0 / _COND_LIMIT:
             bad = np.abs(vt[-1]) > 1.0 / math.sqrt(idx_free.size) * 0.5
             unidentifiable = [names[idx_free[k]] for k in np.flatnonzero(bad)]
-            s = np.where(s <= s[0] / _COND_LIMIT, np.inf, s)
+            s = np.where(s / s[0] < 1.0 / _COND_LIMIT, np.inf, s)
         cov_int = (vt.T * (1.0 / s)) @ vt * red_chi2
         # delta-method back-transform from log space
         scale = params[idx_free]

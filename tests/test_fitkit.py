@@ -204,15 +204,38 @@ class TestFitContract:
         assert res.n_iterations == 1
 
     def test_singular_jacobian_flags_unidentifiable(self):
-        # sampled only at line center, where the width drops out exactly;
-        # od is frozen, as one x value cannot fit two free parameters
+        # sampled at +/- one detuning, whose Jacobian rows are identical:
+        # only one combination of od and width is fixed
+        x = np.repeat([-1.0, 1.0], 5) * 2 * math.pi * 3.4e6
+        y = fitkit.evaluate_model(
+            "lorentzian_od", TRUTH["lorentzian_od"], x)
+        res = fitkit.fit(
+            "lorentzian_od", list(zip(x, y)),
+            initial_guess=(2.0, 2 * math.pi * 6.8e6))
+        assert set(res.unidentifiable) == {"od", "gamma_rad_per_s"}
+
+    def test_width_flagged_alone_when_it_drops_out(self):
+        # line center fixes od; 1 THz off resonance the medium is transparent
+        # in double precision, so the width drops out exactly
+        x = np.repeat([0.0, 2 * math.pi * 1e12], 5)
+        y = fitkit.evaluate_model(
+            "lorentzian_od", TRUTH["lorentzian_od"], x)
+        res = fitkit.fit(
+            "lorentzian_od", list(zip(x, y)),
+            initial_guess=(2.0, 2 * math.pi * 6.8e6))
+        assert res.unidentifiable == ("gamma_rad_per_s",)
+        assert res.parameter("od") == pytest.approx(TRUTH["lorentzian_od"][0])
+
+    def test_all_zero_jacobian_reports_infinite_uncertainty(self):
+        # line center only, od frozen: the one free parameter drops out
         x = np.zeros(10)
         y = fitkit.evaluate_model(
             "lorentzian_od", TRUTH["lorentzian_od"], x)
         res = fitkit.fit(
             "lorentzian_od", list(zip(x, y)),
             initial_guess=(2.0, 2 * math.pi * 6.8e6), frozen=frozenset({"od"}))
-        assert "gamma_rad_per_s" in res.unidentifiable
+        assert res.unidentifiable == ("gamma_rad_per_s",)
+        assert "+/- inf rad/s UNIDENTIFIABLE" in fitkit.format_result(res)
 
     def test_unweighted_flagged_unitless(self):
         res = fitkit.fit("lorentzian_od", clean_rows("lorentzian_od"))

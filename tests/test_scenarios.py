@@ -443,13 +443,17 @@ class TestCli:
 
     @pytest.mark.parametrize("text, message", [
         ("x,y\n1,0.5\n2,abc\n3,0.7\n4,0.8\n", "'abc' in data row 2, column 2 of"),
+        # float() reads these two, loadtxt does not
+        ("1_000,0.5\n2,0.6\n3,0.7\n4,0.8\n", "'1_000' in data row 1, column 1 of"),
+        ("x,y\n1,0.5\n2,0.6\n3,0.٧\n4,0.8\n",
+         "'0.٧' in data row 3, column 2 of"),
         ("detuning_MHz,transmission\n# no rows follow\n\n", "no data rows"),
         ("x\n1\n2\n3\n4\n", "need at least x and y"),
         ("1\n2\n3\n4\n", "need at least x and y"),
         # rows are counted past comment and blank lines
         ("1,0.5\n# note\n\n2,nan\n3,0.7\n4,0.8\n",
          "data row 2 holds a non-finite"),
-    ], ids=["non-numeric", "header-only", "one-column", "headerless-one-column",
+    ], ids=["non-numeric", "underscore", "non-ascii-digit", "header-only", "one-column", "headerless-one-column",
             "nan-after-comment"])
     def test_fit_refuses_unreadable_data(self, tmp_path, capsys, text, message):
         data = tmp_path / "d.csv"
