@@ -7,9 +7,10 @@ scenario id, the seed, and a digest of the fully resolved configuration
 in comment lines, followed by unit-suffixed column headers and rows
 printed with %.12g.  Identical scenario, configuration and seed give a
 byte-identical file; randomness enters only through the seeded photon
-counting attached to storage runs.  Sweeps are pure per-point maps
-evaluated in input order, so they could be farmed out to workers
-without changing the output.
+counting attached to storage runs.  A sweep is one batched kernel call,
+one propagate_pulse over every fig3c dark time and one solve_he11 over
+every mode_scan diameter, and each row equals its own single-point
+call, so the output does not depend on the batching.
 """
 
 from __future__ import annotations

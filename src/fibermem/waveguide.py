@@ -24,8 +24,12 @@ the root of
 
 with sbar = (n2/n1)^2 and R the right-hand side above; the cladding is
 vacuum, n2 = 1 (Le Kien et al., Opt. Commun. 242, 445 (2004)).  The
-HE11 root is the sign change of g at the largest effective index on a
-fixed grid, closed in one stage by regula falsi with the Illinois rule.
+HE11 root is the first sign change of g on a 17-point grid in u below
+the first zero of J0, closed in one stage by regula falsi with the
+Illinois rule.  solve_he11 takes one FiberSpec or a sequence of them,
+and solves a sequence as a batch: each grid and each regula-falsi step
+is one NumPy call over every spec, so a diameter scan costs a few calls
+per step instead of a Python loop over diameters.
 
 In each layer the azimuthally averaged flux is S_z = a0 F0(k rho)^2 +
 a2 F2(k rho)^2, with F = J (k = h) in the core and F = K (k = q) outside,
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,9 +53,17 @@ from .constants import (
     C_LIGHT, EPSILON_0, MU_0, SILICA_INDEX_852NM, check_fields, scalar_or_array,
 )
 
-# Cap on the regula-falsi points of one root search; diameters of
-# 60 nm to 2.45 um at 780-1064 nm take at most 17
+# Cap on the regula-falsi points of one root search; from the u bracket,
+# diameters of 20 nm to 2.45 um at 780-1064 nm and core indices 1.44-2.0
+# take at most 19
 _ROOT_ITERATIONS = 40
+# Points of the u grid that brackets the root.  The HE11 root rises
+# toward the first zero of J0 as the fiber thickens, and stays below it:
+# u <= 2.33 at diameters up to 2.45 um, 780-1064 nm, core index 1.44-2.0
+_BRACKET_POINTS = 17
+_J0_FIRST_ZERO = 2.404825557695773
+# Rows of the bracket arrays: the lower and the upper end
+_ENDS = np.array([False, True])
 
 
 class NoGuidedModeError(RuntimeError):
@@ -120,133 +132,201 @@ class GuidedMode:
     intensity_profile: Callable[[np.ndarray], np.ndarray]
 
 
-def _bessel_terms(spec: FiberSpec, n_eff):
-    """u, w, J0(u), J1(u), K0(w), K1(w), J and K at n_eff."""
+class _Columns(NamedTuple):
+    """The FiberSpec fields of a batch as (specs,) arrays."""
+
+    radius_m: np.ndarray
+    wavelength_m: np.ndarray
+    core_index: np.ndarray
+
+
+# The mode functions below take a FiberSpec, whose fields are floats, or a
+# _Columns batch.  A single spec thus runs on scalars, which cost a tenth
+# of a one-element array per NumPy call.  They square by products: on a
+# scalar, ** calls pow(), which can differ from x * x in the last bit,
+# and a batch entry must equal its single-spec solve bit for bit.
+
+
+def _bessel_terms(spec, n_eff):
+    """u, w, J0(u), J1(u), K0(w), K1(w), J, K and 1/u^2 + 1/w^2 at n_eff."""
     # lazy: importing scipy.special measured 0.2-0.3 s and 20 MB per process
     from scipy.special import j0, j1, k0, k1
     k0a = 2.0 * math.pi / spec.wavelength_m * spec.radius_m
-    u = k0a * np.sqrt(spec.core_index**2 - n_eff**2)
-    w = k0a * np.sqrt(n_eff**2 - 1.0)
+    n2 = n_eff * n_eff
+    u = k0a * np.sqrt(spec.core_index * spec.core_index - n2)
+    w = k0a * np.sqrt(n2 - 1.0)
     j0u, j1u, k0w, k1w = j0(u), j1(u), k0(w), k1(w)
-    jterm = j0u / (u * j1u) - 1.0 / u**2
-    kterm = -k0w / (w * k1w) - 1.0 / w**2
-    return u, w, j0u, j1u, k0w, k1w, jterm, kterm
+    inv_u2, inv_w2 = 1.0 / (u * u), 1.0 / (w * w)
+    jterm = j0u / (u * j1u) - inv_u2
+    kterm = -k0w / (w * k1w) - inv_w2
+    return u, w, j0u, j1u, k0w, k1w, jterm, kterm, inv_u2 + inv_w2
 
 
-def _char_residual(spec: FiberSpec, n_eff) -> float:
+def _char_residual(spec, n_eff):
     """HE-branch characteristic function, zero at a guided mode."""
-    n_eff = np.asarray(n_eff, dtype=float)
-    u, w, *_, jterm, kterm = _bessel_terms(spec, n_eff)
-    sbar = (1.0 / spec.core_index) ** 2
-    rhs = (n_eff / spec.core_index) ** 2 * (1.0 / u**2 + 1.0 / w**2) ** 2
-    g = jterm + 0.5 * (1.0 + sbar) * kterm + np.sqrt(
-        (0.5 * (1.0 - sbar) * kterm) ** 2 + rhs
-    )
-    return scalar_or_array(g)
+    *_, jterm, kterm, inv_sum = _bessel_terms(spec, n_eff)
+    inv_core = 1.0 / spec.core_index
+    sbar = inv_core * inv_core
+    ratio = n_eff / spec.core_index
+    rhs = ratio * ratio * (inv_sum * inv_sum)
+    split = 0.5 * (1.0 - sbar) * kterm
+    return jterm + 0.5 * (1.0 + sbar) * kterm + np.sqrt(split * split + rhs)
 
 
-def solve_he11(spec: FiberSpec) -> GuidedMode:
-    """Solve the HE11 mode of `spec`.
+def _bracket(fiber):
+    """(n_eff, g) at both ends of each spec's HE11 bracket, lower index
+    first along axis 0, and whether the spec has a bracket.
 
-    Brackets the characteristic root by the sign change at the largest
-    effective index on a fixed grid, then closes the bracket by regula
+    The grid is uniform in u from the u of n_eff = n1 - 1e-9 up to the
+    smaller of j0,1 and the u of n_eff = 1 + 1e-9, with those two
+    indices set exactly at the ends they stand for.  The first sign
+    change in u order is the one at the largest effective index.
+    """
+    core = fiber.core_index
+    k0a = 2.0 * math.pi / fiber.wavelength_m * fiber.radius_m
+    top, bottom = core - 1e-9, 1.0 + 1e-9
+    u_bottom = k0a * np.sqrt(core * core - bottom * bottom)
+    u = np.linspace(k0a * np.sqrt(core * core - top * top),
+                    np.minimum(u_bottom, _J0_FIRST_ZERO), _BRACKET_POINTS)
+    ratio = u / k0a
+    grid = np.sqrt(core * core - ratio * ratio)
+    grid[0] = top
+    # guarded endpoint: near cutoff the root can lie past every interior
+    # point, as at 149 nm, 780 nm and core index 1.44 (u = V - 2.8e-7)
+    grid[-1] = np.where(u_bottom <= _J0_FIRST_ZERO, bottom, grid[-1])
+    vals = _char_residual(fiber, grid)
+    sign = np.sign(vals)
+    flips = sign[:-1] * sign[1:] < 0
+    i = np.argmax(flips, axis=0)
+    ends = np.array([i + 1, i])
+    return (np.take_along_axis(grid, ends, 0), np.take_along_axis(vals, ends, 0),
+            flips.any(axis=0))
+
+
+def solve_he11(spec: Union[FiberSpec, Sequence[FiberSpec]]
+               ) -> Union[GuidedMode, list[Optional[GuidedMode]]]:
+    """Solve the HE11 mode of `spec`, one FiberSpec or a sequence of them.
+
+    Brackets each characteristic root by the first sign change on a
+    17-point grid in u (see _bracket), then closes the bracket by regula
     falsi with the Illinois rule: the secant point of the two ends
     replaces the end of its own sign, and the weight of an end kept
     twice in a row is halved.  The loop never leaves the bracket and
     converges superlinearly.  It stops at |g| < 1e-14, when the next
     point is not strictly inside the bracket, or after _ROOT_ITERATIONS
     points, and returns the end with the smaller |g| as the mode, that
-    |g| as its residual.  Raises NoGuidedModeError when no sign change
-    exists, which for this geometry only happens through float
-    underflow of the mode's decay constant.
+    |g| as its residual.
+
+    A sequence is solved together: one residual call over every grid,
+    then one array call per regula-falsi point, each spec stopping by
+    its own rules, so each entry equals its single-spec solve.  It
+    returns a list with None for a spec that guides no mode.  A single
+    FiberSpec returns its GuidedMode or raises NoGuidedModeError, which
+    for this geometry only happens through float underflow of the
+    mode's decay constant.
     """
-    grid = np.linspace(1.0 + 1e-9, spec.core_index - 1e-9, 1024)
-    vals = _char_residual(spec, grid)
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if flips.size == 0:
+    single = isinstance(spec, FiberSpec)
+    specs = [spec] if single else list(spec)
+    fiber = spec if single else _Columns(*np.array(
+        [(s.radius_m, s.wavelength_m, s.core_index) for s in specs], dtype=float
+    ).reshape(-1, 3).T)
+    x, g, guided = _bracket(fiber)
+    active = guided
+    # g times each end's Illinois weight
+    f = g
+    last = np.zeros(x.shape, dtype=bool)
+    for _ in range(_ROOT_ITERATIONS):
+        mid = x[1] - f[1] * (x[1] - x[0]) / (f[1] - f[0])
+        active = active & (x[0] < mid) & (mid < x[1])
+        if not np.count_nonzero(active):
+            break
+        g_mid = _char_residual(fiber, np.where(active, mid, x[1]))
+        # mid replaces the end of its own sign
+        moved = np.equal.outer(_ENDS, (g_mid < 0.0) != (g[0] < 0.0)) & active
+        x = np.where(moved, mid, x)
+        g = np.where(moved, g_mid, g)
+        f = np.where(moved, g_mid, np.where((moved & last)[::-1], 0.5 * f, f))
+        last = moved
+        active = active & ~(np.abs(g_mid) < 1e-14)
+    best = np.abs(g[1]) < np.abs(g[0])
+    modes = _build_modes(specs, fiber, np.where(best, x[1], x[0]),
+                         np.abs(np.where(best, g[1], g[0])), guided)
+    if not single:
+        return modes
+    if modes[0] is None:
         raise NoGuidedModeError(
             f"no bound fundamental mode for radius {spec.radius_m:.3e} m "
             f"at {spec.wavelength_m:.3e} m (V = {spec.v_number:.3f})"
         )
-    # fundamental = largest effective index
-    i = int(flips[-1])
-    x = [float(grid[i]), float(grid[i + 1])]
-    g = [float(vals[i]), float(vals[i + 1])]
-    weight = [1.0, 1.0]
-    last = None
-    for _ in range(_ROOT_ITERATIONS):
-        f_lo, f_hi = weight[0] * g[0], weight[1] * g[1]
-        mid = x[1] - f_hi * (x[1] - x[0]) / (f_hi - f_lo)
-        if not x[0] < mid < x[1]:
-            break
-        g_mid = _char_residual(spec, mid)
-        side = int((g_mid < 0.0) != (g[0] < 0.0))
-        x[side], g[side], weight[side] = mid, g_mid, 1.0
-        if side == last:
-            weight[1 - side] *= 0.5
-        last = side
-        if abs(g_mid) < 1e-14:
-            break
-    best = int(abs(g[1]) < abs(g[0]))
-    return _build_mode(spec, x[best], abs(g[best]))
+    return modes[0]
 
 
-def _field_coefficients(spec: FiberSpec, n_eff: float, terms):
+def _field_coefficients(spec, n_eff, terms):
     """(k, a0, a2) of the core and of the cladding, S_z = a0 F0^2 + a2 F2^2.
 
     terms is _bessel_terms at n_eff; F is J in the core, K outside.
     """
     k0 = 2.0 * math.pi / spec.wavelength_m
-    u, w, _, j1u, _, k1w, jterm, kterm = terms
+    u, w, _, j1u, _, k1w, jterm, kterm, inv_sum = terms
     omega, beta = k0 * C_LIGHT, n_eff * k0
     # hybrid-mode polarization parameter, H_z = i A (beta/(omega mu0)) s J1
-    s = (1.0 / u**2 + 1.0 / w**2) / (jterm + kterm)
-    m = s * beta**2 / (omega * MU_0)
+    s = inv_sum / (jterm + kterm)
+    m = s * (beta * beta) / (omega * MU_0)
     layers = []
     for k, n, c in ((u / spec.radius_m, spec.core_index, 1.0),
                     (w / spec.radius_m, 1.0, j1u / k1w)):
-        e = omega * EPSILON_0 * n**2
-        scale = c**2 * beta / (4.0 * k**2)
+        e = omega * EPSILON_0 * (n * n)
+        scale = c * c * beta / (4.0 * k * k)
         layers.append((k, scale * (1.0 - s) * (e - m), scale * (1.0 + s) * (e + m)))
     return layers
 
 
-def _build_mode(spec: FiberSpec, n_eff: float, residual: float) -> GuidedMode:
-    terms = _bessel_terms(spec, n_eff)
-    (h, a0_in, a2_in), (q, a0_out, a2_out) = _field_coefficients(spec, n_eff, terms)
-    u, w, j0u, j1u, k0w, k1w, _, _ = terms
+def _build_modes(specs, fiber, n_eff, residual, guided):
+    """GuidedMode of each spec at its root, None where `guided` is False or
+    the mode power is not positive."""
+    terms = _bessel_terms(fiber, n_eff)
+    (h, a0_in, a2_in), (q, a0_out, a2_out) = _field_coefficients(fiber, n_eff, terms)
+    u, w, j0u, j1u, k0w, k1w, *_ = terms
     j2u = 2.0 * j1u / u - j0u
     j3u = 4.0 * j2u / u - j1u
     k2w = k0w + 2.0 * k1w / w
     k3w = k1w + 4.0 * k2w / w
     # P = int S_z 2 pi rho drho over each layer, by the Lommel integrals
-    area = math.pi * spec.radius_m**2
-    p_core = float(area * (a0_in * (j0u**2 + j1u**2) + a2_in * (j2u**2 - j1u * j3u)))
-    p_clad = float(area * (a0_out * (k1w**2 - k0w**2) + a2_out * (k1w * k3w - k2w**2)))
+    area = math.pi * (fiber.radius_m * fiber.radius_m)
+    p_core = area * (a0_in * (j0u * j0u + j1u * j1u) + a2_in * (j2u * j2u - j1u * j3u))
+    p_clad = area * (a0_out * (k1w * k1w - k0w * k0w) + a2_out * (k1w * k3w - k2w * k2w))
     p_tot = p_core + p_clad
-    if p_tot <= 0.0:
-        raise NoGuidedModeError("mode power integral is not positive")
+    guided = np.ravel(guided & ~(p_tot <= 0.0)).tolist()
+    rows = np.array([n_eff, p_clad / p_tot, residual, q, h, a0_in, a2_in, a0_out,
+                     a2_out, p_tot]).reshape(10, -1).T.tolist()
+    return [
+        GuidedMode(
+            spec=spec,
+            n_eff=n,
+            evanescent_fraction=fraction,
+            cladding_decay_per_m=decay,
+            residual=res,
+            intensity_profile=_intensity_profile(spec.radius_m, decay, *profile),
+        ) if ok else None
+        for spec, ok, (n, fraction, res, decay, *profile) in zip(specs, guided, rows)
+    ]
+
+
+def _intensity_profile(radius, q, h, a0_in, a2_in, a0_out, a2_out, p_tot):
+    """rho (m) -> S_z / P_tot, with S_z = a0 F0^2 + a2 F2^2 in each layer."""
 
     def intensity_profile(rho):
         from scipy.special import j0, jv, k0, kv  # lazy, as in _bessel_terms
         rho = np.asarray(rho, dtype=float)
         out = np.empty_like(rho)
-        inside = rho <= spec.radius_m
+        inside = rho <= radius
         x = h * rho[inside]
         out[inside] = a0_in * j0(x) ** 2 + a2_in * jv(2, x) ** 2
         x = q * rho[~inside]
         out[~inside] = a0_out * k0(x) ** 2 + a2_out * kv(2, x) ** 2
         return scalar_or_array(out / p_tot)
 
-    return GuidedMode(
-        spec=spec,
-        n_eff=n_eff,
-        evanescent_fraction=p_clad / p_tot,
-        cladding_decay_per_m=q,
-        residual=residual,
-        intensity_profile=intensity_profile,
-    )
+    return intensity_profile
 
 
 @dataclass(frozen=True)
@@ -266,35 +346,24 @@ def surface_intensity_scan(
 ) -> ScanResult:
     """Scan the evanescent surface intensity against fiber diameter.
 
-    For each diameter, solves the fundamental mode and evaluates the
-    power-normalized intensity just outside the surface, the surface
-    intensity per watt guided.  Diameters that guide no mode are dropped
-    from the result.  The scan is a pure per-diameter map, safe to
-    parallelize, and evaluated here in input order for deterministic
-    output.
+    Solves the fundamental modes of all diameters in one batched
+    solve_he11 call and evaluates each power-normalized intensity just
+    outside the surface, the surface intensity per watt guided.
+    Diameters that guide no mode are dropped from the result, which
+    keeps the input order.
     """
     diameters_m = np.asarray(diameters_m, dtype=float)
-    kept_d = []
-    kept_i = []
-    kept_n = []
-    kept_f = []
-    for d in diameters_m:
-        spec = FiberSpec(radius_m=0.5 * d, wavelength_m=wavelength_m,
-                         core_index=core_index)
-        try:
-            mode = solve_he11(spec)
-        except NoGuidedModeError:
-            continue
-        rho_surf = 0.5 * d * (1.0 + 1e-12)
-        kept_d.append(d)
-        kept_i.append(float(mode.intensity_profile(rho_surf)))
-        kept_n.append(mode.n_eff)
-        kept_f.append(mode.evanescent_fraction)
-    if not kept_d:
+    modes = solve_he11([
+        FiberSpec(radius_m=0.5 * d, wavelength_m=wavelength_m, core_index=core_index)
+        for d in diameters_m
+    ])
+    kept = [(d, mode) for d, mode in zip(diameters_m, modes) if mode is not None]
+    if not kept:
         raise EmptyScanError("no diameter in the scan guides a mode")
     return ScanResult(
-        diameters_m=np.array(kept_d),
-        surface_intensity_w_m2=np.array(kept_i),
-        n_eff=np.array(kept_n),
-        evanescent_fractions=np.array(kept_f),
+        diameters_m=np.array([d for d, _ in kept]),
+        surface_intensity_w_m2=np.array(
+            [mode.intensity_profile(0.5 * d * (1.0 + 1e-12)) for d, mode in kept]),
+        n_eff=np.array([mode.n_eff for _, mode in kept]),
+        evanescent_fractions=np.array([mode.evanescent_fraction for _, mode in kept]),
     )

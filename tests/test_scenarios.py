@@ -707,7 +707,8 @@ class TestCli:
         solve = waveguide.solve_he11
         monkeypatch.setattr(
             waveguide, "solve_he11",
-            lambda spec: dataclasses.replace(solve(spec), evanescent_fraction=math.nan),
+            lambda specs: [mode and dataclasses.replace(mode, evanescent_fraction=math.nan)
+                           for mode in solve(specs)],
         )
         out = tmp_path / "nan.csv"
         rc = entry(["sim", "mode_scan", "--out", str(out),
@@ -738,6 +739,20 @@ class TestCli:
             if not callable(getattr(importlib.import_module(module), attr, None))
         ]
         assert unresolved == []
+
+    def test_ci_install_step_runs_the_readme_install_block(self):
+        root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+        with open(os.path.join(root, "README.md")) as fh:
+            readme = fh.read().split("## Install\n", 1)[1]
+        block = readme.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+        with open(os.path.join(root, ".github", "workflows", "tests.yml")) as fh:
+            workflow = fh.read().split("- name: Install\n", 1)[1]
+        step = workflow.split("run: |\n", 1)[1].splitlines()
+        indent = len(step[0]) - len(step[0].lstrip())
+        commands = [line.strip() for line in
+                    step[:next(i for i, line in enumerate(step)
+                               if not line.startswith(" " * indent))]]
+        assert commands == block
 
     @staticmethod
     def _loaded_after(module, prefixes):

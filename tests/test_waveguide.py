@@ -42,16 +42,17 @@ def test_residual_below_tolerance():
 
 
 def test_root_search_makes_few_residual_calls(monkeypatch):
-    # the sign scan is one array call; the bracketed search adds a few
+    # the u-grid scan is one array call; the bracketed search adds a few
     calls = []
     residual = waveguide._char_residual
 
     def counted(spec, n_eff):
-        calls.append(n_eff)
+        calls.append(np.shape(n_eff))
         return residual(spec, n_eff)
 
     monkeypatch.setattr(waveguide, "_char_residual", counted)
     mode = solve_he11(SPEC_400)
+    assert calls[0] == (17,)
     assert len(calls) <= 12
     assert mode.n_eff == pytest.approx(N_EFF_400, rel=1e-9)
 
@@ -85,6 +86,90 @@ def test_root_matches_full_precision_bisection():
                 mode = solve_he11(spec)
                 assert 1.0 < mode.n_eff < spec.core_index
                 assert mode.n_eff == pytest.approx(_bisected_root(spec), rel=1e-13)
+
+
+def _scanned_roots(specs):
+    """Largest-index root of each spec's characteristic function from a
+    1,024-point n_eff scan, NaN where the scan finds no sign change.
+
+    The scan is the bracket the u grid replaced; a batched bisection then
+    closes each bracket until no float lies between its ends.
+    """
+    roots = []
+    for start in range(0, len(specs), 128):  # keeps the (1024, specs) arrays small
+        fiber = waveguide._Columns(*np.array(
+            [(s.radius_m, s.wavelength_m, s.core_index) for s in specs[start:start + 128]]).T)
+        grid = np.linspace(1.0 + 1e-9, fiber.core_index - 1e-9, 1024)
+        sign = np.sign(waveguide._char_residual(fiber, grid))
+        flips = sign[:-1] * sign[1:] < 0
+        i = flips.shape[0] - 1 - np.argmax(flips[::-1], axis=0)
+        cols = np.arange(grid.shape[1])
+        lo, hi = grid[i, cols], grid[i + 1, cols]
+        g_lo = waveguide._char_residual(fiber, lo)
+        while True:
+            mid = 0.5 * (lo + hi)
+            inside = (lo < mid) & (mid < hi)
+            if not inside.any():
+                break
+            g = waveguide._char_residual(fiber, np.where(inside, mid, lo))
+            up = inside & ((g < 0.0) == (g_lo < 0.0))
+            lo, g_lo = np.where(up, mid, lo), np.where(up, g, g_lo)
+            hi = np.where(inside & ~up, mid, hi)
+        roots.append(np.where(flips.any(axis=0), lo, np.nan))
+    return np.concatenate(roots)
+
+
+def test_u_bracket_matches_dense_n_eff_scan():
+    # 1,152 geometries from 100 nm to 2.45 um, 768 near cutoff from 20 nm
+    # up, the guarded endpoint at 149 nm / 780 nm / 1.44, and r = 40 nm
+    geometries = [
+        (d, lam, core)
+        for diameters, cores in ((np.linspace(100e-9, 2.45e-6, 96), (1.44, 1.4525, 1.47)),
+                                 (np.arange(20e-9, 401e-9, 4e-9), (1.44, 2.0)))
+        for d in diameters
+        for lam in (780e-9, 852e-9, 935e-9, 1064e-9)
+        for core in cores
+    ] + [(149e-9, 780e-9, 1.44), (80e-9, 852e-9, 1.4525)]
+    specs = [FiberSpec(radius_m=0.5 * d, wavelength_m=lam, core_index=core)
+             for d, lam, core in geometries]
+    modes = solve_he11(specs)
+    reference = _scanned_roots(specs)
+    n_eff = np.array([np.nan if m is None else m.n_eff for m in modes])
+    assert np.array_equal(np.isnan(n_eff), np.isnan(reference))
+    assert 0 < np.isnan(reference).sum() < len(specs)
+    assert modes[-2] is not None and modes[-1] is None
+    guided = ~np.isnan(reference)
+    np.testing.assert_allclose(n_eff[guided], reference[guided], rtol=1e-14, atol=0.0)
+
+
+def test_batch_entries_equal_single_spec_solves():
+    # a single spec runs on scalars and a batch on arrays; r = 236.5 nm and
+    # core index 1.4437 are values whose x**2 differs from x * x in the last bit
+    specs = [
+        FiberSpec(radius_m=r, wavelength_m=lam, core_index=core)
+        for r, lam, core in ((200e-9, 852e-9, 1.4525), (40e-9, 852e-9, 1.4525),
+                             (74.5e-9, 780e-9, 1.44), (236.5e-9, 852e-9, 1.4525),
+                             (1e-6, 935e-9, 1.45), (60e-9, 780e-9, 2.0),
+                             (150e-9, 1064e-9, 1.4437))
+    ] + [
+        FiberSpec(radius_m=r, wavelength_m=lam, core_index=core)
+        for r in np.linspace(50e-9, 1e-6, 40)
+        for lam, core in ((780e-9, 1.47), (1064e-9, 1.44), (852e-9, 1.6))
+    ]
+    modes = solve_he11(specs)
+    assert modes[1] is None
+    with pytest.raises(NoGuidedModeError):
+        solve_he11(specs[1])
+    for spec, mode in zip(specs, modes):
+        if mode is None:
+            continue
+        single = solve_he11(spec)
+        rho = spec.radius_m * (1.0 + 1e-12)
+        assert mode.spec is spec
+        assert (mode.n_eff, mode.evanescent_fraction, mode.residual,
+                mode.intensity_profile(rho)) == (
+            single.n_eff, single.evanescent_fraction, single.residual,
+            single.intensity_profile(rho))
 
 
 def test_effective_index_bounds_and_beta():
@@ -254,14 +339,14 @@ def test_scan_argmax_and_content():
 def test_scan_solves_each_diameter_once(monkeypatch):
     calls = []
 
-    def counted(spec):
-        calls.append(2.0 * spec.radius_m)
-        return solve_he11(spec)
+    def counted(specs):
+        calls.append([2.0 * spec.radius_m for spec in specs])
+        return solve_he11(specs)
 
     monkeypatch.setattr(waveguide, "solve_he11", counted)
     d = np.array([60e-9, 300e-9, 350e-9, 400e-9])
     scan = surface_intensity_scan(852e-9, d)
-    assert calls == d.tolist()
+    assert calls == [d.tolist()]
     assert scan.diameters_m.tolist() == d[1:].tolist()
 
 
