@@ -15,7 +15,11 @@ scenarios through fibermem.cli.entry (CSV write included; fig3b writes
 2,801 rows), one propagate_pulse at each storage grid in GRIDS and one
 solve_he11.  The scenarios go through the command line because its
 arguments stay the same when the library calls change, so both sides
-run the same script.  perfbench/run.py then runs
+run the same script.  cold_start_s times what every command line run
+pays and warm timings cannot show: a fresh interpreter's
+`import fibermem.cli` plus one default `fibermem sim` of each of
+COLD_SCENARIOS, the minimum of COLD_ROUNDS rounds that alternate which
+side goes first.  perfbench/run.py then runs
 PAIRS pairs per workload at seeds 1..PAIRS, for the run_seconds of
 BENCHMARK.json, alternating which side goes first; the record keeps
 every run, the median of each end-to-end metric and the pairs the
@@ -45,6 +49,17 @@ SCENARIOS = ("fig3b", "custom", "fig3c", "mode_scan")
 # (n_z, dt in ns) of the single propagate_pulse timings, all at 800 ns
 GRIDS = tuple((nz, dt) for nz in (50, 200, 400) for dt in (0.25, 0.5))
 WORKLOADS = ("kernels", "analysis")
+COLD_SCENARIOS = ("mode_scan", "fig3b")
+COLD_ROUNDS = 7
+# One cold start, timed inside a fresh interpreter from before the import;
+# prints -1 if the scenario fails
+COLD = (
+    "import sys, time\n"
+    "start = time.perf_counter()\n"
+    "import fibermem.cli\n"
+    "code = fibermem.cli.entry(['sim', sys.argv[1], '--out', sys.argv[2]])\n"
+    "print(time.perf_counter() - start if code == 0 else -1)\n"
+)
 
 
 def _best(call) -> float:
@@ -95,6 +110,18 @@ def _time_side(root: str) -> dict:
         [sys.executable, os.path.abspath(__file__), "--worker"],
         env=env, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _cold_start(root: str, scenario: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD, scenario, os.path.join(tmp, "out.csv")],
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")), cwd=root,
+            capture_output=True, text=True, check=True)
+    seconds = float(proc.stdout.splitlines()[-1])
+    if seconds < 0:
+        raise RuntimeError("fibermem sim %s failed in %s" % (scenario, root))
+    return {"cold_start_s": {scenario: seconds}}
 
 
 def _perfbench(root: str, workload: str, seed: int, seconds: float,
@@ -154,6 +181,10 @@ def record(args) -> dict:
     for _ in range(ROUNDS):
         for side in ("parent", "change"):
             _merge_min(timings[side], _time_side(sides[side]))
+    for i in range(COLD_ROUNDS):
+        for side in ("parent", "change") if i % 2 else ("change", "parent"):
+            for sid in COLD_SCENARIOS:
+                _merge_min(timings[side], _cold_start(sides[side], sid))
 
     out = {
         "description": args.description,
@@ -170,6 +201,12 @@ def record(args) -> dict:
             "kernel_s": "propagate_pulse at the default storage inputs with"
                         " storage.t_stop_ns=800 and the named n_z and dt_ns;"
                         " solve_he11 for a 200 nm radius fiber at 852 nm",
+            "cold_start_s": "one fresh python3 -c per call: import fibermem.cli"
+                            " and fibermem.cli.entry(['sim', id, '--out', <temp"
+                            " csv>]) at the default configuration, timed in the"
+                            " interpreter from before the import; min of %d"
+                            " rounds alternating which side goes first"
+                            % COLD_ROUNDS,
         },
         "parent": timings["parent"],
         "change": timings["change"],

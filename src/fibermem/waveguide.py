@@ -39,12 +39,18 @@ so the mode power is closed form through the Lommel integrals
     int_a^inf K_n(q rho)^2 rho drho = a^2/2 (K_(n-1) K_(n+1) - K_n^2)(w)
 
 (Le Kien et al., above; Snyder & Love, Optical Waveguide Theory, 1983).
+
+The Bessel values need NumPy alone (_bessel01): power series for J0, J1 up
+to j0,1 and K0, K1 up to 2, then 22-term Chebyshev expansions for K0, K1
+(tables from bench/bessel_tables.py, mpmath).  They agree with scipy.special
+within 1e-14 relative, and J0 within 1e-16 absolute near its zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -64,6 +70,46 @@ _BRACKET_POINTS = 17
 _J0_FIRST_ZERO = 2.404825557695773
 # Rows of the bracket arrays: the lower and the upper end
 _ENDS = np.array([False, True])
+
+# Written by bench/bessel_tables.py (mpmath): j0,1 - _J0_FIRST_ZERO; J0(x) /
+# (j0,1^2 - x^2) in powers of x^2; the 22-term Chebyshev expansions in
+# t = 4/x - 1 of sqrt(x) e^x K0(x) and sqrt(x) e^x K1(x), x >= 2, in powers of t
+_J01_LO = -1.176691651530894e-16
+_J0_OVER_ZERO = (
+    0.17291506903064494, -0.013329146159788531, 0.00039698772526443733, -6.404783237242976e-06,
+    6.517182621302998e-08, -4.5736278959289213e-10, 2.349481790997872e-12, -9.220827216732862e-15,
+    2.85551553512269e-17, -7.156584142304209e-20, 1.4814384050156985e-22, -2.5757414362578197e-25,
+)
+_K0_SCALED = (
+    1.2185953385133905, -0.031071461824889898, 0.0030328918102627113, -0.0004797690567328844,
+    9.956054792466011e-05, -2.473520542848972e-05, 7.0022377776472354e-06, -2.1911673837417864e-06,
+    7.428430680863342e-07, -2.689759865539584e-07, 1.0266057487973019e-07, -4.1056738724915364e-08,
+    1.7902060143687665e-08, -8.025205604904476e-09, 2.2120358587711888e-09, -6.643878631843235e-10,
+    1.9632122484351887e-09, -1.2366923277096287e-09, -6.13945904009317e-10, 4.3927260002107633e-10,
+    2.889904815815699e-10, -1.7597528809195706e-10,
+)
+_K1_SCALED = (
+    1.363151890371342, 0.10334973775386565, -0.00556672988006082, 0.0007357241548718385,
+    -0.00013959022011346224, 3.2843866502355955e-05, -8.961198796205966e-06,
+    2.7300301043527215e-06, -9.067774956896138e-07, 3.230567198853934e-07, -1.2171111254116978e-07,
+    4.815434679085478e-08, -2.0750670896396213e-08, 9.213894020289533e-09, -2.5887978063524e-09,
+    7.966242798504094e-10, -2.17513288712739e-09, 1.3615859404460648e-09, 6.677145127578851e-10,
+    -4.77441121785095e-10, -3.1756371994308864e-10, 1.9273808087540517e-10,
+)
+# Points per _bessel01 block: its widest temporary is 8 x 9 doubles a point
+_BLOCK = 1024
+
+
+# The polynomials _bessel01 sums, power k in row bitreverse4(k): J0(x) / (j0,1^2 - x^2),
+# the exact series in x^2 of J1(x)/x, I0(x), K0(x) + ln(x/2) I0(x) and I1(x)/x, with
+# psi(k + 1) = H_k - Euler's gamma, then the even and odd parts of each K table in t^2
+_POW = np.arange(16.0)
+_I0_COEF = 0.25**_POW / np.cumprod(np.maximum(_POW, 1.0)) ** 2
+_PSI = np.cumsum(1.0 / np.maximum(_POW, 1.0)) - 1.0 - 0.5772156649015329
+_ESTRIN = np.array([np.r_[row, np.zeros(16 - len(row))] for row in (
+    _J0_OVER_ZERO, (-1.0) ** _POW * _I0_COEF / (2.0 * _POW + 2.0), _I0_COEF, _PSI * _I0_COEF,
+    _I0_COEF / (2.0 * _POW + 2.0), _K0_SCALED[0::2], _K0_SCALED[1::2], _K1_SCALED[0::2],
+    _K1_SCALED[1::2])]).T[[int(format(k, "04b")[::-1], 2) for k in range(16)]]
 
 
 class NoGuidedModeError(RuntimeError):
@@ -147,15 +193,49 @@ class _Columns(NamedTuple):
 # and a batch entry must equal its single-spec solve bit for bit.
 
 
+def _bessel01(u, w):
+    """J0(u), J1(u)/u, K0(w) and K1(w) for same-shape u in [0, j0,1] and w > 0.
+
+    J0 is (j0,1 - u)(j0,1 + u) times a series, so it keeps its relative
+    accuracy up to its zero; K1 for w <= 2 comes from the Wronskian
+    I0 K1 + I1 K0 = 1/w.  Estrin's scheme sums the polynomials in place,
+    _BLOCK points at a time, each step elementwise (no BLAS, no reduction),
+    so a value does not depend on the shape of its batch."""
+    if np.size(u) > _BLOCK:
+        out, u, w = np.empty((4,) + np.shape(u)), np.ravel(u), np.ravel(w)
+        for i in range(0, u.size, _BLOCK):
+            out.reshape(4, -1)[:, i:i + _BLOCK] = _bessel01(u[i:i + _BLOCK], w[i:i + _BLOCK])
+        return out
+    small, big = np.minimum(w, 2.0), np.maximum(w, 2.0)
+    u2, small2, t = u * u, small * small, 4.0 / big - 1.0
+    v = np.stack((u2, u2, small2, small2, small2, *[t * t] * 4))
+    coef = _ESTRIN.reshape(_ESTRIN.shape + (1,) * np.ndim(u))
+    a = coef[8:] * v
+    a += coef[:8]
+    n = 8
+    while n > 1:
+        v = v * v
+        n //= 2
+        a[n:2 * n] *= v
+        a[:n] += a[n:2 * n]
+    q, j1_u, i0, k0_log, i1_w, k0_even, k0_odd, k1_even, k1_odd = a[0]
+    k0 = k0_log - np.log(0.5 * small) * i0
+    scale = np.exp(-big) / np.sqrt(big)
+    near = w <= 2.0
+    return (((_J0_FIRST_ZERO - u) + _J01_LO) * (_J0_FIRST_ZERO + u) * q, j1_u,
+            np.where(near, k0, scale * (k0_even + t * k0_odd)),
+            np.where(near, (1.0 / small - small * i1_w * k0) / i0,
+                     scale * (k1_even + t * k1_odd)))
+
+
 def _bessel_terms(spec, n_eff):
     """u, w, J0(u), J1(u), K0(w), K1(w), J, K and 1/u^2 + 1/w^2 at n_eff."""
-    # lazy: importing scipy.special measured 0.2-0.3 s and 20 MB per process
-    from scipy.special import j0, j1, k0, k1
     k0a = 2.0 * math.pi / spec.wavelength_m * spec.radius_m
     n2 = n_eff * n_eff
     u = k0a * np.sqrt(spec.core_index * spec.core_index - n2)
     w = k0a * np.sqrt(n2 - 1.0)
-    j0u, j1u, k0w, k1w = j0(u), j1(u), k0(w), k1(w)
+    j0u, j1u_u, k0w, k1w = _bessel01(u, w)
+    j1u = u * j1u_u
     inv_u2, inv_w2 = 1.0 / (u * u), 1.0 / (w * w)
     jterm = j0u / (u * j1u) - inv_u2
     kterm = -k0w / (w * k1w) - inv_w2
@@ -221,14 +301,17 @@ def solve_he11(spec: Union[FiberSpec, Sequence[FiberSpec]]
     then one array call per regula-falsi point, each spec stopping by
     its own rules, so each entry equals its single-spec solve.  It
     returns a list with None for a spec that guides no mode.  A single
-    FiberSpec returns its GuidedMode or raises NoGuidedModeError, which
-    for this geometry only happens through float underflow of the
-    mode's decay constant.
+    FiberSpec returns its GuidedMode or raises NoGuidedModeError: the
+    root lies outside the n_eff window [1 + 1e-9, n1 - 1e-9] of the
+    bracket, that window is empty (n1 <= 1 + 2e-9), or the mode's decay
+    constant underflows.
     """
     single = isinstance(spec, FiberSpec)
     specs = [spec] if single else list(spec)
-    fiber = spec if single else _Columns(*np.array(
-        [(s.radius_m, s.wavelength_m, s.core_index) for s in specs], dtype=float
+    solvable = [s.core_index - 1e-9 > 1.0 + 1e-9 for s in specs]
+    kept = [s for s, ok in zip(specs, solvable) if ok]
+    fiber = spec if single and kept else _Columns(*np.array(
+        [(s.radius_m, s.wavelength_m, s.core_index) for s in kept], dtype=float
     ).reshape(-1, 3).T)
     x, g, guided = _bracket(fiber)
     active = guided
@@ -236,7 +319,8 @@ def solve_he11(spec: Union[FiberSpec, Sequence[FiberSpec]]
     f = g
     last = np.zeros(x.shape, dtype=bool)
     for _ in range(_ROOT_ITERATIONS):
-        mid = x[1] - f[1] * (x[1] - x[0]) / (f[1] - f[0])
+        # an inactive spec may hold a bracket of one float, f[1] == f[0]
+        mid = x[1] - f[1] * (x[1] - x[0]) / np.where(active, f[1] - f[0], 1.0)
         active = active & (x[0] < mid) & (mid < x[1])
         if not np.count_nonzero(active):
             break
@@ -249,8 +333,9 @@ def solve_he11(spec: Union[FiberSpec, Sequence[FiberSpec]]
         last = moved
         active = active & ~(np.abs(g_mid) < 1e-14)
     best = np.abs(g[1]) < np.abs(g[0])
-    modes = _build_modes(specs, fiber, np.where(best, x[1], x[0]),
-                         np.abs(np.where(best, g[1], g[0])), guided)
+    solved = iter(_build_modes(kept, fiber, np.where(best, x[1], x[0]),
+                               np.abs(np.where(best, g[1], g[0])), guided))
+    modes = [next(solved) if ok else None for ok in solvable]
     if not single:
         return modes
     if modes[0] is None:
@@ -306,27 +391,21 @@ def _build_modes(specs, fiber, n_eff, residual, guided):
             evanescent_fraction=fraction,
             cladding_decay_per_m=decay,
             residual=res,
-            intensity_profile=_intensity_profile(spec.radius_m, decay, *profile),
+            intensity_profile=partial(_intensity_profile, spec.radius_m, decay, *profile),
         ) if ok else None
         for spec, ok, (n, fraction, res, decay, *profile) in zip(specs, guided, rows)
     ]
 
 
-def _intensity_profile(radius, q, h, a0_in, a2_in, a0_out, a2_out, p_tot):
-    """rho (m) -> S_z / P_tot, with S_z = a0 F0^2 + a2 F2^2 in each layer."""
-
-    def intensity_profile(rho):
-        from scipy.special import j0, jv, k0, kv  # lazy, as in _bessel_terms
-        rho = np.asarray(rho, dtype=float)
-        out = np.empty_like(rho)
-        inside = rho <= radius
-        x = h * rho[inside]
-        out[inside] = a0_in * j0(x) ** 2 + a2_in * jv(2, x) ** 2
-        x = q * rho[~inside]
-        out[~inside] = a0_out * k0(x) ** 2 + a2_out * kv(2, x) ** 2
-        return scalar_or_array(out / p_tot)
-
-    return intensity_profile
+def _intensity_profile(radius, q, h, a0_in, a2_in, a0_out, a2_out, p_tot, rho):
+    """S_z / P_tot at rho (m), S_z = a0 F0^2 + a2 F2^2; broadcasts over modes too."""
+    rho = np.asarray(rho, dtype=float)
+    x, z = h * np.minimum(rho, radius), q * np.maximum(rho, radius)
+    j0, j1_x, k0, k1 = _bessel01(x, z)
+    j2, k2 = 2.0 * j1_x - j0, k0 + 2.0 * k1 / z
+    out = np.where(rho <= radius, a0_in * (j0 * j0) + a2_in * (j2 * j2),
+                   a0_out * (k0 * k0) + a2_out * (k2 * k2))
+    return scalar_or_array(out / p_tot)
 
 
 @dataclass(frozen=True)
@@ -360,10 +439,11 @@ def surface_intensity_scan(
     kept = [(d, mode) for d, mode in zip(diameters_m, modes) if mode is not None]
     if not kept:
         raise EmptyScanError("no diameter in the scan guides a mode")
+    # every profile is a partial of _intensity_profile: one call for all
+    profiles = np.array([mode.intensity_profile.args for _, mode in kept]).T
     return ScanResult(
         diameters_m=np.array([d for d, _ in kept]),
-        surface_intensity_w_m2=np.array(
-            [mode.intensity_profile(0.5 * d * (1.0 + 1e-12)) for d, mode in kept]),
+        surface_intensity_w_m2=_intensity_profile(*profiles, profiles[0] * (1.0 + 1e-12)),
         n_eff=np.array([mode.n_eff for _, mode in kept]),
         evanescent_fractions=np.array([mode.evanescent_fraction for _, mode in kept]),
     )

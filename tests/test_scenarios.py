@@ -755,31 +755,46 @@ class TestCli:
         assert commands == block
 
     @staticmethod
-    def _loaded_after(module, prefixes):
-        """Modules starting with one of prefixes that a fresh interpreter
-        holds after importing module."""
+    def _python(code):
+        """Standard output of code run in a fresh interpreter."""
         src = os.path.dirname(os.path.dirname(fibermem.__file__))
-        code = (
-            "import sys, %s; print(sorted(m for m in sys.modules"
-            " if m.startswith(%r)))" % (module, prefixes)
-        )
-        env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
-            env=env, check=True,
+            env=dict(os.environ, PYTHONPATH=src), check=True,
         )
-        return done.stdout.strip()
+        return done.stdout
 
-    def test_import_loads_no_scipy_optimize_or_integrate(self):
-        # every command pays the import; scipy.optimize alone adds ~0.3 s,
-        # and scipy.special waits for the first mode solve
-        assert self._loaded_after(
-            "fibermem.cli",
-            ("scipy.optimize", "scipy.integrate", "scipy.special")) == "[]"
+    def _loaded_after(self, code, prefixes):
+        """Modules starting with one of prefixes that a fresh interpreter
+        holds after running code."""
+        return self._python(
+            "import sys; %s; print(sorted(m for m in sys.modules if m.startswith(%r)))"
+            % (code, prefixes)).splitlines()[-1]
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        # every command pays the import: scipy.special alone costs ~0.3 s,
+        # so a mode solve and a fit run on NumPy alone
+        scan, decay = str(tmp_path / "scan.csv"), str(tmp_path / "fig4a.csv")
+        runs = [["sim", "mode_scan", "--out", scan], ["sim", "fig4a", "--out", decay],
+                ["fit", "decay_lifetime", "--data", decay]]
+        code = "from fibermem.cli import entry; assert [entry(a) for a in %r] == [0, 0, 0]" % (
+            runs,)
+        assert self._loaded_after(code, ("scipy",)) == "[]"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        # with sys.modules["scipy"] = None every scipy import raises
+        decay = str(tmp_path / "fig4a.csv")
+        runs = [["sim", "mode_scan", "--out", str(tmp_path / "scan.csv")],
+                ["sim", "fig3b", "--out", str(tmp_path / "fig3b.csv"),
+                 "--set", "storage.t_stop_ns=700", "--set", "storage.n_z=50"],
+                ["sim", "fig4a", "--out", decay], ["fit", "decay_lifetime", "--data", decay]]
+        out = self._python("import sys; sys.modules['scipy'] = None; from fibermem.cli"
+                           " import entry; print([entry(a) for a in %r])" % (runs,))
+        assert out.splitlines()[-1] == "[0, 0, 0, 0]"
 
     def test_package_root_loads_no_submodule(self):
         # the root holds only __version__: names come from their modules
-        assert self._loaded_after("fibermem", ("fibermem.", "scipy")) == "[]"
+        assert self._loaded_after("import fibermem", ("fibermem.", "scipy")) == "[]"
 
     def test_help_exits_zero(self, capsys):
         assert entry(["--help"]) == 0

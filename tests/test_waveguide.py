@@ -7,6 +7,7 @@ integral in the weak-guidance limit (agreement 3e-4 at delta-n = 5e-4).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,37 +58,6 @@ def test_root_search_makes_few_residual_calls(monkeypatch):
     assert mode.n_eff == pytest.approx(N_EFF_400, rel=1e-9)
 
 
-def _bisected_root(spec):
-    """Largest-index root of the characteristic function, bisected until
-    the bracket holds no float between its ends."""
-    grid = np.linspace(1.0 + 1e-9, spec.core_index - 1e-9, 1024)
-    vals = waveguide._char_residual(spec, grid)
-    i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0][-1]
-    lo, hi, g_lo = grid[i], grid[i + 1], vals[i]
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        g = waveguide._char_residual(spec, mid)
-        if g == 0.0:
-            return mid
-        if (g < 0.0) == (g_lo < 0.0):
-            lo, g_lo = mid, g
-        else:
-            hi = mid
-
-
-def test_root_matches_full_precision_bisection():
-    # 10 diameters x 5 wavelengths x 4 core indices = 200 geometries
-    for d in np.linspace(180e-9, 2.4e-6, 10):
-        for lam in np.linspace(780e-9, 1064e-9, 5):
-            for core in (1.44, 1.45, 1.4525, 1.47):
-                spec = FiberSpec(radius_m=0.5 * d, wavelength_m=lam, core_index=core)
-                mode = solve_he11(spec)
-                assert 1.0 < mode.n_eff < spec.core_index
-                assert mode.n_eff == pytest.approx(_bisected_root(spec), rel=1e-13)
-
-
 def _scanned_roots(specs):
     """Largest-index root of each spec's characteristic function from a
     1,024-point n_eff scan, NaN where the scan finds no sign change.
@@ -95,28 +65,43 @@ def _scanned_roots(specs):
     The scan is the bracket the u grid replaced; a batched bisection then
     closes each bracket until no float lies between its ends.
     """
-    roots = []
+    fiber = waveguide._Columns(*np.array(
+        [(s.radius_m, s.wavelength_m, s.core_index) for s in specs]).T)
+    lo, hi, found = [], [], []
     for start in range(0, len(specs), 128):  # keeps the (1024, specs) arrays small
-        fiber = waveguide._Columns(*np.array(
-            [(s.radius_m, s.wavelength_m, s.core_index) for s in specs[start:start + 128]]).T)
-        grid = np.linspace(1.0 + 1e-9, fiber.core_index - 1e-9, 1024)
-        sign = np.sign(waveguide._char_residual(fiber, grid))
+        part = waveguide._Columns(*(column[start:start + 128] for column in fiber))
+        grid = np.linspace(1.0 + 1e-9, part.core_index - 1e-9, 1024)
+        sign = np.sign(waveguide._char_residual(part, grid))
         flips = sign[:-1] * sign[1:] < 0
         i = flips.shape[0] - 1 - np.argmax(flips[::-1], axis=0)
         cols = np.arange(grid.shape[1])
-        lo, hi = grid[i, cols], grid[i + 1, cols]
-        g_lo = waveguide._char_residual(fiber, lo)
-        while True:
-            mid = 0.5 * (lo + hi)
-            inside = (lo < mid) & (mid < hi)
-            if not inside.any():
-                break
-            g = waveguide._char_residual(fiber, np.where(inside, mid, lo))
-            up = inside & ((g < 0.0) == (g_lo < 0.0))
-            lo, g_lo = np.where(up, mid, lo), np.where(up, g, g_lo)
-            hi = np.where(inside & ~up, mid, hi)
-        roots.append(np.where(flips.any(axis=0), lo, np.nan))
-    return np.concatenate(roots)
+        lo.append(grid[i, cols])
+        hi.append(grid[i + 1, cols])
+        found.append(flips.any(axis=0))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    g_lo = waveguide._char_residual(fiber, lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            break
+        g = waveguide._char_residual(fiber, np.where(inside, mid, lo))
+        up = inside & ((g < 0.0) == (g_lo < 0.0))
+        lo, g_lo = np.where(up, mid, lo), np.where(up, g, g_lo)
+        hi = np.where(inside & ~up, mid, hi)
+    return np.where(np.concatenate(found), lo, np.nan)
+
+
+def test_root_matches_full_precision_bisection():
+    # 10 diameters x 5 wavelengths x 4 core indices = 200 geometries
+    specs = [FiberSpec(radius_m=0.5 * d, wavelength_m=lam, core_index=core)
+             for d in np.linspace(180e-9, 2.4e-6, 10)
+             for lam in np.linspace(780e-9, 1064e-9, 5)
+             for core in (1.44, 1.45, 1.4525, 1.47)]
+    for spec, root in zip(specs, _scanned_roots(specs)):
+        mode = solve_he11(spec)
+        assert 1.0 < mode.n_eff < spec.core_index
+        assert mode.n_eff == pytest.approx(root, rel=1e-13)
 
 
 def test_u_bracket_matches_dense_n_eff_scan():
@@ -170,6 +155,41 @@ def test_batch_entries_equal_single_spec_solves():
                 mode.intensity_profile(rho)) == (
             single.n_eff, single.evanescent_fraction, single.residual,
             single.intensity_profile(rho))
+
+
+def test_bessel_values_match_scipy():
+    # the NumPy-only J0/J1 on the u range up to j0,1 and K0/K1 on the w
+    # range; near J0's zero the bound is absolute
+    from scipy import special
+
+    x = np.linspace(0.0, waveguide._J0_FIRST_ZERO, 100001)[1:]
+    w = np.concatenate([np.geomspace(1e-8, 700.0, 100001), np.linspace(1.99, 2.01, 2001)])
+    j0, j1_x, _, _ = waveguide._bessel01(x, np.ones_like(x))
+    _, _, k0, k1 = waveguide._bessel01(np.ones_like(w), w)
+    ref = special.j0(x)
+    far = np.abs(ref) >= 0.01
+    assert np.max(np.abs(j0[far] / ref[far] - 1.0)) <= 1e-14
+    assert np.max(np.abs(j0[~far] - ref[~far])) <= 1e-15
+    np.testing.assert_allclose(x * j1_x, special.j1(x), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(k0, special.k0(w), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(k1, special.k1(w), rtol=1e-14, atol=0.0)
+    # K2 by its recurrence; scipy's kv(2, w) underflows to 0 from w = 698
+    np.testing.assert_allclose(k0 + 2.0 * k1 / w, special.kve(2, w) * np.exp(-w),
+                               rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("core", [1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 1e-8])
+def test_near_vacuum_core_guides_no_mode_without_warning(core):
+    # n1 - 1e-9 <= 1 + 1e-9 leaves the bracket no n_eff window; at 1 + 1e-8
+    # (V = 2e-4) the root lies below the window's n_eff = 1 + 1e-9
+    spec = FiberSpec(radius_m=200e-9, wavelength_m=852e-9, core_index=core)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        modes = solve_he11([spec, SPEC_400])
+        with pytest.raises(NoGuidedModeError):
+            solve_he11(spec)
+    assert modes[0] is None
+    assert modes[1].n_eff == solve_he11(SPEC_400).n_eff
 
 
 def test_effective_index_bounds_and_beta():
@@ -334,6 +354,15 @@ def test_scan_argmax_and_content():
     assert scan.diameters_m.shape == scan.surface_intensity_w_m2.shape
     assert np.all(scan.surface_intensity_w_m2 > 0.0)
     assert np.all(np.diff(scan.diameters_m) > 0.0)
+
+
+def test_scan_surface_equals_each_mode_profile():
+    # the scan evaluates every surface in one call
+    d = np.array([300e-9, 380e-9, 1.2e-6])
+    scan = surface_intensity_scan(852e-9, d)
+    each = [solve_he11(FiberSpec(radius_m=0.5 * x, wavelength_m=852e-9)
+                       ).intensity_profile(0.5 * x * (1.0 + 1e-12)) for x in d]
+    assert scan.surface_intensity_w_m2.tolist() == each
 
 
 def test_scan_solves_each_diameter_once(monkeypatch):
