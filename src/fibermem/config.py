@@ -21,7 +21,7 @@ import math
 from typing import Optional
 
 from .counting import MAX_SHOTS
-from .eit import GAMMA_GS_CALIBRATED_RAD_PER_S, RABI_CALIBRATION
+from .eit import GAMMA_GS_CALIBRATED_RAD_PER_S, MIN_SLICES, RABI_CALIBRATION
 
 # a domain: a float rule named in _HOLDS, (lo, hi) an inclusive int
 # range with hi None for no top, or a tuple of string choices
@@ -88,7 +88,7 @@ _KEYS = {  # key: (default, domain, doc)
     "storage.ramp_ns": (10.0, GT0, "control ramp duration, ns"),
     "storage.t_stop_ns": (1400.0, GT0, "end of the simulated span, ns"),
     "storage.dt_ns": (0.5, GT0, "time step, ns"),
-    "storage.n_z": (80, (1, None), "number of medium slices, dimensionless"),
+    "storage.n_z": (80, (MIN_SLICES, None), "number of medium slices, dimensionless"),
     "storage.dark_min_ns": (20.0, GE0, "shortest dark interval, ns"),
     "storage.dark_max_ns": (200.0, GE0, "longest dark interval, ns"),
     "storage.dark_step_ns": (20.0, GT0, "dark interval step, ns"),

@@ -38,7 +38,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,6 +64,8 @@ RABI_CALIBRATION = 0.08182080327802375
 # rows propagate_pulse steps together; more rows run as successive
 # chunks of this size, so memory does not grow with the sweep length
 MAX_BATCH_ROWS = 8
+
+MIN_SLICES = 50  # fewest medium slices propagate_pulse accepts
 
 
 class GridError(ValueError):
@@ -115,21 +117,34 @@ class ControlField:
     """Classical control beam of peak Rabi frequency rabi_rad_per_s.
 
     The Rabi frequency must be finite and nonnegative; convert a beam
-    power with rabi_from_power.  envelope(t) multiplies the Rabi
-    frequency: it takes an array of times and returns an array of
-    values in [0, 1]; None means constant drive.
+    power with rabi_from_power.  The drive is constant unless off_s,
+    on_s and ramp_s are all set: then it falls to dark at off_s and
+    rises from on_s, each over a raised-cosine ramp of ramp_s.
     """
 
     rabi_rad_per_s: float
-    envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    off_s: Optional[float] = None
+    on_s: Optional[float] = None
+    ramp_s: Optional[float] = None
 
     def __post_init__(self):
-        check_fields(self, nonnegative=("rabi_rad_per_s",))
+        schedule = (self.off_s, self.on_s, self.ramp_s)
+        check_fields(self, nonnegative=("rabi_rad_per_s",),
+                     positive=() if None in schedule else ("ramp_s",))
+        if schedule.count(None) not in (0, 3):
+            raise ValueError("off_s, on_s and ramp_s are set together or not at all")
+        if None not in schedule and self.on_s < self.off_s:
+            raise ValueError("on_s must not precede off_s")
 
-    def rabi_at(self, t_s) -> np.ndarray:
-        if self.envelope is None:
-            return self.rabi_rad_per_s * np.ones_like(np.asarray(t_s, dtype=float))
-        return self.rabi_rad_per_s * self.envelope(t_s)
+    def envelope(self, t_s) -> np.ndarray:
+        """Drive at the times t_s as a fraction of the peak, in [0, 1]."""
+        t = np.asarray(t_s, dtype=float)
+        if self.ramp_s is None:
+            return np.ones_like(t)
+        # distance into the drive, clipped to one ramp: 0 is dark, ramp_s full
+        lag = np.clip(np.where(t <= self.on_s, self.off_s - t, t - self.on_s),
+                      0.0, self.ramp_s)
+        return 0.5 * (1.0 - np.cos(np.pi * lag / self.ramp_s))
 
 
 @dataclass(frozen=True)
@@ -165,16 +180,11 @@ class ProbePulse:
             return np.where(t <= tp, rising, falling)
         if self.shape == "gaussian":
             return np.exp(-2.0 * math.log(2.0) * ((t - tp) / self.fwhm_s) ** 2)
+        # flat top on [lo, hi]; gap, the distance outside it, clipped to one edge
         edge = 0.1 * self.fwhm_s
         lo, hi = tp - 0.5 * self.fwhm_s, tp + 0.5 * self.fwhm_s
-        out = np.zeros_like(t)
-        flat = (t >= lo) & (t <= hi)
-        out[flat] = 1.0
-        lead = (t < lo) & (t > lo - edge)
-        out[lead] = 0.5 * (1.0 + np.cos(math.pi * (lo - t[lead]) / edge))
-        tail = (t > hi) & (t < hi + edge)
-        out[tail] = 0.5 * (1.0 + np.cos(math.pi * (t[tail] - hi) / edge))
-        return out
+        gap = np.clip(np.maximum(lo - t, t - hi), 0.0, edge)
+        return 0.5 * (1.0 + np.cos(math.pi * gap / edge))
 
 
 @dataclass(frozen=True)
@@ -289,30 +299,6 @@ def group_delay(
     )
 
 
-def storage_ramp_envelope(
-    t_off_s: float, t_on_s: float, ramp_s: float = 20e-9
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Raised-cosine control envelope for a storage sequence.
-
-    Full drive until the ramp ending at t_off_s, zero during the dark
-    interval, full drive again after the ramp starting at t_on_s.  The
-    envelope takes an array of times and returns an array of the same
-    shape (a number for a scalar time).
-    """
-    if t_on_s < t_off_s:
-        raise ValueError("t_on_s must not precede t_off_s")
-    if ramp_s <= 0.0:
-        raise ValueError("ramp_s must be positive")
-
-    def env(t):
-        t = np.asarray(t, dtype=float)
-        # distance into the drive, clipped to one ramp: 0 is dark, ramp_s full
-        lag = np.clip(np.where(t <= t_on_s, t_off_s - t, t - t_on_s), 0.0, ramp_s)
-        return scalar_or_array(0.5 * (1.0 - np.cos(np.pi * lag / ramp_s)))
-
-    return env
-
-
 def _fingerprint(parts) -> str:
     h = hashlib.sha256()
     for p in parts:
@@ -368,8 +354,8 @@ def propagate_pulse(
         raise ValueError("od must be nonnegative")
     if dt > probe.fwhm_s / 20.0:
         raise GridError("dt too coarse: need >= 20 points per pulse FWHM")
-    if grid.n_z < 50:
-        raise GridError("n_z too small: need >= 50 medium steps")
+    if grid.n_z < MIN_SLICES:
+        raise GridError("n_z too small: need >= %d medium steps" % MIN_SLICES)
     for c, o in zip(controls, ods):
         # kappa is the collective rate at which the field drives the medium
         fastest = max(0.5 * gamma, 0.5 * c.rabi_rad_per_s,
@@ -403,8 +389,10 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
     gamma = scheme.gamma_ge_rad_per_s
     gamma_gs = scheme.gamma_gs_rad_per_s
     kappa = 0.25 * np.array(ods, dtype=float) * gamma
-    rabi_t = np.array([c.rabi_at(t) for c in controls])
-    rabi_mid = np.array([c.rabi_at(t[:-1] + 0.5 * dt) for c in controls])
+    peak = np.array([c.rabi_rad_per_s for c in controls])[:, None]
+    env_t = np.array([c.envelope(t) for c in controls])
+    rabi_t = peak * env_t
+    rabi_mid = peak * np.array([c.envelope(t[:-1] + 0.5 * dt) for c in controls])
 
     def atom_rhs(p, s, e, rabi):
         dp = -(0.5 * gamma) * p + 1j * e + 0.5j * rabi * s
@@ -452,8 +440,7 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
     buf = np.empty((len(ods), nz + 1), dtype=complex)
 
     # the spin wave is kept at the first step the control has gone dark
-    peak = np.array([c.rabi_rad_per_s for c in controls])[:, None]
-    env_vals = np.divide(rabi_t, peak, out=np.ones_like(rabi_t), where=peak > 0.0)
+    env_vals = np.where(peak > 0.0, env_t, 1.0)  # zero peak: never dark
     snap_at = {}
     for r, env in enumerate(env_vals):
         dark = np.flatnonzero(env[1:] <= 1e-3)

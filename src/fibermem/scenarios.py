@@ -50,7 +50,6 @@ from .eit import (
     group_delay,
     propagate_pulse,
     rabi_from_power,
-    storage_ramp_envelope,
 )
 from .ensemble import (
     AbsorptionModel,
@@ -231,26 +230,21 @@ def _run_fig3a(cfg, seed):
 
 def _sweep(cfg, key_pattern: str) -> np.ndarray:
     """min..max inclusive in steps, keys key_pattern % "min"/"max"/"step"."""
-    lo_key, hi_key, step_key = (key_pattern % k for k in ("min", "max", "step"))
-    lo, hi, step = cfg[lo_key], cfg[hi_key], cfg[step_key]
-    # the length np.arange gives, counted before anything is allocated
-    count = math.ceil((hi + 0.5 * step - lo) / step)
-    if count <= 0:
-        raise ValueError("empty sweep: %r exceeds %r" % (lo_key, hi_key))
+    lo, hi = _span(cfg, key_pattern)
+    step_key = key_pattern % "step"
+    step = cfg[step_key]
+    # counted before allocating, capped to stay finite; 1e-6 absorbs rounding
+    count = math.floor(min((hi - lo) / step, MAX_POINTS) + 1e-6) + 1
     if count > MAX_POINTS:
-        raise ValueError("sweep of %d points exceeds the limit of %d: raise %r"
-                         % (count, MAX_POINTS, step_key))
-    return np.arange(lo, hi + 0.5 * step, step)
+        raise ValueError("sweep exceeds the limit of %d points: raise %r"
+                         % (MAX_POINTS, step_key))
+    return np.arange(lo, lo + (count - 0.5) * step, step)
 
 
 def _storage_control(cfg, dark_ns: float) -> ControlField:
-    t_off = cfg["storage.switch_off_ns"] * 1e-9
-    return ControlField(
-        _rabi(cfg, cfg["control.power_mW"]),
-        envelope=storage_ramp_envelope(
-            t_off, t_off + dark_ns * 1e-9, cfg["storage.ramp_ns"] * 1e-9
-        ),
-    )
+    off_s = cfg["storage.switch_off_ns"] * 1e-9
+    return ControlField(_rabi(cfg, cfg["control.power_mW"]), off_s,
+                        off_s + dark_ns * 1e-9, cfg["storage.ramp_ns"] * 1e-9)
 
 
 def _storage_inputs(cfg):

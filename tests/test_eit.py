@@ -53,10 +53,10 @@ def default_scheme():
 
 
 def fig3b_setup(od=10.0, n_ph=0.6, t_stop=1.4e-6, dt=0.5e-9, nz=80):
-    env = eit.storage_ramp_envelope(315e-9, 345e-9, 10e-9)
     probe = eit.ProbePulse(mean_photon_number=n_ph, fwhm_s=60e-9,
                            shape="exponential-rising", peak_time_s=300e-9)
-    ctrl = eit.ControlField(eit.rabi_from_power(2.0e-3), env)
+    ctrl = eit.ControlField(eit.rabi_from_power(2.0e-3), off_s=315e-9,
+                            on_s=345e-9, ramp_s=10e-9)
     grid = eit.PropagationGrid(t_stop, dt, nz)
     return probe, ctrl, od, default_scheme(), grid
 
@@ -218,6 +218,13 @@ class TestPulseShapes:
         {"rabi_rad_per_s": -1.0},
         {"rabi_rad_per_s": math.nan},
         {"rabi_rad_per_s": math.inf},
+        # a switching schedule is whole, in order and ramps in a positive time
+        {"rabi_rad_per_s": 1e7, "off_s": 400e-9, "on_s": 300e-9, "ramp_s": 20e-9},
+        {"rabi_rad_per_s": 1e7, "off_s": 300e-9, "on_s": 400e-9, "ramp_s": 0.0},
+        {"rabi_rad_per_s": 1e7, "off_s": 300e-9, "on_s": 400e-9, "ramp_s": -1e-9},
+        {"rabi_rad_per_s": 1e7, "off_s": 300e-9, "on_s": 400e-9},
+        {"rabi_rad_per_s": 1e7, "off_s": 300e-9},
+        {"rabi_rad_per_s": 1e7, "ramp_s": 20e-9},
     ])
     def test_control_validation(self, bad):
         with pytest.raises(ValueError):
@@ -227,7 +234,7 @@ class TestPulseShapes:
                 eit.rabi_from_power(**{"power_W": 1e-3, **bad})
 
     def test_storage_envelope_shape(self):
-        env = eit.storage_ramp_envelope(300e-9, 400e-9, 20e-9)
+        env = eit.ControlField(1e7, off_s=300e-9, on_s=400e-9, ramp_s=20e-9).envelope
         assert env(0.0) == 1.0
         assert env(279e-9) == 1.0
         assert 0.0 < env(290e-9) < 1.0
@@ -237,8 +244,8 @@ class TestPulseShapes:
         # one array call equals the scalar calls, sample by sample
         t = np.linspace(0.0, 500e-9, 1001)
         assert np.array_equal(env(t), [env(x) for x in t])
-        with pytest.raises(ValueError):
-            eit.storage_ramp_envelope(400e-9, 300e-9)
+        # a constant drive is full everywhere
+        assert np.array_equal(eit.ControlField(1e7).envelope(t), np.ones_like(t))
 
 
 class TestPropagation:
@@ -355,10 +362,10 @@ class TestPropagation:
 
     def test_late_switch_off_stores_nothing(self):
         sch = default_scheme()
-        env = eit.storage_ramp_envelope(700e-9, 730e-9, 10e-9)
         probe = eit.ProbePulse(mean_photon_number=0.6, fwhm_s=60e-9,
                                shape="exponential-rising", peak_time_s=300e-9)
-        ctrl = eit.ControlField(eit.rabi_from_power(2.0e-3), env)
+        ctrl = eit.ControlField(eit.rabi_from_power(2.0e-3), off_s=700e-9,
+                                on_s=730e-9, ramp_s=10e-9)
         grid = eit.PropagationGrid(1.4e-6, 0.5e-9, 80)
         r = eit.propagate_pulse(probe, ctrl, 10.0, sch, grid)
         assert r.retrieval_efficiency < 1e-3
@@ -437,16 +444,19 @@ class TestBatchedPropagation:
 
     def test_empty_and_undriven_rows_among_ordinary_rows(self):
         probe, controls, sch, grid = short_rows((20.0, 60.0, 150.0))
-        # an od = 0 row carries f P = 0, a zero-Rabi control never stores
+        # an od = 0 row carries f P = 0, a zero-Rabi control never stores,
+        # with or without a switching schedule
         controls.insert(1, eit.ControlField(0.0))
-        ods = [5.0, 3.0, 0.0, 12.0]
+        controls.insert(2, dataclasses.replace(controls[0], rabi_rad_per_s=0.0))
+        ods = [5.0, 3.0, 3.0, 0.0, 12.0]
         rows = eit.propagate_pulse(probe, controls, ods, sch, grid)
-        empty = rows[2]
+        empty = rows[3]
         assert np.max(np.abs(empty.output_intensity - empty.input_intensity)) <= (
             1e-12 * np.max(empty.input_intensity))
         for row, ctrl, od in zip(rows, controls, ods):
             assert_row_matches(row, eit.propagate_pulse(probe, ctrl, od, sch, grid))
-        assert rows[1].readout_start_s is None and not np.any(rows[1].spinwave)
+        for undriven in rows[1:3]:
+            assert undriven.readout_start_s is None and not np.any(undriven.spinwave)
 
     def test_rows_above_the_cap_run_in_chunks(self):
         darks = np.linspace(20.0, 180.0, eit.MAX_BATCH_ROWS + 1)

@@ -6,7 +6,7 @@ import pytest
 
 from fibermem.counting import CountingModel
 from fibermem.decoherence import DecoherenceParams, MagneticScenario
-from fibermem.eit import LambdaScheme, ProbePulse, PropagationGrid
+from fibermem.eit import ControlField, LambdaScheme, ProbePulse, PropagationGrid
 from fibermem.ensemble import AbsorptionModel, CloudSpec
 from fibermem.waveguide import FiberSpec
 
@@ -26,6 +26,10 @@ CASES = [
     case(PropagationGrid, "t_stop_s", INF),
     case(ProbePulse, "fwhm_s", NAN),
     case(ProbePulse, "peak_time_s", INF),
+    case(ControlField, "off_s", NAN, rabi_rad_per_s=1e7, on_s=345e-9, ramp_s=10e-9),
+    case(ControlField, "off_s", INF, rabi_rad_per_s=1e7, on_s=345e-9, ramp_s=10e-9),
+    case(ControlField, "ramp_s", NAN, rabi_rad_per_s=1e7, off_s=315e-9, on_s=345e-9),
+    case(ControlField, "ramp_s", INF, rabi_rad_per_s=1e7, off_s=315e-9, on_s=345e-9),
     case(LambdaScheme, "gamma_ge_rad_per_s", NAN),
     case(LambdaScheme, "gamma_ge_rad_per_s", INF),
     case(DecoherenceParams, "temperature_K", NAN),

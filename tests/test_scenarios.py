@@ -561,7 +561,8 @@ class TestCli:
                       "--set", "scan.diameter_max_nm=400"]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.count("must be positive") == 3 and "empty sweep" in err
+        assert err.count("must be positive") == 3
+        assert "'scan.diameter_min_nm' exceeds 'scan.diameter_max_nm'" in err
         # sweeps too long to run are refused before any allocation
         assert err.count("exceeds the limit of 10000") == 2
         assert "raise 'storage.dark_step_ns'" in err
@@ -641,6 +642,31 @@ class TestCli:
         out = tmp_path / "x.csv"
         assert entry(["sim", sim, "--out", str(out), "--set", bad]) == 2
         assert "%r exceeds %r" % (lo_key, hi_key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_stops_at_its_max(self, tmp_path, capsys):
+        # a max between two grid points ends the sweep at the point below it
+        for sim, item, last in (("mode_scan", "scan.diameter_max_nm=803", 800.0),
+                                ("fig3c", "storage.dark_max_ns=55", 40.0)):
+            out = tmp_path / (sim + ".csv")
+            assert entry(["sim", sim, "--out", str(out), "--set", item]) == 0
+            assert read_csv(out)[2][-1, 0] == last
+        # a max less than one step below the min is still a descending axis
+        out = tmp_path / "x.csv"
+        assert entry(["sim", "fig3c", "--out", str(out),
+                      "--set", "storage.dark_min_ns=100",
+                      "--set", "storage.dark_max_ns=99"]) == 2
+        assert ("'storage.dark_min_ns' exceeds 'storage.dark_max_ns'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_sweep_too_wide_to_count_refused(self, tmp_path, capsys):
+        # (max - min) / step overflows a float: refused, not a traceback
+        out = tmp_path / "x.csv"
+        assert entry(["sim", "mode_scan", "--out", str(out),
+                      "--set", "scan.diameter_max_nm=1e308",
+                      "--set", "scan.diameter_step_nm=1e-300"]) == 2
+        assert "raise 'scan.diameter_step_nm'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fig1b_at_one_power_refused(self, tmp_path, capsys):
