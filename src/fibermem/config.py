@@ -21,10 +21,12 @@ import math
 from typing import Optional
 
 from .counting import MAX_SHOTS
-from .eit import GAMMA_GS_CALIBRATED_RAD_PER_S, MIN_SLICES, RABI_CALIBRATION
+from .eit import GAMMA_GS_CALIBRATED_RAD_PER_S, MIN_SLICES, PROBE_SHAPES
+from .eit import RABI_CALIBRATION
 
 # a domain: a float rule named in _HOLDS, (lo, hi) an inclusive int
-# range with hi None for no top, or a tuple of string choices
+# range with hi None for no top, a tuple of string choices, or [rule]:
+# a nonempty comma list of floats, each held to rule, distinct under %g
 FINITE, GT0, GE0 = "finite", "positive", "nonnegative"
 GT1, HALF_TURN = "greater than 1", "at least 0 and below 180"
 _HOLDS = {
@@ -65,17 +67,15 @@ _KEYS = {  # key: (default, domain, doc)
     "spectroscopy.od": (3.0, GT0, "resonant optical depth, dimensionless"),
     "spectroscopy.span_MHz": (25.0, GT0, "half width of the detuning grid, MHz"),
     "spectroscopy.points": (201, (3, MAX_POINTS), "number of detuning samples"),
-    # each listed power is checked by scenarios._power_list
     "spectroscopy.powers_mW": (
-        "0.5,1.0,1.6,2.4", None, "comma list of control powers, mW"),
+        (0.5, 1.0, 1.6, 2.4), [GE0], "comma list of control powers, mW"),
     "slowlight.od": (3.0, GT0, "resonant optical depth, dimensionless"),
     "slowlight.power_min_mW": (0.2, GT0, "lowest control power, mW"),
     "slowlight.power_max_mW": (3.2, GT0, "highest control power, mW"),
     "slowlight.points": (31, (1, MAX_POINTS), "number of power samples"),
     "probe.photons": (0.6, GT0, "mean photon number per probe pulse, dimensionless"),
     "probe.fwhm_ns": (60.0, GT0, "probe intensity FWHM, ns"),
-    "probe.shape": ("exponential-rising", ("exponential-rising", "gaussian", "square"),
-                    "probe envelope"),
+    "probe.shape": ("exponential-rising", PROBE_SHAPES, "probe envelope"),
     "probe.peak_ns": (300.0, FINITE, "probe peak arrival time, ns"),
     "probe.detuning_MHz": (0.0, FINITE, "probe detuning from line center, MHz"),
     "control.power_mW": (2.0, GE0, "control beam power, mW"),
@@ -107,10 +107,12 @@ KEY_DOCS = {key: doc for key, (_, _, doc) in _KEYS.items()}
 
 
 def domain_text(key: str) -> str:
-    """The domain of key as fibermem list shows it; "" for none."""
-    domain = _KEYS[key][1] or ""
+    """The domain of key as fibermem list shows it."""
+    domain = _KEYS[key][1]
     if isinstance(domain, str):
         return domain
+    if isinstance(domain, list):
+        return "comma list, each %s, distinct to 6 significant digits" % domain[0]
     if isinstance(domain[0], str):
         return "one of " + ", ".join(domain)
     return "integer %d..%s" % (domain[0], "" if domain[1] is None else domain[1])
@@ -120,9 +122,14 @@ def _breach(value, domain) -> Optional[str]:
     """How value falls outside domain, or None if it lies inside."""
     if isinstance(value, float) and not math.isfinite(value):
         return "must be finite"
+    if isinstance(value, tuple):  # a list domain [rule]
+        breach = next(filter(None, (_breach(v, domain[0]) for v in value)), None)
+        if not breach and len({"%g" % v for v in value}) < len(value):
+            breach = "must not repeat an entry to 6 significant digits"
+        return breach if value else "must list at least one number"
     if isinstance(domain, str) and not _HOLDS[domain](value):
         return "must be " + domain
-    if isinstance(value, str) and domain is not None and value not in domain:
+    if isinstance(value, str) and value not in domain:
         return "must be one of " + ", ".join(domain)
     if isinstance(value, int) and value < domain[0]:
         return "must be at least %d" % domain[0]
@@ -151,13 +158,14 @@ def set_key(cfg: dict, dotted: str, raw) -> None:
     if dotted not in _KEYS:
         raise ValueError("unknown config key %r" % (dotted,))
     default, domain, _ = _KEYS[dotted]
-    try:
-        value = type(default)(str(raw))  # int, float or str
+    listed = isinstance(default, tuple)
+    try:  # a comma list, empty entries skipped, to floats; else int, float or str
+        value = (tuple(float(t) for t in str(raw).split(",") if t.strip()) if listed
+                 else type(default)(str(raw)))
     except ValueError:
+        kind = "a comma list of numbers" if listed else type(default).__name__
         raise ValueError(
-            "config key %r expects %s, got %r"
-            % (dotted, type(default).__name__, raw)
-        ) from None
+            "config key %r expects %s, got %r" % (dotted, kind, raw)) from None
     breach = _breach(value, domain)
     if breach:
         raise ValueError("config key %r %s, got %s" % (dotted, breach, raw))
@@ -179,9 +187,10 @@ def render_config(cfg: dict) -> str:
     for key in sorted(cfg):
         val = cfg[key]
         if isinstance(val, float):
-            lines.append("%s = %.17g" % (key, val))
-        else:
-            lines.append("%s = %s" % (key, val))
+            val = "%.17g" % val
+        elif isinstance(val, tuple):
+            val = ",".join(map(repr, val))
+        lines.append("%s = %s" % (key, val))
     return "\n".join(lines) + "\n"
 
 

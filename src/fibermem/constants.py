@@ -50,7 +50,8 @@ def check_fields(obj, positive=(), nonnegative=()) -> None:
     named in `nonnegative`."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
+        # float first: one C-level check for the common case, before the ABC
+        if isinstance(value, (float, numbers.Real)) and not math.isfinite(value):
             raise ValueError("%s must be finite, got %r" % (f.name, value))
     for name in positive:
         if getattr(obj, name) <= 0:

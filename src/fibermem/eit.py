@@ -66,6 +66,7 @@ RABI_CALIBRATION = 0.08182080327802375
 MAX_BATCH_ROWS = 8
 
 MIN_SLICES = 50  # fewest medium slices propagate_pulse accepts
+PROBE_SHAPES = ("exponential-rising", "gaussian", "square")  # ProbePulse.shape
 
 
 class GridError(ValueError):
@@ -159,7 +160,7 @@ class ProbePulse:
 
     def __post_init__(self):
         check_fields(self, positive=("mean_photon_number", "fwhm_s"))
-        if self.shape not in ("exponential-rising", "gaussian", "square"):
+        if self.shape not in PROBE_SHAPES:
             raise ValueError("unknown pulse shape %r" % (self.shape,))
 
     def field_envelope(self, t_s: np.ndarray) -> np.ndarray:

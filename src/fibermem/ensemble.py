@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CS_D2_PSAT_ATOM_W, K_BOLTZMANN, scalar_or_array
+from .constants import CS_D2_PSAT_ATOM_W, K_BOLTZMANN, check_fields, scalar_or_array
 from .waveguide import FiberSpec
 
 NANOFIBER_WAIST_LENGTH_M = 9e-3  # longest usable overlap length
@@ -46,10 +46,9 @@ class CloudSpec:
     profile: str = "depleted"
 
     def __post_init__(self):
-        for name in ("peak_density_per_m3", "temperature_K", "c3_JK"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if not 0.0 < self.overlap_length_m <= NANOFIBER_WAIST_LENGTH_M:
+        check_fields(self, positive=("peak_density_per_m3", "temperature_K",
+                                     "overlap_length_m", "c3_JK"))
+        if self.overlap_length_m > NANOFIBER_WAIST_LENGTH_M:
             raise ValueError(
                 "overlap_length_m must lie in (0, %.0f mm]"
                 % (NANOFIBER_WAIST_LENGTH_M * 1e3)
@@ -74,9 +73,8 @@ class AbsorptionModel:
     od: float = 3.0
 
     def __post_init__(self):
-        for name in ("alpha0_L", "p_sat_W", "k_exp", "gamma_rad_per_s", "od"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        check_fields(self, positive=("alpha0_L", "p_sat_W", "k_exp",
+                                     "gamma_rad_per_s", "od"))
 
 
 def density_profile(cloud: CloudSpec, fiber: FiberSpec, rho_m) -> np.ndarray:

@@ -105,9 +105,7 @@ def evaluate_model(model_id: str, parameters, x_grid):
         raise ValueError(
             "%s expects %d parameters" % (model_id, len(spec.param_names))
         )
-    for val, (lo, hi), name in zip(p, spec.default_bounds, spec.param_names):
-        if not lo <= val <= hi:
-            raise ValueError("%s=%g outside bounds [%g, %g]" % (name, val, lo, hi))
+    _check_bounds(spec, p)
     return spec.fn(p, np.asarray(x_grid, dtype=float))
 
 
@@ -116,6 +114,14 @@ def _model_spec(model_id: str) -> ModelSpec:
         raise ValueError("unknown model %r; known: %s"
                          % (model_id, ", ".join(sorted(MODELS))))
     return MODELS[model_id]
+
+
+def _check_bounds(spec: ModelSpec, values, label: str = "") -> None:
+    """Refuse a value outside its parameter's bounds; label leads the message."""
+    for val, (lo, hi), name in zip(values, spec.default_bounds, spec.param_names):
+        if not lo <= val <= hi:
+            raise ValueError(
+                "%s%s=%g outside bounds [%g, %g]" % (label, name, val, lo, hi))
 
 
 @dataclass(frozen=True)
@@ -177,11 +183,7 @@ def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
     )
     if guess.shape != (n_par,):
         raise ValueError("initial_guess length mismatch")
-    for g, (lo, hi), name in zip(guess, spec.default_bounds, names):
-        if not lo <= g <= hi:
-            raise ValueError(
-                "guess %s=%g outside bounds [%g, %g]" % (name, g, lo, hi)
-            )
+    _check_bounds(spec, guess, "guess ")
     unknown = set(frozen) - set(names)
     if unknown:
         raise ValueError("frozen names not in model: %s" % sorted(unknown))
@@ -302,9 +304,9 @@ def format_result(result: FitResult) -> str:
              "reduced_chi2: %.12g%s" % (
                  result.reduced_chi2,
                  " (unit-less: unweighted fit)" if result.chi2_unitless else "")]
-    for i, (name, unit) in enumerate(zip(result.param_names, result.param_units)):
-        err = math.sqrt(max(result.covariance[i, i], 0.0))
+    for name, value, unit in zip(result.param_names, result.parameters,
+                                 result.param_units):
         flag = " UNIDENTIFIABLE" if name in result.unidentifiable else ""
         lines.append("%s = %.12g +/- %.6g %s%s" % (
-            name, result.parameters[i], err, unit, flag))
+            name, value, result.uncertainty(name), unit, flag))
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -152,32 +152,6 @@ def _run_fig1c(cfg, seed):
     return [("detuning_MHz", delta_MHz), ("transmission", trans)], summary
 
 
-def _power_list(cfg) -> list:
-    """(column tag, power in mW) pairs of spectroscopy.powers_mW."""
-    out = {}
-    for tok in str(cfg["spectroscopy.powers_mW"]).split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            p_mW = float(tok)
-        except ValueError:
-            p_mW = math.nan
-        if not math.isfinite(p_mW):
-            raise ValueError("spectroscopy.powers_mW: %r is not a finite number" % tok)
-        if p_mW < 0.0:
-            raise ValueError("config key 'spectroscopy.powers_mW' must be"
-                             " nonnegative, got %s" % tok)
-        tag = ("%g" % p_mW).replace(".", "p")
-        if tag in out:
-            raise ValueError("spectroscopy.powers_mW: %r repeats the %s mW column"
-                             % (tok, tag))
-        out[tag] = p_mW
-    if not out:
-        raise ValueError("spectroscopy.powers_mW lists no powers")
-    return list(out.items())
-
-
 def _run_fig2(cfg, seed):
     """Transparency window spectra at several control powers."""
     scheme = _scheme(cfg)
@@ -186,7 +160,8 @@ def _run_fig2(cfg, seed):
     delta_MHz = np.linspace(-span, span, cfg["spectroscopy.points"])
     cols = [("detuning_MHz", delta_MHz)]
     summary = {}
-    for tag, p_mW in _power_list(cfg):
+    for p_mW in cfg["spectroscopy.powers_mW"]:
+        tag = ("%g" % p_mW).replace(".", "p")  # distinct: config's list domain
         omega = _rabi(cfg, p_mW)
         trans = eit_spectrum(od, scheme, omega, delta_MHz * MHZ)
         cols.append(("transmission_%smW" % tag, trans))
@@ -273,15 +248,13 @@ def _run_storage(cfg, seed, with_target: bool):
     """Full storage and retrieval run plus a counting estimate."""
     probe, grid, scheme = _storage_inputs(cfg)
     control = _storage_control(cfg, cfg["storage.dark_ns"])
-    # validated before the propagation; the efficiency is filled in after
+    result = propagate_pulse(probe, control, cfg["storage.od"], scheme, grid)
     counting = CountingModel(
         mean_photons_in=cfg["probe.photons"],
-        efficiency=0.0,
+        efficiency=min(result.retrieval_efficiency, 1.0),
         background_per_window=cfg["counting.background"],
         n_shots=cfg["counting.shots"],
     )
-    result = propagate_pulse(probe, control, cfg["storage.od"], scheme, grid)
-    counting = replace(counting, efficiency=min(result.retrieval_efficiency, 1.0))
     counted = simulate_counting(counting, seed)
     summary = {
         "retrieval_efficiency": result.retrieval_efficiency,

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibermem import config
-from fibermem.config import DEFAULTS, FINITE, GE0, GT0, GT1, HALF_TURN, set_key
+from fibermem.config import (
+    DEFAULTS, FINITE, GE0, GT0, GT1, HALF_TURN, config_digest, render_config, set_key,
+)
 
 FLOAT_KEYS = sorted(k for k, v in DEFAULTS.items() if isinstance(v, float))
 INT_KEYS = sorted(
@@ -17,6 +19,7 @@ INT_KEYS = sorted(
 KEY_ALPHABET = "abcdefghijklmnopqrstuvwxyzMHGWK._-=0123456789 "
 DOMAINS = {key: domain for key, (_, domain, _) in config._KEYS.items()}
 REAL = dict(allow_nan=False, allow_infinity=False)
+POWERS = "spectroscopy.powers_mW"  # the one key with a list domain
 
 
 def inside(key):
@@ -50,12 +53,40 @@ def outside(key):
     if domain == HALF_TURN:
         return st.one_of(st.floats(max_value=0.0, exclude_max=True, **REAL),
                          st.floats(min_value=180.0, **REAL)).map(repr)
+    if isinstance(domain, list):
+        return refused_list()
     if isinstance(domain[0], str):
         return st.text(alphabet=KEY_ALPHABET).filter(lambda t: t not in domain)
     lo, hi = domain
     below = st.integers(max_value=lo - 1)
     ints = below if hi is None else st.one_of(below, st.integers(min_value=hi + 1))
     return ints.map(str)
+
+
+def accepted_list():
+    """Nonempty lists of finite nonnegative floats, distinct under %g."""
+    return st.lists(st.floats(min_value=0.0, **REAL), min_size=1, max_size=6,
+                    unique_by=lambda v: "%g" % v)
+
+
+def list_text(values, gaps):
+    """values as comma-list text, an empty entry after each index in gaps."""
+    return ",".join(repr(v) + ("," if i in gaps else "") for i, v in enumerate(values))
+
+
+def refused_list():
+    """Comma-list text that parses to a list outside the [GE0] domain:
+    a negative or non-finite entry, a %g repeat, or no entries."""
+    bad_entry = st.one_of(st.floats(max_value=0.0, exclude_max=True, **REAL),
+                          st.sampled_from([math.nan, math.inf, -math.inf]))
+    with_bad = st.tuples(accepted_list(), bad_entry, st.integers(0, 6)).map(
+        lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+    # an entry again as %g prints it: equal to 6 significant digits
+    repeat = accepted_list().flatmap(
+        lambda vs: st.sampled_from(vs).map(lambda v: vs + [float("%g" % v)]))
+    return st.one_of(
+        st.one_of(with_bad, repeat).map(lambda vs: ",".join(map(repr, vs))),
+        st.sampled_from(["", ",", " , ,"]))
 
 
 def key_and(strategy, keys):
@@ -129,10 +160,9 @@ def test_unknown_key_rejected(key, value):
 def test_every_default_lies_in_its_domain():
     cfg = dict(DEFAULTS)
     for key, value in DEFAULTS.items():
-        set_key(cfg, key, repr(value) if isinstance(value, float) else value)
+        text = ",".join(map(repr, value)) if isinstance(value, tuple) else value
+        set_key(cfg, key, repr(value) if isinstance(value, float) else text)
     assert cfg == DEFAULTS
-    # the one key without a domain: its reader checks each listed power
-    assert [k for k, d in DOMAINS.items() if d is None] == ["spectroscopy.powers_mW"]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -143,4 +173,31 @@ def test_out_of_domain_value_rejected_naming_key(key_text):
     with pytest.raises(ValueError, match=re.escape("config key %r " % key)) as err:
         set_key(cfg, key, text)
     assert str(err.value).endswith("got %s" % text)
+    assert cfg == DEFAULTS
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=accepted_list(), gaps=st.sets(st.integers(0, 6)))
+def test_accepted_power_list_round_trips_render(values, gaps):
+    cfg = dict(DEFAULTS)
+    set_key(cfg, POWERS, list_text(values, gaps))
+    assert cfg[POWERS] == tuple(values)
+    rendered = render_config(cfg)
+    line = next(ln for ln in rendered.splitlines() if ln.startswith(POWERS + " = "))
+    again = dict(DEFAULTS)
+    set_key(again, POWERS, line.partition(" = ")[2])
+    assert again[POWERS] == cfg[POWERS]
+    assert config_digest(render_config(again)) == config_digest(rendered)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=st.one_of(
+    refused_list(),
+    st.tuples(accepted_list(), st.sampled_from(["abc", "0x10", "1/2", "one"])).map(
+        lambda t: ",".join(list(map(repr, t[0])) + [t[1]])),
+))
+def test_refused_power_list_names_key_and_keeps_cfg(text):
+    cfg = dict(DEFAULTS)
+    with pytest.raises(ValueError, match=re.escape("config key %r " % POWERS)):
+        set_key(cfg, POWERS, text)
     assert cfg == DEFAULTS

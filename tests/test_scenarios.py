@@ -48,10 +48,10 @@ def just_outside_domains():
               config.GT1: ["0", "1"], config.HALF_TURN: ["-1e-9", "180"]}
     cases = []
     for key, (_, domain, _) in config._KEYS.items():
-        if domain is None:
-            continue
         if isinstance(domain, str):
             texts = beyond[domain]
+        elif isinstance(domain, list):  # an entry beyond its rule, a repeat, none
+            texts = beyond[domain[0]][:1] + ["1,1", ""]
         elif isinstance(domain[0], str):
             texts = ["Gaussian"]
         else:
@@ -539,12 +539,14 @@ class TestCli:
             assert entry(["sim", sim, "--out", str(out), "--set", bad]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.count("must be finite") == 2
-        # each control power is finite and gets a column of its own
-        for bad in ("inf", "nan", "1,1"):
+        # each control power is a finite number with a column of its own
+        bad_lists = ("inf", "nan", "1,1", "0.5,0.50", "1.0000001,1.0000002", "", "abc")
+        for bad in bad_lists:
             assert entry(["sim", "fig2", "--out", str(out),
                           "--set", "spectroscopy.powers_mW=" + bad]) == 2
         assert not out.exists()
-        assert capsys.readouterr().err.count("spectroscopy.powers_mW:") == 3
+        err = capsys.readouterr().err
+        assert err.count("config key 'spectroscopy.powers_mW'") == len(bad_lists)
         # counting shots are capped before any draw
         assert entry(["sim", "fig3b", "--out", str(out),
                       "--set", "counting.shots=1000000000"]) == 2
