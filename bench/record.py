@@ -12,10 +12,11 @@ interpreter every timed call runs once as a warm-up and then REPEATS
 times; the record keeps the minimum over all rounds.  The timed calls
 are `fibermem sim` of the default fig3b, custom, fig3c and mode_scan
 scenarios through fibermem.cli.entry (CSV write included; fig3b writes
-2,801 rows), one propagate_pulse at each storage grid in GRIDS and one
-solve_he11.  The scenarios go through the command line because its
-arguments stay the same when the library calls change, so both sides
-run the same script.  cold_start_s times what every command line run
+2,801 rows), `fibermem fit` of each model in FITS on the curve of a
+default scenario, one propagate_pulse at each storage grid in GRIDS and
+one solve_he11.  The scenarios and the fits go through the command line
+because its arguments stay the same when the library calls change, so
+both sides run the same script.  cold_start_s times what every command line run
 pays and warm timings cannot show: a fresh interpreter's
 `import fibermem.cli` plus one default `fibermem sim` of each of
 COLD_SCENARIOS, the minimum of COLD_ROUNDS rounds that alternate which
@@ -46,6 +47,11 @@ REPEATS = 7
 ROUNDS = 2
 PAIRS = 10
 SCENARIOS = ("fig3b", "custom", "fig3c", "mode_scan")
+# (model, default scenario whose CSV is the data, its x and y columns)
+FITS = (("saturation", "fig1b", "power_nW", "transmission"),
+        ("lorentzian_od", "fig1c", "detuning_MHz", "transmission"),
+        ("decay_lifetime", "fig4a", "time_us", "relative_efficiency"),
+        ("eit_spectrum", "fig2", "detuning_MHz", "transmission_1mW"))
 # (n_z, dt in ns) of the single propagate_pulse timings, all at 800 ns
 GRIDS = tuple((nz, dt) for nz in (50, 200, 400) for dt in (0.25, 0.5))
 WORKLOADS = ("kernels", "analysis")
@@ -77,18 +83,25 @@ def worker() -> dict:
     from fibermem import cli, eit, scenarios, waveguide
     from fibermem.config import DEFAULTS, apply_overrides
 
-    def sim(argv):
+    def run(argv):
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.entry(argv)
         if code:
             raise RuntimeError("fibermem %s exited %d" % (" ".join(argv), code))
 
-    out = {"scenario_s": {}, "kernel_s": {}}
+    out = {"scenario_s": {}, "fit_s": {}, "kernel_s": {}}
     with tempfile.TemporaryDirectory() as tmp:
         csv = os.path.join(tmp, "out.csv")
         for sid in SCENARIOS:
             argv = ["sim", sid, "--out", csv]
-            out["scenario_s"][sid] = _best(lambda: sim(argv))
+            out["scenario_s"][sid] = _best(lambda: run(argv))
+
+        for model, sid, x_name, y_name in FITS:
+            run(["sim", sid, "--out", csv])
+            data = os.path.join(tmp, model + ".csv")
+            _fit_data(csv, data, x_name, y_name)
+            argv = ["fit", model, "--data", data]
+            out["fit_s"][model] = _best(lambda: run(argv))
 
         for nz, dt in GRIDS:
             cfg = dict(DEFAULTS)
@@ -102,6 +115,15 @@ def worker() -> dict:
         fiber = waveguide.FiberSpec(radius_m=200e-9, wavelength_m=852e-9)
         out["kernel_s"]["solve_he11"] = _best(lambda: waveguide.solve_he11(fiber))
     return out
+
+
+def _fit_data(csv: str, path: str, x_name: str, y_name: str) -> None:
+    """Write the x_name and y_name columns of scenario CSV csv to path."""
+    with open(csv) as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh if not line.startswith("#")]
+    i, j = rows[0].index(x_name), rows[0].index(y_name)
+    with open(path, "w") as fh:
+        fh.write("".join("%s,%s\n" % (row[i], row[j]) for row in rows))
 
 
 def _time_side(root: str) -> dict:
@@ -198,6 +220,9 @@ def record(args) -> dict:
             "scenario_s": "fibermem.cli.entry(['sim', id, '--out', <temp csv>])"
                           " with stdout captured, at the default"
                           " configuration, CSV write included",
+            "fit_s": "fibermem.cli.entry(['fit', model, '--data', <temp csv>])"
+                     " from the default guess, on the x and y columns of the"
+                     " default scenario's CSV named in FITS",
             "kernel_s": "propagate_pulse at the default storage inputs with"
                         " storage.t_stop_ns=800 and the named n_z and dt_ns;"
                         " solve_he11 for a 200 nm radius fiber at 852 nm",

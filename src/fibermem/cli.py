@@ -24,7 +24,6 @@ import sys
 import numpy as np
 
 from .config import apply_overrides, domain_text, load_config
-from .eit import GridError
 from .fitkit import MODELS, fit, format_result
 from .scenarios import list_scenarios, run_scenario
 from .waveguide import EmptyScanError, NoGuidedModeError
@@ -46,7 +45,6 @@ _UNIT_FACTORS = {
 }
 
 _SOLVER_ERRORS = (
-    GridError,
     NoGuidedModeError,
     EmptyScanError,
     FloatingPointError,

@@ -237,14 +237,22 @@ def susceptibility(delta_rad_per_s, scheme: LambdaScheme, omega_c_rad_per_s: flo
     if omega_c_rad_per_s < 0.0:
         raise ValueError("omega_c_rad_per_s must be nonnegative")
     delta = np.asarray(delta_rad_per_s, dtype=float)
-    half_g = 0.5 * scheme.gamma_ge_rad_per_s
     if omega_c_rad_per_s == 0.0:
-        chi = 1j * half_g / (half_g - 1j * delta)
-    else:
-        gs = scheme.gamma_gs_rad_per_s - 1j * delta
-        denom = (half_g - 1j * delta) * gs + 0.25 * omega_c_rad_per_s**2
-        chi = 1j * half_g * gs / denom
-    return scalar_or_array(chi)
+        half_g = 0.5 * scheme.gamma_ge_rad_per_s
+        return scalar_or_array(1j * half_g / (half_g - 1j * delta))
+    return scalar_or_array(driven_chi(delta, scheme.gamma_ge_rad_per_s,
+                                      scheme.gamma_gs_rad_per_s, omega_c_rad_per_s))
+
+
+def driven_chi(delta, gamma_ge, gamma_gs, omega_c):
+    """susceptibility's chi for Omega_c > 0; unchecked parameters may be
+    columns that broadcast against delta."""
+    half_g = 0.5 * gamma_ge
+    gs = gamma_gs - 1j * delta
+    # float_power is libm's pow, as Python's ** on a float; an array's ** 2
+    # squares instead, which rounds differently in about 1 case in 1,000
+    denom = (half_g - 1j * delta) * gs + 0.25 * np.float_power(omega_c, 2)
+    return 1j * half_g * gs / denom
 
 
 def eit_spectrum(
@@ -325,10 +333,12 @@ def propagate_pulse(
     the field frozen, the field is rebuilt by trapezoidal integration
     of dE/dzeta = i (od Gamma/4) P, then the atomic step is corrected
     with the time-averaged field; the RK4 coefficients of (P, S, E) are
-    computed once per run.  The state is (P, S, f P) with f the
-    trapezoid weight, and each field sweep is one running sum seeded
-    with the input field.  Retrieval starts where the control first
-    rises after a dark interval.  Deterministic for identical inputs.
+    computed once per run, from one step before the input field's first
+    nonzero sample (state and output are zero until then).  The state is
+    (P, S, f P) with f the trapezoid weight, and each field sweep is one
+    running sum seeded with the input field.  Retrieval starts where the
+    control first rises after a dark interval.  Deterministic for
+    identical inputs.
 
     control may be a sequence of ControlFields and od a sequence of
     optical depths: each pair is one row, and a single value on either
@@ -349,20 +359,16 @@ def propagate_pulse(
         raise ValueError("od has %d rows but control has %d"
                          % (len(ods), len(controls)))
 
-    dt = grid.dt_s
-    gamma = scheme.gamma_ge_rad_per_s
     if not all(o >= 0.0 for o in ods):
         raise ValueError("od must be nonnegative")
-    if dt > probe.fwhm_s / 20.0:
-        raise GridError("dt too coarse: need >= 20 points per pulse FWHM")
     if grid.n_z < MIN_SLICES:
         raise GridError("n_z too small: need >= %d medium steps" % MIN_SLICES)
     for c, o in zip(controls, ods):
-        # kappa is the collective rate at which the field drives the medium
-        fastest = max(0.5 * gamma, 0.5 * c.rabi_rad_per_s,
-                      scheme.gamma_gs_rad_per_s, 0.25 * o * gamma)
-        if dt * fastest > 0.5:
-            raise GridError("dt too coarse for the fastest atomic rate")
+        broken = grid_limit(grid.dt_s, probe.fwhm_s, c.rabi_rad_per_s, o, scheme)
+        if broken is not None:
+            raise GridError("dt too coarse: need >= 20 points per pulse FWHM"
+                            if broken[0] == "fwhm" else
+                            "dt too coarse for the fastest atomic rate")
 
     # input field: unit-energy shape scaled to the mean photon number,
     # detuning as a carrier on the envelope
@@ -382,6 +388,24 @@ def propagate_pulse(
     return results[0] if single else results
 
 
+def grid_limit(dt_s, fwhm_s, rabi_rad_per_s, od, scheme: LambdaScheme):
+    """(rule, largest dt_s it allows) for the grid rule dt_s breaks, else None.
+
+    "fwhm" asks for 20 steps per probe FWHM; otherwise dt_s times the
+    fastest rate, "gamma" (Gamma/2), "rabi" (Omega_c/2), "gamma_gs" or
+    "kappa" (od Gamma/4, the field's collective drive), must be <= 0.5.
+    """
+    if dt_s > fwhm_s / 20.0:
+        return "fwhm", fwhm_s / 20.0
+    gamma = scheme.gamma_ge_rad_per_s
+    rates = {"gamma": 0.5 * gamma, "rabi": 0.5 * rabi_rad_per_s,
+             "gamma_gs": scheme.gamma_gs_rad_per_s, "kappa": 0.25 * od * gamma}
+    fastest = max(rates, key=rates.get)
+    if dt_s * rates[fastest] > 0.5:
+        return fastest, 0.5 / rates[fastest]
+    return None
+
+
 def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
     """Step a batch of rows together; one PropagationResult per row."""
     nt = t.size
@@ -393,7 +417,9 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
     peak = np.array([c.rabi_rad_per_s for c in controls])[:, None]
     env_t = np.array([c.envelope(t) for c in controls])
     rabi_t = peak * env_t
-    rabi_mid = peak * np.array([c.envelope(t[:-1] + 0.5 * dt) for c in controls])
+    # state and output are zero until a step before the first input sample
+    start = max(int(np.flatnonzero(e_in)[0]) - 1, 0)
+    rabi_mid = peak * np.array([c.envelope(t[start:-1] + 0.5 * dt) for c in controls])
 
     def atom_rhs(p, s, e, rabi):
         dp = -(0.5 * gamma) * p + 1j * e + 0.5j * rabi * s
@@ -403,7 +429,7 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
     def rk4_step(p, s, e, r0, rm, r1):
         # k1 + 2 k2 + 2 k3 + k4 summed in that order, and each stage's
         # input built in the previous slope's buffer, so that few
-        # (nt-1, rows) arrays are held at once
+        # (steps, rows) arrays are held at once
         kp, ks = atom_rhs(p, s, e, r0)
         sum_p, sum_s = kp.copy(), ks.copy()
         for weight, half, rabi in ((2.0, 0.5, rm), (2.0, 0.5, rm), (1.0, 1.0, r1)):
@@ -425,10 +451,10 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
     # each unit input (P, S, E): atoms[n, r] maps (P, S) to (P, S, f P),
     # lead[n, r] is the f P response to E and drive[n, r] half of the
     # (P, S, f P) response, so it takes the sum of the two step-end fields
-    rates = (rabi_t[:, :-1].T, rabi_mid.T, rabi_t[:, 1:].T)
+    rates = (rabi_t[:, start:-1].T, rabi_mid.T, rabi_t[:, start + 1:].T)
     f = (0.5j / nz) * kappa
-    atoms = np.empty((nt - 1, len(ods), 3, 2), dtype=complex)
-    drive = np.empty((nt - 1, len(ods), 3, 1), dtype=complex)
+    atoms = np.empty((nt - 1 - start, len(ods), 3, 2), dtype=complex)
+    drive = np.empty((nt - 1 - start, len(ods), 3, 1), dtype=complex)
     for column, unit in zip((atoms[..., 0], atoms[..., 1], drive[..., 0]),
                             np.eye(3, dtype=complex)):
         column[..., 0], column[..., 1] = rk4_step(*unit, *rates)
@@ -443,11 +469,14 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
     # the spin wave is kept at the first step the control has gone dark
     env_vals = np.where(peak > 0.0, env_t, 1.0)  # zero peak: never dark
     snap_at = {}
+    spinwave = [None] * len(ods)
     for r, env in enumerate(env_vals):
         dark = np.flatnonzero(env[1:] <= 1e-3)
         if dark.size and env[0] > 1e-3:
-            snap_at.setdefault(int(dark[0]), []).append(r)
-    spinwave = [None] * len(ods)
+            if dark[0] < start:  # dark before the probe arrives: nothing stored
+                spinwave[r] = np.zeros(nz + 1, dtype=complex)
+            else:
+                snap_at.setdefault(int(dark[0]), []).append(r)
 
     state = np.zeros((len(ods), 3, nz + 1), dtype=complex)
     free = np.empty_like(state)
@@ -457,12 +486,12 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
     p_s, free_fp, e_out = state[:, :2], free[:, 2], e_z[:, -1]
     pairs, fp_hi, fp_lo = buf[:, 1:], state[:, 2, 1:], state[:, 2, :-1]
     pred_hi, pred_lo = fp_pred[:, 1:], fp_pred[:, :-1]
-    buf[:, 0] = e_in[0]
+    buf[:, 0] = e_in[start]
     np.add(fp_hi, fp_lo, out=pairs)
     np.add.accumulate(buf, axis=1, out=e_z)
-    out_e = np.empty((len(ods), nt), dtype=complex)
-    out_e[:, 0] = e_out
-    for n, (a, ld, d, e0) in enumerate(zip(atoms, lead, drive, e_in[1:])):
+    out_e = np.zeros((len(ods), nt), dtype=complex)
+    out_e[:, start] = e_out
+    for n, (a, ld, d, e0) in enumerate(zip(atoms, lead, drive, e_in[start + 1:]), start):
         # the atoms' step with E frozen at e_z predicts the step-end field
         np.matmul(a, p_s, out=free)
         np.multiply(ld, e_z, out=fp_pred)

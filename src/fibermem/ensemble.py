@@ -133,26 +133,31 @@ def atom_number_from_absorption(
     return p_abs_W / p_single_W
 
 
-def saturation_transmission(p_W, model: AbsorptionModel) -> np.ndarray:
-    """Resonant transmission against probe power.
-
-    T = exp(-alpha0_L / (1 + P/P_sat)^k), strictly increasing in P.
-    """
+def saturation_law(p_W, alpha0_L, p_sat_W, k_exp) -> np.ndarray:
+    """T = exp(-alpha0_L / (1 + P/P_sat)^k); unchecked parameters may be
+    columns that broadcast against p_W."""
     p = np.asarray(p_W, dtype=float)
     if np.any(p < 0.0):
         raise ValueError("p_W must be nonnegative")
+    return np.exp(-alpha0_L / (1.0 + p / p_sat_W) ** k_exp)
+
+
+def lorentzian_law(delta_rad_per_s, od, gamma_rad_per_s) -> np.ndarray:
+    """T = exp(-OD / (1 + (2 delta/Gamma)^2)); unchecked parameters may be
+    columns that broadcast against delta_rad_per_s."""
+    delta = np.asarray(delta_rad_per_s, dtype=float)
+    return np.exp(-od / (1.0 + (2.0 * delta / gamma_rad_per_s) ** 2))
+
+
+def saturation_transmission(p_W, model: AbsorptionModel) -> np.ndarray:
+    """Resonant transmission against probe power, strictly increasing in P
+    (saturation_law)."""
     return scalar_or_array(
-        np.exp(-model.alpha0_L / (1.0 + p / model.p_sat_W) ** model.k_exp)
-    )
+        saturation_law(p_W, model.alpha0_L, model.p_sat_W, model.k_exp))
 
 
 def lorentzian_transmission(delta_rad_per_s, model: AbsorptionModel) -> np.ndarray:
-    """Transmission against probe detuning.
-
-    T = exp(-OD / (1 + (2 delta/Gamma)^2)), even in delta with the
-    minimum exp(-OD) on resonance.
-    """
-    delta = np.asarray(delta_rad_per_s, dtype=float)
+    """Transmission against probe detuning, even in delta with the
+    minimum exp(-OD) on resonance (lorentzian_law)."""
     return scalar_or_array(
-        np.exp(-model.od / (1.0 + (2.0 * delta / model.gamma_rad_per_s) ** 2))
-    )
+        lorentzian_law(delta_rad_per_s, model.od, model.gamma_rad_per_s))

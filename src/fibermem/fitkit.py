@@ -5,22 +5,29 @@ Jacobian, hand-rolled because importing scipy.optimize would add about
 0.3 s and 22 MB resident to every command line run (measured on a 2-core
 x86 box, Python 3.11, SciPy 1.17).  Every parameter is positive (each
 model's lower bounds are > 0) and is fitted in log space, which keeps
-every trial strictly positive and makes the box bounds smooth.  Model
-functions delegate to the owning physics modules so a fit can never
-drift from the curves the rest of the package produces.
+every trial strictly positive, finite and in bounds, and makes the box
+bounds smooth.  So a model's fn calls the plain-parameter law of its
+physics module, the formula its public curve function evaluates op for
+op, without the parameter checks and with no dataclass built; negative
+powers and times in the data are still refused.  fn maps params
+(..., n_par) and x (n,) to curves (..., n), one per parameter row, so
+each Jacobian is one call on a block of stepped rows.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import decoherence, eit
-from .ensemble import AbsorptionModel, lorentzian_transmission, saturation_transmission
+from . import eit
+from .constants import scalar_or_array
+from .decoherence import decay_law
+from .ensemble import lorentzian_law, saturation_law
+# bound here by name for perfbench/tracer.py; the fits call the laws above
+from .ensemble import lorentzian_transmission, saturation_transmission  # noqa: F401
 
 _MAX_ITER = 200
 _TOL = 1e-10
@@ -37,30 +44,29 @@ class ModelSpec:
     param_units: tuple
     default_guess: tuple
     default_bounds: tuple
-    fn: object  # (params, x) -> y
+    fn: object  # (params (..., n_par), x (n,)) -> (..., n)
+
+
+def _columns(p):
+    """Parameters as scalars (one row) or as columns that broadcast against x."""
+    return list(p) if p.ndim == 1 else [p[..., j, None] for j in range(p.shape[-1])]
 
 
 def _saturation_fn(p, x):
-    model = AbsorptionModel(alpha0_L=p[0], p_sat_W=p[1], k_exp=p[2])
-    return saturation_transmission(x, model)
+    return saturation_law(x, *_columns(p))
 
 
 def _lorentzian_fn(p, x):
-    model = AbsorptionModel(od=p[0], gamma_rad_per_s=p[1])
-    return lorentzian_transmission(x, model)
+    return lorentzian_law(x, *_columns(p))
 
 
 def _decay_fn(p, x):
-    return decoherence.efficiency_decay(x, p[0], p[1])
+    return decay_law(x, *_columns(p))
 
 
 def _eit_fn(p, x):
-    # trial points may wander into gamma_gs ~ gamma_ge; that is the
-    # solver exploring, not a user mistake, so keep it quiet
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        scheme = eit.LambdaScheme(gamma_ge_rad_per_s=p[1], gamma_gs_rad_per_s=p[2])
-    return eit.eit_spectrum(p[0], scheme, p[3], x)
+    od, gamma_ge, gamma_gs, omega_c = _columns(p)
+    return np.exp(-od * np.imag(eit.driven_chi(x, gamma_ge, gamma_gs, omega_c)))
 
 
 MODELS = {
@@ -106,7 +112,7 @@ def evaluate_model(model_id: str, parameters, x_grid):
             "%s expects %d parameters" % (model_id, len(spec.param_names))
         )
     _check_bounds(spec, p)
-    return spec.fn(p, np.asarray(x_grid, dtype=float))
+    return scalar_or_array(spec.fn(p, np.asarray(x_grid, dtype=float)))
 
 
 def _model_spec(model_id: str) -> ModelSpec:
@@ -208,28 +214,42 @@ def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
     converged = False
     n_iter = 0
     idx_free = np.flatnonzero(free)
+    free_hi = list(zip(idx_free.tolist(), hi_int[idx_free].tolist()))
 
     def jacobian(theta, r0):
-        cols = []
-        for j in idx_free:
-            h = max(1e-8, 1e-6 * abs(theta[j]))
-            step = theta.copy()
-            step[j] = min(step[j] + h, hi_int[j])
-            actual = step[j] - theta[j]
-            if actual == 0.0:
-                step[j] = theta[j] - h
-                actual = -h
-            cols.append((residual(step) - r0) / actual)
-        return -np.column_stack(cols)  # d(model)/d(theta) in residual sign
+        # one model call on a row of theta per free parameter, each row
+        # stepped forward in its own parameter (backward at the upper bound)
+        rows = np.empty((idx_free.size, theta.size))
+        rows[:] = theta
+        actual = []
+        values = theta.tolist()  # Python floats round alike, at less cost
+        for row, (j, hi) in enumerate(free_hi):
+            start = values[j]
+            h = max(1e-8, 1e-6 * abs(start))
+            stepped = min(start + h, hi)
+            if stepped == start:  # at the upper bound: step backward
+                rows[row, j], step = start - h, -h
+            else:
+                rows[row, j], step = stepped, stepped - start
+            actual.append(step)
+        block = residual(rows)
+        block -= r0
+        block /= np.array(actual)[:, None]
+        # d(model)/d(theta) in residual sign, laid out as the column stack
+        # of one residual difference per parameter, so that jac.T @ jac
+        # sums in the same order
+        return np.ascontiguousarray(-block.T)
 
     while n_iter < _MAX_ITER and idx_free.size:
         n_iter += 1
         jac = jacobian(theta, r)
         jtj = jac.T @ jac
         jtr = jac.T @ r
+        damping = np.maximum(np.diag(jtj), 1e-300)
         accepted = False
         while lam <= 1e12:
-            damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-300))
+            damped = jtj.copy()
+            damped.flat[::idx_free.size + 1] += lam * damping
             try:
                 delta = np.linalg.solve(damped, jtr)
             except np.linalg.LinAlgError:
@@ -237,7 +257,7 @@ def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
                 continue
             big = np.max(np.abs(delta))
             if big > _MAX_STEP:
-                delta = delta * (_MAX_STEP / big)
+                delta *= _MAX_STEP / big
             trial = theta.copy()
             trial[idx_free] = np.clip(
                 theta[idx_free] + delta, lo_int[idx_free], hi_int[idx_free]
@@ -245,8 +265,9 @@ def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
             r_trial = residual(trial)
             cost_trial = float(r_trial @ r_trial)
             if cost_trial <= cost:
-                step_norm = np.linalg.norm(trial - theta)
-                theta_norm = max(np.linalg.norm(theta), 1e-300)
+                step = trial - theta
+                step_norm = math.sqrt(step @ step)
+                theta_norm = max(math.sqrt(theta @ theta), 1e-300)
                 rel_drop = (cost - cost_trial) / max(cost, 1e-300)
                 theta, r, cost = trial, r_trial, cost_trial
                 history.append(cost)

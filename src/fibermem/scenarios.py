@@ -47,6 +47,7 @@ from .eit import (
     ProbePulse,
     PropagationGrid,
     eit_spectrum,
+    grid_limit,
     group_delay,
     propagate_pulse,
     rabi_from_power,
@@ -222,6 +223,12 @@ def _storage_control(cfg, dark_ns: float) -> ControlField:
                         off_s + dark_ns * 1e-9, cfg["storage.ramp_ns"] * 1e-9)
 
 
+# the config key behind each rule of eit.grid_limit
+_GRID_RULE_KEYS = {"fwhm": "probe.fwhm_ns", "gamma": "scheme.gamma_MHz",
+                   "rabi": "control.power_mW",
+                   "gamma_gs": "scheme.gamma_gs_rad_per_s", "kappa": "storage.od"}
+
+
 def _storage_inputs(cfg):
     probe = ProbePulse(
         mean_photon_number=cfg["probe.photons"],
@@ -235,13 +242,21 @@ def _storage_inputs(cfg):
         dt_s=cfg["storage.dt_ns"] * 1e-9,
         n_z=cfg["storage.n_z"],
     )
-    # propagate_pulse's own test, made here to name the keys it ties together
+    # propagate_pulse's own tests, made here to name the keys they tie together
     t = grid.times()
     if np.trapezoid(probe.field_envelope(t) ** 2, t) <= 0.0:
         raise ValueError("'probe.peak_ns', 'probe.fwhm_ns' and 'probe.shape' put the"
                          " probe outside the grid of 'storage.t_stop_ns' and"
                          " 'storage.dt_ns'")
-    return probe, grid, _scheme(cfg)
+    scheme = _scheme(cfg)
+    broken = grid_limit(grid.dt_s, probe.fwhm_s, _rabi(cfg, cfg["control.power_mW"]),
+                        cfg["storage.od"], scheme)
+    if broken is not None:
+        rule, dt_max_s = broken
+        raise ValueError("'storage.dt_ns' must not exceed %.4g ns, the largest step that %r"
+                         " allows, got %s" % (dt_max_s * 1e9, _GRID_RULE_KEYS[rule],
+                                              cfg["storage.dt_ns"]))
+    return probe, grid, scheme
 
 
 def _run_storage(cfg, seed, with_target: bool):

@@ -248,6 +248,22 @@ class TestPulseShapes:
         assert np.array_equal(eit.ControlField(1e7).envelope(t), np.ones_like(t))
 
 
+def test_driven_chi_rows_equal_scalar_calls():
+    # rows of (k, 1) parameter columns, as a fit passes them, give the
+    # scalar call's chi bit for bit, also at a Rabi frequency whose square
+    # rounds differently as pow(w, 2) (Python's w ** 2) and as w * w
+    # (NumPy's ** 2 on an array)
+    w = next(w for w in np.geomspace(3e9, 1e10, 10**5).tolist() if w ** 2 != w * w)
+    omegas = [1e7, 3.3e7, w]
+    sch = default_scheme()
+    delta = np.linspace(-2 * math.pi * 30e6, 2 * math.pi * 30e6, 101)
+    block = eit.driven_chi(delta, np.full((3, 1), sch.gamma_ge_rad_per_s),
+                           np.full((3, 1), sch.gamma_gs_rad_per_s),
+                           np.array(omegas)[:, None])
+    for row, omega in zip(block, omegas):
+        assert np.array_equal(row, eit.susceptibility(delta, sch, omega))
+
+
 class TestPropagation:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -268,6 +284,22 @@ class TestPropagation:
             with pytest.raises(eit.GridError):
                 eit.propagate_pulse(probe, ctrl, big_od, sch,
                                     eit.PropagationGrid(1.4e-6, 0.5e-9, 80))
+
+    def test_square_probe_output_zero_until_input_starts(self):
+        # stepping starts one step before the first nonzero input sample
+        probe, ctrl, od, sch, grid = storage_setup(10.0, **{"probe.shape": "square"})
+        r = eit.propagate_pulse(probe, ctrl, od, sch, grid)
+        first = np.flatnonzero(r.input_intensity)[0]
+        assert first > 100
+        assert np.all(r.output_intensity[:first] == 0.0)
+        assert r.output_intensity[first] > 0.0
+        # a control gone dark before the probe arrives stores nothing
+        probe, ctrl, od, sch, grid = storage_setup(
+            10.0, **{"probe.shape": "square", "probe.peak_ns": 600,
+                     "storage.switch_off_ns": 200})
+        r = eit.propagate_pulse(probe, ctrl, od, sch, grid)
+        assert r.readout_start_s is not None and not np.any(r.spinwave)
+        assert r.retrieval_efficiency > 0.0
 
     def test_empty_medium_returns_input(self):
         probe, ctrl, _, sch, grid = fig3b_setup()

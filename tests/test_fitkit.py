@@ -1,10 +1,16 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fibermem import fitkit
-from fibermem.ensemble import AbsorptionModel, lorentzian_transmission
+from fibermem import decoherence, eit, fitkit
+from fibermem.ensemble import (
+    AbsorptionModel,
+    lorentzian_transmission,
+    saturation_transmission,
+)
 
 TRUTH = {
     "saturation": (8.0 / 1.3, 1.3e-9, 1.0),
@@ -252,3 +258,91 @@ class TestFitContract:
         for name in res.param_names:
             assert name in text
         assert "reduced_chi2" in text
+
+
+def public_curve(model_id, p, x):
+    """The model's curve from its physics module, on validated inputs."""
+    p = [float(v) for v in p]
+    if model_id == "saturation":
+        return saturation_transmission(x, AbsorptionModel(alpha0_L=p[0], p_sat_W=p[1],
+                                                          k_exp=p[2]))
+    if model_id == "lorentzian_od":
+        return lorentzian_transmission(x, AbsorptionModel(od=p[0], gamma_rad_per_s=p[1]))
+    if model_id == "decay_lifetime":
+        return decoherence.efficiency_decay(x, p[0], p[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gamma_gs may exceed gamma_ge / 5 here
+        scheme = eit.LambdaScheme(gamma_ge_rad_per_s=p[1], gamma_gs_rad_per_s=p[2])
+    return eit.eit_spectrum(p[0], scheme, p[3], x)
+
+
+def noisy_rows(model_id, seed=2):
+    x = GRIDS[model_id]
+    y0 = fitkit.evaluate_model(model_id, TRUTH[model_id], x)
+    sig = 0.01 * np.abs(y0)
+    y = y0 + np.random.default_rng(seed).normal(0.0, sig)
+    return np.column_stack((x, y, sig))
+
+
+class TestBatchedModel:
+    @pytest.mark.parametrize("model_id", sorted(fitkit.MODELS))
+    def test_rows_equal_single_calls_and_public_curves(self, model_id):
+        spec = fitkit.MODELS[model_id]
+        lo, hi = np.log(np.array(spec.default_bounds)).T
+        rows = np.exp(np.random.default_rng(7).uniform(lo, hi, (64, lo.size)))
+        rows[0] = spec.default_guess  # the first Jacobian's unstepped values
+        x = GRIDS[model_id]
+        block = spec.fn(rows, x)
+        assert block.shape == (64, x.size)
+        for curve, p in zip(block, rows):
+            assert np.array_equal(curve, spec.fn(p, x))
+            assert np.array_equal(curve, public_curve(model_id, p, x))
+
+    @pytest.mark.parametrize("frozen_first", [False, True])
+    @pytest.mark.parametrize("model_id", sorted(fitkit.MODELS))
+    def test_one_model_call_per_jacobian(self, monkeypatch, model_id, frozen_first):
+        spec = fitkit.MODELS[model_id]
+        blocks = []
+
+        def fn(p, x):
+            if p.ndim == 2:
+                blocks.append(p.shape)
+            return spec.fn(p, x)
+
+        monkeypatch.setitem(fitkit.MODELS, model_id, dataclasses.replace(spec, fn=fn))
+        names = spec.param_names
+        frozen = frozenset(names[:1]) if frozen_first else frozenset()
+        res = fitkit.fit(model_id, noisy_rows(model_id), initial_guess=TRUTH[model_id],
+                         frozen=frozen)
+        assert res.n_iterations >= 1
+        # one block per iteration and one for the covariance, a row per
+        # free parameter
+        n_free = len(names) - len(frozen)
+        assert blocks == [(n_free, len(names))] * (res.n_iterations + 1)
+
+    def test_fit_builds_no_dataclass_and_no_warnings_context(self, monkeypatch):
+        data = {m: noisy_rows(m) for m in fitkit.MODELS}
+        built, contexts = [], []
+        for cls in (AbsorptionModel, eit.LambdaScheme):
+            check = cls.__post_init__
+
+            def counted(self, check=check):
+                built.append(type(self).__name__)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        catch = warnings.catch_warnings
+
+        def counted_catch(*args, **kwargs):
+            contexts.append(1)
+            return catch(*args, **kwargs)
+
+        monkeypatch.setattr(warnings, "catch_warnings", counted_catch)
+        for model_id, rows in data.items():
+            assert fitkit.fit(model_id, rows).converged
+        assert built == [] and contexts == []
+        # the counters do count
+        AbsorptionModel()
+        with warnings.catch_warnings():
+            eit.LambdaScheme()
+        assert built == ["AbsorptionModel", "LambdaScheme"] and contexts == [1]

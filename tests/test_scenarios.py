@@ -599,6 +599,14 @@ class TestCli:
         assert entry(["fit", "nomodel", "--data", "x.csv"]) == 2
         assert entry(["fit", "lorentzian_od", "--data", str(tmp_path / "no.csv")]) == 2
         assert entry(["frobnicate"]) == 2
+        # a time step too coarse for the probe or for the fastest atomic
+        # rate is refused before propagating, naming the keys it ties
+        for sim, bad, key in (("fig3b", "storage.od=3000", "storage.od"),
+                              ("fig3c", "probe.fwhm_ns=5", "probe.fwhm_ns")):
+            assert entry(["sim", sim, "--out", str(out), "--set", bad]) == 2
+            err = capsys.readouterr().err
+            assert "'storage.dt_ns' must not exceed" in err and "%r" % key in err
+        assert not out.exists()
 
     @staticmethod
     def _digest_and_seed(stdout):
@@ -725,12 +733,6 @@ class TestCli:
         ])
         assert rc == 3
         assert "solver failure" in capsys.readouterr().err
-        # od 3000 needs a far finer time step than the default 0.5 ns
-        out = tmp_path / "od.csv"
-        rc = entry(["sim", "fig3b", "--out", str(out), "--set", "storage.od=3000"])
-        assert rc == 3
-        assert not out.exists()
-        assert "dt too coarse" in capsys.readouterr().err
         # a kernel that returns NaN never reaches a CSV
         solve = waveguide.solve_he11
         monkeypatch.setattr(
