@@ -24,8 +24,8 @@ side goes first.  perfbench/run.py then runs
 PAIRS pairs per workload at seeds 1..PAIRS, for the run_seconds of
 BENCHMARK.json, alternating which side goes first; the record keeps
 every run, the median of each end-to-end metric and the pairs the
-change wins, then the per-layer table of one traced kernels run per
-side.  Ten pairs is the fewest that can back a claimed gain.
+change wins, then the per-layer table of one traced run per workload
+and side.  Ten pairs is the fewest that can back a claimed gain.
 """
 
 from __future__ import annotations
@@ -244,8 +244,8 @@ def record(args) -> dict:
         "python3 perfbench/run.py --workload W --seed S --seconds %g"
         " --trace 0, one pair per seed S = 1..%d and workload, alternating"
         " which side runs first; median and every run of each end-to-end"
-        " metric, and the pairs the change wins; then one --trace 1 kernels"
-        " run per side at seed 1" % (seconds, PAIRS))
+        " metric, and the pairs the change wins; then one --trace 1 run per"
+        " workload and side at seed 1" % (seconds, PAIRS))
     out["perfbench"] = {}
     for workload in WORKLOADS:
         runs = {"parent": [], "change": []}
@@ -256,9 +256,10 @@ def record(args) -> dict:
         summary = {side: _summarize(results) for side, results in runs.items()}
         summary["change_wins"] = _wins(summary["parent"], summary["change"], better)
         out["perfbench"][workload] = summary
-    out["perfbench_trace_kernels"] = {
-        side: _perfbench(sides[side], "kernels", 1, seconds, trace=1)
-        for side in ("parent", "change")}
+    for workload in WORKLOADS:
+        out["perfbench_trace_" + workload] = {
+            side: _perfbench(sides[side], workload, 1, seconds, trace=1)
+            for side in ("parent", "change")}
     return out
 
 

@@ -15,7 +15,6 @@ the exact settings that produced it.
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import math
 from typing import Optional
@@ -139,17 +138,44 @@ def _breach(value, domain) -> Optional[str]:
 
 
 def load_config(path: Optional[str] = None) -> dict:
-    """Defaults overlaid with an INI file; unknown keys rejected."""
+    """Defaults overlaid with an INI file; unknown keys rejected.
+
+    The file holds [section] lines, key = value lines split at the first
+    '=' with both sides stripped and case kept, blank lines and full-line
+    '#' or ';' comments.  Any other line, a key before the first section
+    or a key set twice is refused naming the file and the line.
+    """
     cfg = dict(DEFAULTS)
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # keys are case-sensitive: scheme.gamma_MHz
+    section, seen = None, {}
     with open(path) as fh:
-        parser.read_file(fh)
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            set_key(cfg, "%s.%s" % (section, key), raw)
+        for n, line in enumerate(fh, 1):
+            text = line.strip()
+            if not text or text[0] in "#;":
+                continue
+            if text[0] == "[" and text[-1] == "]":
+                section = text[1:-1]
+                continue
+            key, eq, raw = text.partition("=")
+            key = key.strip()
+            dotted = "%s.%s" % (section, key)
+            if line[0].isspace():
+                why = "is indented: continuation lines are not read"
+            elif not eq or not key:
+                why = "is not [section], key = value or a comment"
+            elif section is None:
+                why = "sets a key before the first [section]"
+            elif dotted in seen:
+                why = "sets %r again, first set on line %d" % (dotted, seen[dotted])
+            else:
+                seen[dotted] = n
+                try:
+                    set_key(cfg, dotted, raw.strip())
+                except ValueError as exc:
+                    raise ValueError("%s, line %d: %s" % (path, n, exc)) from None
+                continue
+            raise ValueError("%s, line %d: %r %s" % (path, n, text, why))
     return cfg
 
 

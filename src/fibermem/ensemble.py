@@ -9,6 +9,7 @@ the absorbed-power ratio N = P_abs / p_single.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,11 @@ NANOFIBER_WAIST_LENGTH_M = 9e-3  # longest usable overlap length
 # default C3 for Cs near fused silica, order-of-magnitude van der Waals scale
 CS_SILICA_C3_J_M3 = 5.6e-49
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)  # shell integral
+
+@functools.cache  # built on first use: numpy.polynomial costs ms at import
+def _shell_rule():
+    """The 64-point Gauss-Legendre nodes and weights of the shell integral."""
+    return np.polynomial.legendre.leggauss(64)
 
 
 class DensityDomainError(ValueError):
@@ -116,9 +121,10 @@ def effective_atom_number(
     r = fiber.radius_m
     lo, hi = r, r * (1.0 + shell_width_in_radii)
     half = 0.5 * (hi - lo)
-    nodes = 0.5 * (hi + lo) + half * _GL_NODES
+    gl_nodes, gl_weights = _shell_rule()
+    nodes = 0.5 * (hi + lo) + half * gl_nodes
     dens = density_profile(cloud, fiber, nodes)
-    integrand = dens * 2.0 * np.pi * nodes * half * _GL_WEIGHTS
+    integrand = dens * 2.0 * np.pi * nodes * half * gl_weights
     return float(cloud.overlap_length_m * np.sum(integrand))
 
 

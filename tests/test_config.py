@@ -1,5 +1,7 @@
-"""Property tests of config coercion at the set_key boundary."""
+"""Property tests of config coercion at the set_key boundary, and the
+INI overlay reader."""
 
+import configparser
 import math
 import re
 
@@ -8,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibermem import config
+from fibermem.cli import entry
 from fibermem.config import (
-    DEFAULTS, FINITE, GE0, GT0, GT1, HALF_TURN, config_digest, render_config, set_key,
+    DEFAULTS, FINITE, GE0, GT0, GT1, HALF_TURN, config_digest, load_config,
+    render_config, set_key,
 )
 
 FLOAT_KEYS = sorted(k for k, v in DEFAULTS.items() if isinstance(v, float))
@@ -201,3 +205,106 @@ def test_refused_power_list_names_key_and_keeps_cfg(text):
     with pytest.raises(ValueError, match=re.escape("config key %r " % POWERS)):
         set_key(cfg, POWERS, text)
     assert cfg == DEFAULTS
+
+
+def configparser_overlay(path):
+    """The overlay as configparser read it, the reference for load_config."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    with open(path) as fh:
+        parser.read_file(fh)
+    cfg = dict(DEFAULTS)
+    for section in parser.sections():
+        for key, raw in parser.items(section):
+            set_key(cfg, "%s.%s" % (section, key), raw)
+    return cfg
+
+
+EVERY_SECTION = """\
+[scheme]
+gamma_MHz = 6.0
+[calibration]
+anchor_delay_power_mW = 0.6
+[medium]
+length_mm = 4
+[fiber]
+core_index = 1.45
+[scan]
+diameter_step_nm = 10
+[absorption]
+points = 51
+[spectroscopy]
+powers_mW = 0.5, 1.0,
+[slowlight]
+od = 4
+[probe]
+shape = gaussian
+[control]
+angle_deg = 20
+[storage]
+n_z = 100
+[decoherence]
+zeeman_kHz = 50
+[magnetic]
+b_field_G = 0.5
+[counting]
+shots = 500
+"""
+OVERLAYS = {
+    "every section": EVERY_SECTION,
+    "comments and blank lines": (
+        "# a run\n\n; of the storage\n[storage]\n\n# od\nod = 12\n"
+        "   ; indented comment\n\ndark_ns = 60\n\n"),
+    "crlf endings": "[storage]\r\nod = 12\r\n\r\n[probe]\r\nfwhm_ns = 80\r\n",
+    "spaces around =": "[storage]\nod=12\ndark_ns   =   60  \nramp_ns =5\n",
+    "mixed-case keys": (
+        "[scheme]\ngamma_MHz = 6.0\ngamma_gs_rad_per_s = 3e6\n"
+        "[calibration]\nanchor_delay_power_mW = 0.7\n"),
+    "no final newline": "[spectroscopy]\nod = 4",
+    "empty file": "",
+}
+
+
+def test_every_section_in_the_table():
+    sections = {key.partition(".")[0] for key in DEFAULTS}
+    assert set(re.findall(r"^\[(\w+)\]$", EVERY_SECTION, flags=re.M)) == sections
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAYS))
+def test_overlay_reads_as_configparser_did(name, tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_bytes(OVERLAYS[name].encode())
+    cfg = load_config(str(ini))
+    assert cfg == configparser_overlay(str(ini))
+    assert (cfg == DEFAULTS) == (name == "empty file")
+
+
+def test_overlay_section_may_repeat(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[storage]\nod = 12\n[probe]\nfwhm_ns = 80\n[storage]\ndark_ns = 60\n")
+    cfg = load_config(str(ini))
+    assert (cfg["storage.od"], cfg["probe.fwhm_ns"], cfg["storage.dark_ns"]) == (12, 80, 60)
+
+
+MALFORMED = {  # overlay text, the line refused
+    "key before any section": ("od = 3\n[spectroscopy]\n", 1),
+    "key set twice": ("[spectroscopy]\nod = 3\n\n[spectroscopy]\nod = 4\n", 5),
+    "percent sign": ("[spectroscopy]\nod = 3%\n", 2),
+    "no equals sign": ("[spectroscopy]\nod: 3\n", 2),
+    "continuation line": ("[spectroscopy]\npoints = 101\n  201\n", 3),
+    "DEFAULT section": ("[DEFAULT]\nod = 3\n", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_overlay_exits_2_naming_the_line(name, tmp_path, capsys):
+    text, line = MALFORMED[name]
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    out = tmp_path / "line.csv"
+    assert entry(["sim", "fig1c", "--out", str(out), "--config", str(ini)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s, line %d: " % (ini, line))
+    assert captured.err.count("\n") == 1  # one message, no traceback
+    assert not out.exists()

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fibermem import decoherence, eit, fitkit
+from fibermem import cli, decoherence, eit, fitkit
 from fibermem.ensemble import (
     AbsorptionModel,
     lorentzian_transmission,
@@ -242,6 +242,21 @@ class TestFitContract:
             initial_guess=(2.0, 2 * math.pi * 6.8e6), frozen=frozenset({"od"}))
         assert res.unidentifiable == ("gamma_rad_per_s",)
         assert "+/- inf rad/s UNIDENTIFIABLE" in fitkit.format_result(res)
+
+    @pytest.mark.filterwarnings("error")
+    def test_flat_model_flags_every_parameter(self, tmp_path, capsys):
+        # 1-4 THz off resonance the line is transparent in double
+        # precision: the normal matrix is all zero, so nothing is fixed
+        data = tmp_path / "flat.csv"
+        data.write_text("detuning_MHz,transmission\n1e6,1\n2e6,1\n3e6,1\n4e6,1\n")
+        assert cli.entry(["fit", "lorentzian_od", "--data", str(data)]) == 0
+        out = capsys.readouterr().out
+        assert "od = 2 +/- inf dimensionless UNIDENTIFIABLE" in out
+        assert "+/- inf rad/s UNIDENTIFIABLE" in out
+        res = fitkit.fit("lorentzian_od", [(2e12 * math.pi * k, 1.0) for k in (1, 2, 3, 4)])
+        assert res.unidentifiable == res.param_names
+        assert np.array_equal(np.diag(res.covariance), [np.inf, np.inf])
+        assert not np.isnan(res.covariance).any()
 
     def test_unweighted_flagged_unitless(self):
         res = fitkit.fit("lorentzian_od", clean_rows("lorentzian_od"))
