@@ -7,7 +7,7 @@ Three subcommands:
     list
 
 Exit codes: 0 success, 2 usage or validation error, 3 solver failure,
-4 fit did not converge.  Quantities cross the command line in lab units
+4 fit did not converge or identifies no parameter.  Quantities cross the command line in lab units
 (MHz, ns, us, nW, mW, Gauss); unit suffixes on CSV column headers are
 converted to SI before fitting.  Randomness is confined to the seeded
 counting generator (NumPy PCG64 via default_rng), so repeating a

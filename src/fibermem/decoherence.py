@@ -32,63 +32,6 @@ from .constants import (
 _DEFAULT_LADDER = tuple((2 * m, 1.0 / 7.0) for m in range(-3, 4))
 
 
-def thermal_velocity(temperature_K: float) -> float:
-    """One-dimensional thermal speed sqrt(kT/m) of a cesium atom."""
-    if temperature_K < 0.0:
-        raise ValueError("temperature_K must be nonnegative")
-    return math.sqrt(K_BOLTZMANN * temperature_K / CS_MASS_KG)
-
-
-def transit_time(radius_m: float, velocity_m_s: float) -> float:
-    """Evanescent-field dwell time tau_1 = 2 r / v."""
-    if radius_m <= 0.0 or velocity_m_s <= 0.0:
-        raise ValueError("radius and velocity must be positive")
-    return 2.0 * radius_m / velocity_m_s
-
-
-def motional_dephasing_time(
-    wavelength_m: float, angle_rad: float, velocity_m_s: float
-) -> float:
-    """Spin-wave grating washout time tau_2 = 1 / ((4 pi/lambda) sin(a/2) v).
-
-    The grating pitch is set by the probe/control wavevector mismatch
-    2 k sin(a/2).  A zero angle means copropagating beams and no grating,
-    returned as an infinite-lifetime sentinel.
-    """
-    if not 0.0 <= angle_rad < math.pi:
-        raise ValueError("angle_rad must lie in [0, pi)")
-    if velocity_m_s <= 0.0:
-        raise ValueError("velocity must be positive")
-    if angle_rad == 0.0:
-        return math.inf
-    dk = (4.0 * math.pi / wavelength_m) * math.sin(0.5 * angle_rad)
-    return 1.0 / (dk * velocity_m_s)
-
-
-def zeeman_dephasing_time(broadening_Hz: float) -> float:
-    """Inhomogeneous Zeeman dephasing time tau_3 = 1 / broadening.
-
-    Plain reciprocal convention, so 100 kHz of spread maps to 10 us.
-    Zero broadening returns an infinite-lifetime sentinel.
-    """
-    if broadening_Hz < 0.0:
-        raise ValueError("broadening_Hz must be nonnegative")
-    if broadening_Hz == 0.0:
-        return math.inf
-    return 1.0 / broadening_Hz
-
-
-def combined_dephasing(tau2_s: float, tau3_s: float) -> float:
-    """Quadrature combination 1/tau_D^2 = 1/tau_2^2 + 1/tau_3^2."""
-    if tau2_s <= 0.0 or tau3_s <= 0.0:
-        raise ValueError("times must be positive")
-    if math.isinf(tau2_s) and math.isinf(tau3_s):
-        return math.inf
-    inv2 = 0.0 if math.isinf(tau2_s) else tau2_s**-2
-    inv3 = 0.0 if math.isinf(tau3_s) else tau3_s**-2
-    return (inv2 + inv3) ** -0.5
-
-
 def decay_law(t_s, tau_D_s, tau_T_s) -> np.ndarray:
     """exp[-(t/tau_D)^2/(1+(t/tau_T)^2)] / (1+(t/tau_T)^2)^2; unchecked
     time constants may be columns that broadcast against t_s, and an
@@ -121,8 +64,8 @@ def half_larmor_period(b_field_T: float) -> float:
 
 @dataclass(frozen=True)
 class DecoherenceParams:
-    """Physical inputs of the lifetime model of a cesium cloud; the
-    lifetimes tau_T and tau_D derive from them."""
+    """Physical inputs of the lifetime model of a cesium cloud; its
+    properties derive the lifetimes tau_T, tau_2, tau_3 and tau_D."""
 
     temperature_K: float = 200e-6
     fiber_radius_m: float = 200e-9
@@ -135,22 +78,43 @@ class DecoherenceParams:
                      nonnegative=("zeeman_broadening_Hz",))
         if not 0.0 <= self.control_angle_rad < math.pi:
             raise ValueError("control_angle_rad must lie in [0, pi)")
+        if self.velocity_m_s == 0.0:  # k T underflowed
+            raise ValueError("temperature_K underflows the thermal velocity to 0")
 
     @property
     def velocity_m_s(self) -> float:
-        return thermal_velocity(self.temperature_K)
+        """One-dimensional thermal speed sqrt(kT/m) of a cesium atom."""
+        return math.sqrt(K_BOLTZMANN * self.temperature_K / CS_MASS_KG)
 
     @property
     def effective_tau_T_s(self) -> float:
-        return transit_time(self.fiber_radius_m, self.velocity_m_s)
+        """Evanescent-field dwell time tau_T = 2 r / v."""
+        return 2.0 * self.fiber_radius_m / self.velocity_m_s
+
+    @property
+    def tau_motional_s(self) -> float:
+        """Spin-wave grating washout time tau_2 = 1 / ((4 pi/lambda) sin(a/2) v),
+        the grating pitch set by the probe/control wavevector mismatch
+        2 k sin(a/2); infinite at a zero angle, where there is no grating."""
+        if self.control_angle_rad == 0.0:
+            return math.inf
+        dk = (4.0 * math.pi / self.wavelength_m) * math.sin(0.5 * self.control_angle_rad)
+        return 1.0 / (dk * self.velocity_m_s)
+
+    @property
+    def tau_zeeman_s(self) -> float:
+        """Inhomogeneous Zeeman dephasing time tau_3 = 1 / broadening, so
+        100 kHz of spread maps to 10 us; infinite at zero broadening."""
+        if self.zeeman_broadening_Hz == 0.0:
+            return math.inf
+        return 1.0 / self.zeeman_broadening_Hz
 
     @property
     def effective_tau_D_s(self) -> float:
-        tau2 = motional_dephasing_time(
-            self.wavelength_m, self.control_angle_rad, self.velocity_m_s
-        )
-        tau3 = zeeman_dephasing_time(self.zeeman_broadening_Hz)
-        return combined_dephasing(tau2, tau3)
+        """Quadrature combination 1/tau_D^2 = 1/tau_2^2 + 1/tau_3^2, infinite
+        when both rates are 0 (an infinite lifetime or an underflow)."""
+        rate2 = self.tau_motional_s**-2 + self.tau_zeeman_s**-2
+        return rate2**-0.5 if rate2 > 0.0 else math.inf
 
 
 @dataclass(frozen=True)

@@ -91,26 +91,27 @@ class LambdaScheme:
 
 
 def rabi_from_power(
-    power_W: float,
+    power_W,
     waist_m: float = ANCHOR_WAIST_M,
     calibration: float = RABI_CALIBRATION,
     gamma_rad_per_s: float = GAMMA_EFF_RAD_PER_S,
-) -> float:
-    """Control Rabi frequency from beam power.
+):
+    """Control Rabi frequency from beam power, a float or an array.
 
     Omega_c = calibration * Gamma * sqrt(I / (2 I_sat)) with the peak
     intensity I = 2P/(pi w^2).  The dimensionless calibration absorbs
     the unknown dipole projection onto the evanescent mode; its default
     is anchored so 1.6 mW yields 75% window transparency at od=3.
     """
-    if not 0.0 <= power_W < math.inf:
+    power = np.asarray(power_W, dtype=float)
+    if not np.all((power >= 0.0) & (power < math.inf)):
         raise ValueError(f"power_W must be finite and >= 0, got {power_W!r}")
     if not 0.0 < waist_m < math.inf:
         raise ValueError(f"waist_m must be finite and > 0, got {waist_m!r}")
-    intensity = 2.0 * power_W / (math.pi * waist_m**2)
-    return calibration * gamma_rad_per_s * math.sqrt(
+    intensity = 2.0 * power / (math.pi * waist_m**2)
+    return scalar_or_array(calibration * gamma_rad_per_s * np.sqrt(
         intensity / (2.0 * CS_D2_ISAT_W_M2)
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -255,6 +256,12 @@ def driven_chi(delta, gamma_ge, gamma_gs, omega_c):
     return 1j * half_g * gs / denom
 
 
+def driven_transmission(delta, od, gamma_ge, gamma_gs, omega_c):
+    """exp(-od Im chi) with driven_chi's chi; unchecked parameters may be
+    columns that broadcast against delta."""
+    return np.exp(-od * np.imag(driven_chi(delta, gamma_ge, gamma_gs, omega_c)))
+
+
 def eit_spectrum(
     od: float, scheme: LambdaScheme, omega_c_rad_per_s: float, delta_grid
 ) -> np.ndarray:
@@ -266,45 +273,54 @@ def eit_spectrum(
 
 
 @dataclass(frozen=True)
-class GroupDelayResult:
-    delay_s: float
-    slowdown: float
-    transparency: float
-    window_open: bool
+class GroupDelayResult:  # floats, or arrays shaped as group_delay's Rabi frequencies
+    delay_s: object
+    slowdown: object
+    transparency: object
+    window_open: object
+
+
+# Python's math.exp, one element at a time: NumPy's SIMD exp differs from
+# libm's in the last bit for about 1 argument in 20
+_libm_exp = np.frompyfunc(math.exp, 1, 1)
 
 
 def group_delay(
     od: float,
     scheme: LambdaScheme,
-    omega_c_rad_per_s: float,
+    omega_c_rad_per_s,
     length_m: float = 5e-3,
 ) -> GroupDelayResult:
-    """Analytic slow-light delay at line center.
+    """Analytic slow-light delay at line center, for one Rabi frequency
+    or an array of them.
 
     delay = od/2 * d(Re chi)/d delta at 0, from the transmitted
     amplitude exp(i od chi/2).  The window is closed (negative delay,
-    warned) when gamma_gs exceeds Omega_c/2.
+    warned once per call) when gamma_gs exceeds Omega_c/2.
     """
     if od <= 0.0 or length_m <= 0.0:
         raise ValueError("od and length_m must be positive")
-    if omega_c_rad_per_s <= 0.0:
+    omega = np.asarray(omega_c_rad_per_s, dtype=float)
+    if np.any(omega <= 0.0):
         raise ValueError("omega_c_rad_per_s must be positive")
     half_g = 0.5 * scheme.gamma_ge_rad_per_s
     gam = scheme.gamma_gs_rad_per_s
-    d0 = half_g * gam + 0.25 * omega_c_rad_per_s**2
-    dchi = half_g * (0.25 * omega_c_rad_per_s**2 - gam**2) / d0**2
+    # float_power squares with libm's pow, as Python's ** on a float
+    quarter_om2 = 0.25 * np.float_power(omega, 2)
+    d0 = half_g * gam + quarter_om2
+    dchi = half_g * (quarter_om2 - gam**2) / np.float_power(d0, 2)
     delay = 0.5 * od * dchi
-    transparency = math.exp(-od * half_g * gam / d0)
-    window_open = 0.25 * omega_c_rad_per_s**2 > gam**2
-    if not window_open:
+    transparency = np.asarray(_libm_exp(-od * half_g * gam / d0), dtype=float)
+    window_open = quarter_om2 > gam**2
+    if not np.all(window_open):
         warnings.warn(
             "transparency window closed: gamma_gs >= Omega_c/2", stacklevel=2
         )
     return GroupDelayResult(
-        delay_s=delay,
-        slowdown=C_LIGHT * delay / length_m,
-        transparency=transparency,
-        window_open=window_open,
+        delay_s=scalar_or_array(delay),
+        slowdown=scalar_or_array(C_LIGHT * delay / length_m),
+        transparency=scalar_or_array(transparency),
+        window_open=scalar_or_array(window_open),
     )
 
 
@@ -628,8 +644,5 @@ def calibrate_control(
             hi = mid
     gamma_gs = 0.5 * (lo + hi)
     omega_high = 2.0 * math.sqrt(c1 * half_g * gamma_gs)
-    intensity = 2.0 * power_high_W / (math.pi * waist_m**2)
-    calibration = omega_high / (
-        gamma_rad_per_s * math.sqrt(intensity / (2.0 * CS_D2_ISAT_W_M2))
-    )
+    calibration = omega_high / rabi_from_power(power_high_W, waist_m, 1.0, gamma_rad_per_s)
     return calibration, gamma_gs

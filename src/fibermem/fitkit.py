@@ -6,12 +6,13 @@ Jacobian, hand-rolled because importing scipy.optimize would add about
 x86 box, Python 3.11, SciPy 1.17).  Every parameter is positive (each
 model's lower bounds are > 0) and is fitted in log space, which keeps
 every trial strictly positive, finite and in bounds, and makes the box
-bounds smooth.  So a model's fn calls the plain-parameter law of its
+bounds smooth.  So a model's fn is the plain-parameter law of its
 physics module, the formula its public curve function evaluates op for
 op, without the parameter checks and with no dataclass built; negative
-powers and times in the data are still refused.  fn maps params
-(..., n_par) and x (n,) to curves (..., n), one per parameter row, so
-each Jacobian is one call on a block of stepped rows.
+powers and times in the data are still refused.  fn(x, *params) takes
+each parameter as a scalar or as a (k, 1) column and returns (k, n)
+curves, one per parameter row, so each Jacobian is one call on a block
+of stepped rows.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import eit
 from .constants import scalar_or_array
 from .decoherence import decay_law
+from .eit import driven_transmission
 from .ensemble import lorentzian_law, saturation_law
 # bound here by name for perfbench/tracer.py; the fits call the laws above
 from .ensemble import lorentzian_transmission, saturation_transmission  # noqa: F401
@@ -44,29 +45,12 @@ class ModelSpec:
     param_units: tuple
     default_guess: tuple
     default_bounds: tuple
-    fn: object  # (params (..., n_par), x (n,)) -> (..., n)
+    fn: object  # the law: fn(x (n,), *_columns(params (..., n_par))) -> (..., n)
 
 
 def _columns(p):
     """Parameters as scalars (one row) or as columns that broadcast against x."""
     return list(p) if p.ndim == 1 else [p[..., j, None] for j in range(p.shape[-1])]
-
-
-def _saturation_fn(p, x):
-    return saturation_law(x, *_columns(p))
-
-
-def _lorentzian_fn(p, x):
-    return lorentzian_law(x, *_columns(p))
-
-
-def _decay_fn(p, x):
-    return decay_law(x, *_columns(p))
-
-
-def _eit_fn(p, x):
-    od, gamma_ge, gamma_gs, omega_c = _columns(p)
-    return np.exp(-od * np.imag(eit.driven_chi(x, gamma_ge, gamma_gs, omega_c)))
 
 
 MODELS = {
@@ -75,14 +59,14 @@ MODELS = {
         param_units=("dimensionless", "W", "dimensionless"),
         default_guess=(5.0, 1e-9, 1.0),
         default_bounds=((1e-3, 1e3), (1e-13, 1e-3), (0.1, 10.0)),
-        fn=_saturation_fn,
+        fn=saturation_law,
     ),
     "lorentzian_od": ModelSpec(
         param_names=("od", "gamma_rad_per_s"),
         param_units=("dimensionless", "rad/s"),
         default_guess=(2.0, 2.0 * math.pi * 5e6),
         default_bounds=((1e-3, 1e3), (2.0 * math.pi * 1e5, 2.0 * math.pi * 1e9)),
-        fn=_lorentzian_fn,
+        fn=lorentzian_law,
     ),
     "decay_lifetime": ModelSpec(
         param_names=("tau_D_s", "tau_T_s"),
@@ -90,7 +74,7 @@ MODELS = {
         # distinct scales: the two times enter degenerately when equal
         default_guess=(5e-6, 3e-6),
         default_bounds=((1e-8, 1e-2), (1e-8, 1e-2)),
-        fn=_decay_fn,
+        fn=decay_law,
     ),
     "eit_spectrum": ModelSpec(
         param_names=("od", "gamma_rad_per_s", "gamma_gs_rad_per_s",
@@ -98,7 +82,7 @@ MODELS = {
         param_units=("dimensionless", "rad/s", "rad/s", "rad/s"),
         default_guess=(3.0, 2.0 * math.pi * 6e6, 3e6, 4e7),
         default_bounds=((1e-3, 1e3), (1e6, 1e9), (1e2, 1e8), (1e4, 1e10)),
-        fn=_eit_fn,
+        fn=driven_transmission,
     ),
 }
 
@@ -112,7 +96,7 @@ def evaluate_model(model_id: str, parameters, x_grid):
             "%s expects %d parameters" % (model_id, len(spec.param_names))
         )
     _check_bounds(spec, p)
-    return scalar_or_array(spec.fn(p, np.asarray(x_grid, dtype=float)))
+    return scalar_or_array(spec.fn(np.asarray(x_grid, dtype=float), *_columns(p)))
 
 
 def _model_spec(model_id: str) -> ModelSpec:
@@ -204,7 +188,7 @@ def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
     w = 1.0 / sig
 
     def residual(theta):
-        return (y - spec.fn(np.exp(theta), x)) * w
+        return (y - spec.fn(x, *_columns(np.exp(theta)))) * w
 
     theta = np.log(guess)
     r = residual(theta)
@@ -296,6 +280,7 @@ def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
         if s[0] == 0.0:  # a flat model: no direction is identified
             unidentifiable = [names[k] for k in idx_free]
             cov[idx_free, idx_free] = np.inf
+            converged = False
         else:
             if s[-1] / s[0] < 1.0 / _COND_LIMIT:
                 bad = np.abs(vt[-1]) > 1.0 / math.sqrt(idx_free.size) * 0.5

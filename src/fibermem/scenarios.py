@@ -7,10 +7,10 @@ scenario id, the seed, and a digest of the fully resolved configuration
 in comment lines, followed by unit-suffixed column headers and rows
 printed with %.12g.  Identical scenario, configuration and seed give a
 byte-identical file; randomness enters only through the seeded photon
-counting attached to storage runs.  A sweep is one batched kernel call,
-one propagate_pulse over every fig3c dark time and one solve_he11 over
-every mode_scan diameter, and each row equals its own single-point
-call, so the output does not depend on the batching.
+counting attached to storage runs.  A sweep is one batched kernel call
+(group_delay over the fig3a powers, propagate_pulse over the fig3c dark
+times, solve_he11 over the mode_scan diameters), and each row equals its
+own single-point call, so the output does not depend on the batching.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ from .decoherence import (
     DecoherenceParams,
     MagneticScenario,
     half_larmor_period,
-    motional_dephasing_time,
     revival_envelope,
-    zeeman_dephasing_time,
 )
 from .eit import (
     ControlField,
@@ -86,8 +84,8 @@ def _scheme(cfg) -> LambdaScheme:
     )
 
 
-def _rabi(cfg, p_mW: float) -> float:
-    """Control Rabi frequency at p_mW."""
+def _rabi(cfg, p_mW):
+    """Control Rabi frequency at p_mW, a power or an array of powers."""
     return rabi_from_power(
         p_mW * 1e-3,
         waist_m=cfg["control.waist_um"] * 1e-6,
@@ -179,14 +177,8 @@ def _run_fig3a(cfg, seed):
     od = cfg["slowlight.od"]
     length_m = cfg["medium.length_mm"] * 1e-3
     p_mW = np.linspace(*_span(cfg, "slowlight.power_%s_mW"), cfg["slowlight.points"])
-    delay_ns = np.empty_like(p_mW)
-    slowdown = np.empty_like(p_mW)
-    transparency = np.empty_like(p_mW)
-    for i, p in enumerate(p_mW):
-        g = group_delay(od, scheme, _rabi(cfg, p), length_m)
-        delay_ns[i] = g.delay_s * 1e9
-        slowdown[i] = g.slowdown
-        transparency[i] = g.transparency
+    sweep = group_delay(od, scheme, _rabi(cfg, p_mW), length_m)
+    delay_ns = sweep.delay_s * 1e9
     anchor_p = cfg["calibration.anchor_delay_power_mW"]
     anchor = group_delay(od, scheme, _rabi(cfg, anchor_p), length_m)
     summary = {
@@ -198,8 +190,8 @@ def _run_fig3a(cfg, seed):
     cols = [
         ("control_power_mW", p_mW),
         ("delay_ns", delay_ns),
-        ("slowdown", slowdown),
-        ("transparency", transparency),
+        ("slowdown", sweep.slowdown),
+        ("transparency", sweep.transparency),
     ]
     return cols, summary
 
@@ -329,13 +321,10 @@ def _run_fig4a(cfg, seed):
     lo, hi = np.array(MODELS["decay_lifetime"].default_bounds).T
     guess = np.clip([params.effective_tau_D_s, params.effective_tau_T_s], lo, hi)
     res = fit("decay_lifetime", np.column_stack((t_us * 1e-6, curve)), guess)
-    tau2 = motional_dephasing_time(
-        params.wavelength_m, params.control_angle_rad, params.velocity_m_s
-    )
     summary = {
         "tau_transit_us": params.effective_tau_T_s * 1e6,
-        "tau_motional_us": tau2 * 1e6,
-        "tau_zeeman_us": zeeman_dephasing_time(params.zeeman_broadening_Hz) * 1e6,
+        "tau_motional_us": params.tau_motional_s * 1e6,
+        "tau_zeeman_us": params.tau_zeeman_s * 1e6,
         "tau_dephasing_us": params.effective_tau_D_s * 1e6,
         "fitted_tau_D_us": res.parameter("tau_D_s") * 1e6,
         "fitted_tau_T_us": res.parameter("tau_T_s") * 1e6,

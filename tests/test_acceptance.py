@@ -19,7 +19,6 @@ from fibermem.counting import CountingModel, analytic_snr
 from fibermem.decoherence import (
     DecoherenceParams,
     MagneticScenario,
-    motional_dephasing_time,
     revival_envelope,
 )
 from fibermem.ensemble import (
@@ -115,9 +114,7 @@ def test_03_atom_number_estimates():
 def test_04_decoherence_time_scales():
     params = DecoherenceParams()
     tau1 = params.effective_tau_T_s * 1e6
-    tau2 = motional_dephasing_time(
-        params.wavelength_m, params.control_angle_rad, params.velocity_m_s
-    ) * 1e6
+    tau2 = params.tau_motional_s * 1e6
     tau_d = params.effective_tau_D_s * 1e6
     ok = (
         abs(tau1 - 3.6) <= 0.02 * 3.6

@@ -3,61 +3,79 @@ import math
 import numpy as np
 import pytest
 
+from fibermem.constants import CS_MASS_KG, K_BOLTZMANN
 from fibermem.decoherence import (
     DecoherenceParams,
     MagneticScenario,
-    combined_dephasing,
     efficiency_decay,
     half_larmor_period,
-    motional_dephasing_time,
     revival_envelope,
-    thermal_velocity,
-    transit_time,
-    zeeman_dephasing_time,
 )
 
 V_200UK = 0.1118563739094983  # frozen sqrt(kT/m) for Cs at 200 uK
+TAU2_REF = 5.354392921254229e-06  # motional tau_2 at 200 uK, 852 nm, 13 deg
 
 
 def test_thermal_velocity():
-    assert thermal_velocity(200e-6) == pytest.approx(V_200UK, rel=1e-12)
-    assert thermal_velocity(200e-6) == pytest.approx(0.1119, abs=2e-4)
-    assert thermal_velocity(0.0) == 0.0
-    assert thermal_velocity(800e-6) == pytest.approx(2.0 * V_200UK, rel=1e-12)
+    assert DecoherenceParams().velocity_m_s == pytest.approx(V_200UK, rel=1e-12)
+    assert DecoherenceParams().velocity_m_s == pytest.approx(0.1119, abs=2e-4)
+    assert DecoherenceParams(temperature_K=800e-6).velocity_m_s == pytest.approx(
+        2.0 * V_200UK, rel=1e-12)
 
 
 def test_transit_time():
-    tau1 = transit_time(200e-9, V_200UK)
+    tau1 = DecoherenceParams().effective_tau_T_s
     assert tau1 == pytest.approx(3.576014365740439e-06, rel=1e-12)
     assert tau1 == pytest.approx(3.6e-6, rel=0.02)
-    assert transit_time(400e-9, V_200UK) == pytest.approx(2.0 * tau1, rel=1e-12)
-    assert transit_time(200e-9, 1e9) < 1e-15
+    assert DecoherenceParams(fiber_radius_m=400e-9).effective_tau_T_s == pytest.approx(
+        2.0 * tau1, rel=1e-12)
+    # v = 1e9 m/s at T = m v^2 / k
+    hot = DecoherenceParams(temperature_K=1e18 * CS_MASS_KG / K_BOLTZMANN)
+    assert hot.effective_tau_T_s < 1e-15
 
 
 def test_motional_dephasing_time():
-    tau2 = motional_dephasing_time(852e-9, math.radians(13.0), V_200UK)
-    assert tau2 == pytest.approx(5.354392921254229e-06, rel=1e-12)
+    tau2 = DecoherenceParams().tau_motional_s
+    assert tau2 == pytest.approx(TAU2_REF, rel=1e-12)
     assert tau2 == pytest.approx(5.35e-6, rel=0.02)
-    assert motional_dephasing_time(852e-9, 0.0, V_200UK) == math.inf
-    assert motional_dephasing_time(
-        852e-9, math.radians(13.0), 0.5 * V_200UK
-    ) == pytest.approx(2.0 * tau2, rel=1e-12)
+    assert DecoherenceParams(control_angle_rad=0.0).tau_motional_s == math.inf
+    # half the speed at a quarter of the temperature
+    cold = DecoherenceParams(temperature_K=50e-6)
+    assert cold.tau_motional_s == pytest.approx(2.0 * tau2, rel=1e-12)
 
 
 def test_zeeman_dephasing_time():
-    assert zeeman_dephasing_time(1e5) == pytest.approx(10e-6, rel=1e-12)
-    assert zeeman_dephasing_time(2e5) == pytest.approx(5e-6, rel=1e-12)
-    assert zeeman_dephasing_time(0.0) == math.inf
+    assert DecoherenceParams().tau_zeeman_s == pytest.approx(10e-6, rel=1e-12)
+    assert DecoherenceParams(zeeman_broadening_Hz=2e5).tau_zeeman_s == pytest.approx(
+        5e-6, rel=1e-12)
+    assert DecoherenceParams(zeeman_broadening_Hz=0.0).tau_zeeman_s == math.inf
 
 
 def test_combined_dephasing():
-    tau_d = combined_dephasing(5.354392921254229e-06, 10e-6)
+    tau_d = DecoherenceParams().effective_tau_D_s
     assert tau_d == pytest.approx(4.720330326521722e-06, rel=1e-12)
     assert tau_d == pytest.approx(4.72e-6, rel=0.02)
-    assert combined_dephasing(5e-6, math.inf) == pytest.approx(5e-6)
-    assert combined_dephasing(3e-6, 3e-6) == pytest.approx(3e-6 / math.sqrt(2.0))
-    assert combined_dephasing(math.inf, math.inf) == math.inf
-    assert tau_d <= min(5.354392921254229e-06, 10e-6)
+    # tau_3 = 5 us with no motional dephasing
+    assert DecoherenceParams(control_angle_rad=0.0, zeeman_broadening_Hz=2e5
+                             ).effective_tau_D_s == pytest.approx(5e-6)
+    # tau_2 = tau_3 = 1/broadening
+    equal = DecoherenceParams(zeeman_broadening_Hz=1.0 / TAU2_REF)
+    assert equal.effective_tau_D_s == pytest.approx(TAU2_REF / math.sqrt(2.0))
+    assert DecoherenceParams(control_angle_rad=0.0, zeeman_broadening_Hz=0.0
+                             ).effective_tau_D_s == math.inf
+    assert tau_d <= min(TAU2_REF, 10e-6)
+
+
+def test_dephasing_rate_underflow_is_infinite_lifetime():
+    # tau_3 = 1e197 s squares to a rate of 1e-394 s^-2, which underflows to 0
+    params = DecoherenceParams(control_angle_rad=0.0, zeeman_broadening_Hz=1e-197)
+    assert params.effective_tau_D_s == math.inf
+
+
+def test_zero_thermal_velocity_refused():
+    # k T underflows to 0 at a positive, subnormal-scale temperature
+    with pytest.raises(ValueError, match="thermal velocity"):
+        DecoherenceParams(temperature_K=1e-317)
 
 
 def test_efficiency_decay_values():

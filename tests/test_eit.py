@@ -156,6 +156,36 @@ class TestGroupDelay:
         assert not gd.window_open
         assert gd.delay_s < 0.0
 
+    def test_batch_equals_scalar_calls(self):
+        # seeded powers from 1 nW to 3 mW; below about 35 uW the window is closed
+        sch = default_scheme()
+        powers = 10.0 ** np.random.default_rng(11).uniform(-9.0, -2.5, 400)
+        rabi = eit.rabi_from_power(powers)
+        assert np.array_equal(rabi, [eit.rabi_from_power(p) for p in powers.tolist()])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = eit.group_delay(3.0, sch, rabi, length_m=4e-3)
+        assert len(caught) == 1
+        assert 0 < np.count_nonzero(batch.window_open) < powers.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            singles = [eit.group_delay(3.0, sch, om, length_m=4e-3) for om in rabi.tolist()]
+        for name in ("delay_s", "slowdown", "transparency", "window_open"):
+            assert np.array_equal(getattr(batch, name), [getattr(g, name) for g in singles])
+        # and each equals the Python-float formula: libm's pow and exp
+        half_g, gam = 0.5 * sch.gamma_ge_rad_per_s, sch.gamma_gs_rad_per_s
+        for om, g in zip(rabi.tolist(), singles):
+            d0 = half_g * gam + 0.25 * om**2
+            assert g.delay_s == 0.5 * 3.0 * (half_g * (0.25 * om**2 - gam**2) / d0**2)
+            assert g.transparency == math.exp(-3.0 * half_g * gam / d0)
+
+    def test_scalar_input_returns_python_scalars(self):
+        om = eit.rabi_from_power(1e-3)
+        gd = eit.group_delay(3.0, default_scheme(), om)
+        assert type(om) is float
+        assert [type(v) for v in (gd.delay_s, gd.slowdown, gd.transparency)] == [float] * 3
+        assert type(gd.window_open) is bool
+
     def test_delay_falls_with_power(self):
         sch = default_scheme()
         d1 = eit.group_delay(3.0, sch, eit.rabi_from_power(0.5e-3)).delay_s

@@ -249,12 +249,13 @@ class TestFitContract:
         # precision: the normal matrix is all zero, so nothing is fixed
         data = tmp_path / "flat.csv"
         data.write_text("detuning_MHz,transmission\n1e6,1\n2e6,1\n3e6,1\n4e6,1\n")
-        assert cli.entry(["fit", "lorentzian_od", "--data", str(data)]) == 0
+        assert cli.entry(["fit", "lorentzian_od", "--data", str(data)]) == 4
         out = capsys.readouterr().out
+        assert "converged: False" in out
         assert "od = 2 +/- inf dimensionless UNIDENTIFIABLE" in out
         assert "+/- inf rad/s UNIDENTIFIABLE" in out
         res = fitkit.fit("lorentzian_od", [(2e12 * math.pi * k, 1.0) for k in (1, 2, 3, 4)])
-        assert res.unidentifiable == res.param_names
+        assert res.unidentifiable == res.param_names and not res.converged
         assert np.array_equal(np.diag(res.covariance), [np.inf, np.inf])
         assert not np.isnan(res.covariance).any()
 
@@ -307,10 +308,10 @@ class TestBatchedModel:
         rows = np.exp(np.random.default_rng(7).uniform(lo, hi, (64, lo.size)))
         rows[0] = spec.default_guess  # the first Jacobian's unstepped values
         x = GRIDS[model_id]
-        block = spec.fn(rows, x)
+        block = spec.fn(x, *fitkit._columns(rows))
         assert block.shape == (64, x.size)
         for curve, p in zip(block, rows):
-            assert np.array_equal(curve, spec.fn(p, x))
+            assert np.array_equal(curve, spec.fn(x, *fitkit._columns(p)))
             assert np.array_equal(curve, public_curve(model_id, p, x))
 
     @pytest.mark.parametrize("frozen_first", [False, True])
@@ -319,10 +320,10 @@ class TestBatchedModel:
         spec = fitkit.MODELS[model_id]
         blocks = []
 
-        def fn(p, x):
-            if p.ndim == 2:
-                blocks.append(p.shape)
-            return spec.fn(p, x)
+        def fn(x, *params):
+            if np.ndim(params[0]) == 2:
+                blocks.append((len(params[0]), len(params)))
+            return spec.fn(x, *params)
 
         monkeypatch.setitem(fitkit.MODELS, model_id, dataclasses.replace(spec, fn=fn))
         names = spec.param_names

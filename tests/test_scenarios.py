@@ -724,6 +724,17 @@ class TestCli:
         assert not out.exists()
         assert calls == []
 
+    @pytest.mark.parametrize("sim", ["fig4a", "fig4b"])
+    def test_dephasing_rate_underflow_runs(self, tmp_path, capsys, sim):
+        # no motional dephasing and 1e-197 Hz of Zeeman spread: the squared
+        # rate underflows to 0, an infinite tau_D
+        out = tmp_path / "decay.csv"
+        assert entry(["sim", sim, "--out", str(out), "--set", "control.angle_deg=0",
+                      "--set", "decoherence.zeeman_kHz=1e-200"]) == 0
+        assert np.isfinite(read_csv(out)[2]).all()
+        if sim == "fig4a":
+            assert re.search(r"tau_dephasing_us +inf\n", capsys.readouterr().out)
+
     def test_exit_code_3_on_solver_failure(self, tmp_path, capsys, monkeypatch):
         rc = entry([
             "sim", "mode_scan",
