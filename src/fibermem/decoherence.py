@@ -59,7 +59,11 @@ def half_larmor_period(b_field_T: float) -> float:
     """Half of the Larmor precession period, 1/(2 g_F mu_B B / h)."""
     if b_field_T <= 0.0:
         raise ValueError("b_field_T must be positive")
-    return 1.0 / (2.0 * CS_GF_GROUND * MU_BOHR * b_field_T / H_PLANCK)
+    freq = 2.0 * CS_GF_GROUND * MU_BOHR * b_field_T / H_PLANCK
+    if freq == 0.0:
+        raise ValueError("b_field_T = %r T underflows the Larmor frequency to 0"
+                         % b_field_T)
+    return 1.0 / freq
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,13 @@ class DecoherenceParams:
             raise ValueError("control_angle_rad must lie in [0, pi)")
         if self.velocity_m_s == 0.0:  # k T underflowed
             raise ValueError("temperature_K underflows the thermal velocity to 0")
+        try:  # a zero tau_2 or tau_3 has no rate; a tiny one's rate overflows
+            tau_D = self.effective_tau_D_s
+        except (OverflowError, ZeroDivisionError):
+            tau_D = 0.0
+        if tau_D == 0.0:
+            raise ValueError("the dephasing time tau_D is 0 (tau_2 = %r s, tau_3 = %r s)"
+                             % (self.tau_motional_s, self.tau_zeeman_s))
 
     @property
     def velocity_m_s(self) -> float:

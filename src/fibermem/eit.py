@@ -108,7 +108,7 @@ def rabi_from_power(
         raise ValueError(f"power_W must be finite and >= 0, got {power_W!r}")
     if not 0.0 < waist_m < math.inf:
         raise ValueError(f"waist_m must be finite and > 0, got {waist_m!r}")
-    intensity = 2.0 * power / (math.pi * waist_m**2)
+    intensity = 2.0 * power / (math.pi * (waist_m * waist_m))
     return scalar_or_array(calibration * gamma_rad_per_s * np.sqrt(
         intensity / (2.0 * CS_D2_ISAT_W_M2)
     ))
@@ -250,9 +250,7 @@ def driven_chi(delta, gamma_ge, gamma_gs, omega_c):
     columns that broadcast against delta."""
     half_g = 0.5 * gamma_ge
     gs = gamma_gs - 1j * delta
-    # float_power is libm's pow, as Python's ** on a float; an array's ** 2
-    # squares instead, which rounds differently in about 1 case in 1,000
-    denom = (half_g - 1j * delta) * gs + 0.25 * np.float_power(omega_c, 2)
+    denom = (half_g - 1j * delta) * gs + 0.25 * omega_c * omega_c
     return 1j * half_g * gs / denom
 
 
@@ -280,11 +278,6 @@ class GroupDelayResult:  # floats, or arrays shaped as group_delay's Rabi freque
     window_open: object
 
 
-# Python's math.exp, one element at a time: NumPy's SIMD exp differs from
-# libm's in the last bit for about 1 argument in 20
-_libm_exp = np.frompyfunc(math.exp, 1, 1)
-
-
 def group_delay(
     od: float,
     scheme: LambdaScheme,
@@ -305,13 +298,12 @@ def group_delay(
         raise ValueError("omega_c_rad_per_s must be positive")
     half_g = 0.5 * scheme.gamma_ge_rad_per_s
     gam = scheme.gamma_gs_rad_per_s
-    # float_power squares with libm's pow, as Python's ** on a float
-    quarter_om2 = 0.25 * np.float_power(omega, 2)
+    quarter_om2 = 0.25 * omega * omega
     d0 = half_g * gam + quarter_om2
-    dchi = half_g * (quarter_om2 - gam**2) / np.float_power(d0, 2)
+    dchi = half_g * (quarter_om2 - gam * gam) / (d0 * d0)
     delay = 0.5 * od * dchi
-    transparency = np.asarray(_libm_exp(-od * half_g * gam / d0), dtype=float)
-    window_open = quarter_om2 > gam**2
+    transparency = np.exp(-od * half_g * gam / d0)
+    window_open = quarter_om2 > gam * gam
     if not np.all(window_open):
         warnings.warn(
             "transparency window closed: gamma_gs >= Omega_c/2", stacklevel=2
@@ -631,7 +623,7 @@ def calibrate_control(
     def delay_of(gam: float) -> float:
         om2_low = 4.0 * c1 * half_g * gam * ratio
         d0 = half_g * gam + 0.25 * om2_low
-        return 0.5 * od * half_g * (0.25 * om2_low - gam**2) / d0**2
+        return 0.5 * od * half_g * (0.25 * om2_low - gam * gam) / (d0 * d0)
 
     lo, hi = 1.0, half_g
     if not delay_of(lo) > delay_s > delay_of(hi):

@@ -72,6 +72,20 @@ def test_dephasing_rate_underflow_is_infinite_lifetime():
     assert params.effective_tau_D_s == math.inf
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"zeeman_broadening_Hz": 1e200},  # tau_3 = 1e-200 s: its rate overflows
+    {"wavelength_m": 1e-309},  # the grating wavevector overflows: tau_2 = 0
+])
+def test_zero_dephasing_time_refused(kwargs):
+    with pytest.raises(ValueError, match="tau_D is 0"):
+        DecoherenceParams(**kwargs)
+
+
+def test_larmor_frequency_underflow_refused():
+    with pytest.raises(ValueError, match="underflows the Larmor frequency"):
+        half_larmor_period(1e-304)
+
+
 def test_zero_thermal_velocity_refused():
     # k T underflows to 0 at a positive, subnormal-scale temperature
     with pytest.raises(ValueError, match="thermal velocity"):

@@ -735,6 +735,28 @@ class TestCli:
         if sim == "fig4a":
             assert re.search(r"tau_dephasing_us +inf\n", capsys.readouterr().out)
 
+    @pytest.mark.parametrize("sim, item", [
+        *[(sim, item) for sim in ("fig4a", "fig4b", "fig4c")
+          for item in ("decoherence.zeeman_kHz=1e197", "fiber.wavelength_nm=1e-300")],
+        ("fig4b", "magnetic.b_field_G=1e-300"),
+        ("fig4c", "magnetic.b_field_alt_G=1e-300"),
+        ("fig2", "control.waist_um=1e300"),
+        ("fig3a", "control.waist_um=1e300"),
+        # overflows on the way to its exit 3, and warns that the window is closed
+        pytest.param("fig3a", "scheme.gamma_gs_rad_per_s=1e300",
+                     marks=[pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+                            pytest.mark.filterwarnings("ignore::UserWarning")]),
+    ])
+    def test_extreme_input_ends_without_traceback(self, tmp_path, sim, item):
+        # each of these once ended in an OverflowError or ZeroDivisionError
+        out = tmp_path / "x.csv"
+        rc = entry(["sim", sim, "--out", str(out), "--set", item])
+        assert rc in (0, 2, 3)
+        if rc == 0:
+            assert np.isfinite(read_csv(out)[2]).all()
+        else:
+            assert not out.exists()
+
     def test_exit_code_3_on_solver_failure(self, tmp_path, capsys, monkeypatch):
         rc = entry([
             "sim", "mode_scan",
