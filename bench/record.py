@@ -13,8 +13,10 @@ times; the record keeps the minimum over all rounds.  The timed calls
 are `fibermem sim` of the default fig3b, custom, fig3c and mode_scan
 scenarios through fibermem.cli.entry (CSV write included; fig3b writes
 2,801 rows), `fibermem fit` of each model in FITS on the curve of a
-default scenario, one propagate_pulse at each storage grid in GRIDS and
-one solve_he11.  The scenarios and the fits go through the command line
+default scenario, one propagate_pulse at each storage grid in GRIDS,
+one batched propagate_pulse of a row per dark time in SWEEP_DARKS_NS
+(the fig3c sweep path) and one solve_he11.  The scenarios and the fits
+go through the command line
 because its arguments stay the same when the library calls change, so
 both sides run the same script.  cold_start_s times what every command line run
 pays and warm timings cannot show: a fresh interpreter's
@@ -54,6 +56,9 @@ FITS = (("saturation", "fig1b", "power_nW", "transmission"),
         ("eit_spectrum", "fig2", "detuning_MHz", "transmission_1mW"))
 # (n_z, dt in ns) of the single propagate_pulse timings, all at 800 ns
 GRIDS = tuple((nz, dt) for nz in (50, 200, 400) for dt in (0.25, 0.5))
+# dark times in ns of the batched propagate_pulse timing, one row each, at
+# the default grid cut to 800 ns
+SWEEP_DARKS_NS = (20.0, 60.0, 120.0)
 WORKLOADS = ("kernels", "analysis")
 COLD_SCENARIOS = ("mode_scan", "fig3b")
 COLD_ROUNDS = 7
@@ -112,6 +117,14 @@ def worker() -> dict:
             out["kernel_s"]["propagate_pulse_nz%d_dt%g" % (nz, dt)] = _best(
                 lambda: eit.propagate_pulse(probe, control, cfg["storage.od"],
                                             scheme, grid))
+        cfg = dict(DEFAULTS)
+        apply_overrides(cfg, ["storage.t_stop_ns=800"])
+        probe, grid, scheme = scenarios._storage_inputs(cfg)
+        controls = [scenarios._storage_control(cfg, d) for d in SWEEP_DARKS_NS]
+        out["kernel_s"]["propagate_pulse_rows%d_nz%d_dt%g" % (
+            len(controls), grid.n_z, cfg["storage.dt_ns"])] = _best(
+            lambda: eit.propagate_pulse(probe, controls, cfg["storage.od"],
+                                        scheme, grid))
         fiber = waveguide.FiberSpec(radius_m=200e-9, wavelength_m=852e-9)
         out["kernel_s"]["solve_he11"] = _best(lambda: waveguide.solve_he11(fiber))
     return out
@@ -225,7 +238,9 @@ def record(args) -> dict:
                      " default scenario's CSV named in FITS",
             "kernel_s": "propagate_pulse at the default storage inputs with"
                         " storage.t_stop_ns=800 and the named n_z and dt_ns;"
-                        " solve_he11 for a 200 nm radius fiber at 852 nm",
+                        " propagate_pulse_rows3_* steps one row per dark time"
+                        " in %s ns together, as fig3c does; solve_he11 for a"
+                        " 200 nm radius fiber at 852 nm" % (SWEEP_DARKS_NS,),
             "cold_start_s": "one fresh python3 -c per call: import fibermem.cli"
                             " and fibermem.cli.entry(['sim', id, '--out', <temp"
                             " csv>]) at the default configuration, timed in the"

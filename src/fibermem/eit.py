@@ -22,14 +22,15 @@ detunings equal, the control staying on its resonance.
 The system is linear and the slices couple only through E, so an RK4
 step with E frozen is one affine map of (P, S, E), the same on every
 slice: its coefficients are computed once per run, before time stepping.
-Each slice carries (P, S, f P), f = 0.5 dz i od Gamma/4 the trapezoid
-weight, so the one matrix product that steps (P, S) also yields the
-terms of the field sweep, and the field along zeta is one running sum
-seeded with the input field.  propagate_pulse also takes rows of
+Each slice carries (f P, P, S, W), f = 0.5 dz i od Gamma/4 the
+trapezoid weight and W the field the atoms see, so a time step is two
+matrix products, a 1x3 predictor row and a 3x3 corrector of (P, S, W),
+each followed by a field sweep along zeta: one running sum of the f P
+pairs seeded with the input field.  propagate_pulse also takes rows of
 operating points (a control and an od per row, one probe and grid) that
 do not couple to each other: their states are stacked and advanced by
-one batched 3x2 map per time step, at most MAX_BATCH_ROWS rows at a
-time, so a sweep is one call.
+the same two batched products per time step, at most MAX_BATCH_ROWS
+rows at a time, so a sweep is one call.
 """
 
 from __future__ import annotations
@@ -342,17 +343,18 @@ def propagate_pulse(
     of dE/dzeta = i (od Gamma/4) P, then the atomic step is corrected
     with the time-averaged field; the RK4 coefficients of (P, S, E) are
     computed once per run, from one step before the input field's first
-    nonzero sample (state and output are zero until then).  The state is
-    (P, S, f P) with f the trapezoid weight, and each field sweep is one
-    running sum seeded with the input field.  Retrieval starts where the
-    control first rises after a dark interval.  Deterministic for
-    identical inputs.
+    nonzero sample (state and output are zero until then), as a 1x3
+    predictor row and a 3x3 corrector per step.  The state is
+    (f P, P, S, W), with f the trapezoid weight and W the field the atoms
+    see, and each field sweep is one running sum seeded with the input
+    field.  Retrieval starts where the control first rises after a dark
+    interval.  Deterministic for identical inputs.
 
     control may be a sequence of ControlFields and od a sequence of
     optical depths: each pair is one row, and a single value on either
     side is repeated to match the other.  The rows share the probe, the
     scheme and the grid and are stepped together as one stacked
-    (P, S, f P) state, MAX_BATCH_ROWS at a time.  A single control with
+    (f P, P, S, W) state, MAX_BATCH_ROWS at a time.  A single control with
     a scalar od returns one PropagationResult; any sequence returns a
     list, one result per row, each equal to its own single-row call.
     """
@@ -434,12 +436,12 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
         ds = -gamma_gs * s + 0.5j * rabi * p
         return dp, ds
 
-    def rk4_step(p, s, e, r0, rm, r1):
-        # k1 + 2 k2 + 2 k3 + k4 summed in that order, and each stage's
-        # input built in the previous slope's buffer, so that few
-        # (steps, rows) arrays are held at once
+    def rk4_step(p, s, e, r0, rm, r1, sum_p, sum_s):
+        # k1 + 2 k2 + 2 k3 + k4 summed in that order into sum_p and sum_s,
+        # and each stage's input built in the previous slope's buffer, so
+        # that few (steps, rows) arrays are held at once
         kp, ks = atom_rhs(p, s, e, r0)
-        sum_p, sum_s = kp.copy(), ks.copy()
+        sum_p[...], sum_s[...] = kp, ks
         for weight, half, rabi in ((2.0, 0.5, rm), (2.0, 0.5, rm), (1.0, 1.0, r1)):
             kp *= half * dt
             kp += p
@@ -452,23 +454,22 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
         sum_p += p
         sum_s *= dt / 6.0
         sum_s += s
-        return sum_p, sum_s
 
-    # the state of row r is (P, S, f P) with f = 0.5 dz i kappa, the weight
-    # of the trapezoid of dE/dzeta = i kappa P.  Step n of row r applied to
-    # each unit input (P, S, E): atoms[n, r] maps (P, S) to (P, S, f P),
-    # lead[n, r] is the f P response to E and drive[n, r] half of the
-    # (P, S, f P) response, so it takes the sum of the two step-end fields
+    # the state of row r is (f P, P, S, W): f = 0.5 dz i kappa weighs the
+    # trapezoid of dE/dzeta = i kappa P, and W is the field e_z at the start
+    # of a step and e_z + e_pred, e_pred the predicted step-end field, at
+    # its corrector.  From step n's RK4 response to each unit input (P, S, E),
+    # pred[n, r] maps (P, S, W) to the predicted f P and corr[n, r] to the
+    # new (f P, P, S); corr's W column is half the E response
     rates = (rabi_t[:, start:-1].T, rabi_mid.T, rabi_t[:, start + 1:].T)
     f = (0.5j / nz) * kappa
-    atoms = np.empty((nt - 1 - start, len(ods), 3, 2), dtype=complex)
-    drive = np.empty((nt - 1 - start, len(ods), 3, 1), dtype=complex)
-    for column, unit in zip((atoms[..., 0], atoms[..., 1], drive[..., 0]),
-                            np.eye(3, dtype=complex)):
-        column[..., 0], column[..., 1] = rk4_step(*unit, *rates)
-        np.multiply(f, column[..., 0], out=column[..., 2])
-    lead = drive[:, :, 2].copy()
-    drive *= 0.5
+    pred = np.empty((nt - 1 - start, len(ods), 1, 3), dtype=complex)
+    corr = np.empty((nt - 1 - start, len(ods), 3, 3), dtype=complex)
+    for j, unit in enumerate(np.eye(3, dtype=complex)):
+        rk4_step(*unit, *rates, corr[..., 1, j], corr[..., 2, j])
+        np.multiply(f, corr[..., 1, j], out=pred[..., 0, j])
+    corr[..., 0, :] = pred[..., 0, :]
+    corr[..., 2] *= 0.5
 
     # the field along zeta is one running sum: buf[:, 0] holds the input
     # field e0, buf[:, 1:] the pairwise sums f (P[j] + P[j+1])
@@ -486,37 +487,41 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
             else:
                 snap_at.setdefault(int(dark[0]), []).append(r)
 
-    state = np.zeros((len(ods), 3, nz + 1), dtype=complex)
-    free = np.empty_like(state)
-    e_z = np.empty((len(ods), nz + 1), dtype=complex)
-    e_sum = np.empty_like(e_z)
-    fp_pred = np.empty_like(e_z)
-    p_s, free_fp, e_out = state[:, :2], free[:, 2], e_z[:, -1]
-    pairs, fp_hi, fp_lo = buf[:, 1:], state[:, 2, 1:], state[:, 2, :-1]
-    pred_hi, pred_lo = fp_pred[:, 1:], fp_pred[:, :-1]
-    buf[:, 0] = e_in[start]
-    np.add(fp_hi, fp_lo, out=pairs)
-    np.add.accumulate(buf, axis=1, out=e_z)
+    # a step reads one state buffer and writes the other: a slot per state
+    # row, each row's slices contiguous.  The views into them are made
+    # here, and a step's matrices and output slot come from iterating the
+    # step arrays, so the loop body is nine NumPy calls that build no view
+    states = np.zeros((2, 4, len(ods), nz + 1), dtype=complex)
+    states[0, 3] = e_in[start]
+    old, new = [(s, s[1:].transpose(1, 0, 2), s[:3].transpose(1, 0, 2), s[0, :, 1:],
+                 s[0, :, :-1], s[3], s[3, :, -1]) for s in states]
+    e_pred = np.empty((len(ods), nz + 1), dtype=complex)
+    fp_pred = np.empty((len(ods), 1, nz + 1), dtype=complex)
+    seed, pairs = buf[:, 0], buf[:, 1:]
+    pred_hi, pred_lo = fp_pred[:, 0, 1:], fp_pred[:, 0, :-1]
     out_e = np.zeros((len(ods), nt), dtype=complex)
-    out_e[:, start] = e_out
-    for n, (a, ld, d, e0) in enumerate(zip(atoms, lead, drive, e_in[start + 1:]), start):
-        # the atoms' step with E frozen at e_z predicts the step-end field
-        np.matmul(a, p_s, out=free)
-        np.multiply(ld, e_z, out=fp_pred)
-        fp_pred += free_fp
-        buf[:, 0] = e0
-        np.add(pred_hi, pred_lo, out=pairs)
-        np.add.accumulate(buf, axis=1, out=e_sum)
+    out_e[:, start] = e_in[start]
+    steps = zip(pred, corr, e_in[start + 1:].tolist(), out_e.T[start + 1:])
+    add, matmul, accumulate = np.add, np.matmul, np.add.accumulate
+    for n, (pr, co, e0, out_n) in enumerate(steps, start):
+        psw, w = old[1], old[5]
+        state, _, fps, fp_hi, fp_lo, w_new, e_out = new
+        # the atoms' step with E frozen at W predicts the step-end field
+        matmul(pr, psw, fp_pred)
+        seed[...] = e0
+        add(pred_hi, pred_lo, pairs)
+        accumulate(buf, 1, None, e_pred)
         # the corrected step takes the sum of both step-end fields
-        e_sum += e_z
-        np.multiply(d, e_sum[:, None], out=state)
-        state += free
-        np.add(fp_hi, fp_lo, out=pairs)
-        np.add.accumulate(buf, axis=1, out=e_z)
-        out_e[:, n + 1] = e_out
+        add(w, e_pred, w)
+        matmul(co, psw, fps)
+        add(fp_hi, fp_lo, pairs)
+        accumulate(buf, 1, None, w_new)
+        out_n[...] = e_out
+        old, new = new, old
         if n in snap_at:
             for r in snap_at[n]:
-                spinwave[r] = state[r, 1].copy()
+                spinwave[r] = state[2, r].copy()
+    del steps, pred, corr  # freed before the results are built
     out_flux = np.abs(out_e) ** 2
 
     in_flux = np.abs(e_in) ** 2
@@ -530,7 +535,7 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
         )
         results.append(_row_result(
             t, in_flux, out_flux[r], rabi_t[r],
-            state[r, 1] if spinwave[r] is None else spinwave[r],
+            old[0][2, r] if spinwave[r] is None else spinwave[r],
             z_grid, readout_start_s, fp,
         ))
     return results

@@ -215,6 +215,10 @@ def _storage_control(cfg, dark_ns: float) -> ControlField:
                         off_s + dark_ns * 1e-9, cfg["storage.ramp_ns"] * 1e-9)
 
 
+# most samples a storage time grid may hold (the default grid has 2,801):
+# propagate_pulse keeps two step matrices for each
+MAX_TIME_SAMPLES = 20_000
+
 # the config key behind each rule of eit.grid_limit
 _GRID_RULE_KEYS = {"fwhm": "probe.fwhm_ns", "gamma": "scheme.gamma_MHz",
                    "rabi": "control.power_mW",
@@ -222,6 +226,10 @@ _GRID_RULE_KEYS = {"fwhm": "probe.fwhm_ns", "gamma": "scheme.gamma_MHz",
 
 
 def _storage_inputs(cfg):
+    # the sample count, refused before grid.times() allocates the samples
+    if not cfg["storage.t_stop_ns"] / cfg["storage.dt_ns"] < MAX_TIME_SAMPLES - 0.5:
+        raise ValueError("'storage.t_stop_ns' / 'storage.dt_ns' exceeds the limit of"
+                         " %d time samples" % MAX_TIME_SAMPLES)
     probe = ProbePulse(
         mean_photon_number=cfg["probe.photons"],
         fwhm_s=cfg["probe.fwhm_ns"] * 1e-9,

@@ -461,6 +461,39 @@ class TestPropagation:
         assert eit.refinement_delta(probe, ctrl, od, sch, grid) < 0.01
 
 
+def transfer_function_error(od, dt, nz):
+    """Largest |output intensity - transfer-function oracle|, over the peak.
+
+    Under a constant control the medium is linear and time-invariant in
+    the co-moving frame, so the output field is the inverse FFT of
+    E_in(omega) exp(i od chi/2), chi taken at -omega for NumPy's FFT sign;
+    the input is zero-padded 4x so that nothing wraps around.
+    """
+    sch = default_scheme()
+    probe = eit.ProbePulse(mean_photon_number=1.0, fwhm_s=100e-9,
+                           shape="gaussian", peak_time_s=600e-9)
+    ctrl = eit.ControlField(eit.rabi_from_power(2.0e-3))
+    r = eit.propagate_pulse(probe, ctrl, od, sch, eit.PropagationGrid(2e-6, dt, nz))
+    n = r.t_grid_s.size
+    e_in = np.sqrt(r.input_intensity)  # an undetuned Gaussian is real, >= 0
+    omega = 2.0 * math.pi * np.fft.fftfreq(4 * n, dt)
+    chi = eit.susceptibility(-omega, sch, ctrl.rabi_rad_per_s)
+    e_out = np.fft.ifft(np.fft.fft(e_in, 4 * n) * np.exp(0.5j * od * chi))[:n]
+    oracle = np.abs(e_out) ** 2
+    return np.max(np.abs(r.output_intensity - oracle)) / np.max(oracle)
+
+
+@pytest.mark.parametrize("od, bound", [(3.0, 3e-5), (10.0, 2.5e-4)])
+def test_constant_control_matches_transfer_function(od, bound):
+    # the stepper against an answer that shares none of its code: under
+    # the bound at the default step and slices, and second order, so that
+    # halving dt and dz divides the error by 4
+    coarse = transfer_function_error(od, 0.5e-9, 80)
+    fine = transfer_function_error(od, 0.25e-9, 160)
+    assert coarse < bound
+    assert coarse / fine == pytest.approx(4.0, rel=0.1)
+
+
 def short_rows(darks_ns, powers_mW=(2.0,), t_stop_ns=700):
     """Probe, one control per (dark, power) pair, scheme and a short grid."""
     controls = []

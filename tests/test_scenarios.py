@@ -22,7 +22,7 @@ from fibermem.config import (
     render_config,
     set_key,
 )
-from fibermem.eit import propagate_pulse
+from fibermem.eit import PropagationGrid, propagate_pulse
 from fibermem.scenarios import list_scenarios, run_scenario
 
 MHZ = 2.0 * math.pi * 1e6
@@ -723,6 +723,36 @@ class TestCli:
             assert entry(["sim", "fig3b", "--out", str(out), "--set", bad]) == 2
         assert not out.exists()
         assert calls == []
+
+    def test_storage_grid_capped_before_allocation(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        times = PropagationGrid.times
+
+        def counted(grid):
+            calls.append(1)
+            return times(grid)
+
+        monkeypatch.setattr(PropagationGrid, "times", counted)
+        out = tmp_path / "grid.csv"
+        for sim in ("fig3b", "custom", "fig3c"):
+            # 1e-300 ns ended in NumPy's "Maximum allowed size exceeded";
+            # 0.05 ns asks for 28,001 samples
+            for bad in ("storage.dt_ns=1e-300", "storage.dt_ns=5e-324",
+                        "storage.t_stop_ns=1e300", "storage.dt_ns=0.05"):
+                assert entry(["sim", sim, "--out", str(out), "--set", bad]) == 2
+                err = capsys.readouterr().err
+                assert "'storage.t_stop_ns'" in err and "'storage.dt_ns'" in err
+        assert calls == [] and not out.exists()
+        # the largest grid allowed has the cap's count of samples
+        cfg = dict(DEFAULTS)
+        last = (scenarios.MAX_TIME_SAMPLES - 1) * cfg["storage.dt_ns"]
+        cfg["storage.t_stop_ns"] = last
+        assert scenarios._storage_inputs(cfg)[1].times().size == (
+            scenarios.MAX_TIME_SAMPLES)
+        cfg["storage.t_stop_ns"] = last + cfg["storage.dt_ns"]
+        with pytest.raises(ValueError, match="limit of %d time samples"
+                           % scenarios.MAX_TIME_SAMPLES):
+            scenarios._storage_inputs(cfg)
 
     @pytest.mark.parametrize("sim", ["fig4a", "fig4b"])
     def test_dephasing_rate_underflow_runs(self, tmp_path, capsys, sim):
