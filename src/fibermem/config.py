@@ -24,7 +24,7 @@ from .eit import GAMMA_GS_CALIBRATED_RAD_PER_S, MIN_SLICES, PROBE_SHAPES
 from .eit import RABI_CALIBRATION
 
 # a domain: a float rule named in _HOLDS, (lo, hi) an inclusive int
-# range with hi None for no top, a tuple of string choices, or [rule]:
+# range, a tuple of string choices, or [rule]:
 # a nonempty comma list of floats, each held to rule, distinct under %g
 FINITE, GT0, GE0 = "finite", "positive", "nonnegative"
 GT1, HALF_TURN = "greater than 1", "at least 0 and below 180"
@@ -35,7 +35,8 @@ _HOLDS = {
     GT1: lambda v: v > 1.0,  # a core index above the vacuum cladding's
     HALF_TURN: lambda v: 0.0 <= v < 180.0,  # an angle in degrees
 }
-# most samples accepted on one axis: a points key or a fig3c/mode_scan sweep
+# most samples accepted on one axis: a points key, a fig3c/mode_scan sweep
+# or the medium slices of a storage run
 MAX_POINTS = 10_000
 
 _KEYS = {  # key: (default, domain, doc)
@@ -87,7 +88,7 @@ _KEYS = {  # key: (default, domain, doc)
     "storage.ramp_ns": (10.0, GT0, "control ramp duration, ns"),
     "storage.t_stop_ns": (1400.0, GT0, "end of the simulated span, ns"),
     "storage.dt_ns": (0.5, GT0, "time step, ns"),
-    "storage.n_z": (80, (MIN_SLICES, None), "number of medium slices, dimensionless"),
+    "storage.n_z": (80, (MIN_SLICES, MAX_POINTS), "number of medium slices, dimensionless"),
     "storage.dark_min_ns": (20.0, GE0, "shortest dark interval, ns"),
     "storage.dark_max_ns": (200.0, GE0, "longest dark interval, ns"),
     "storage.dark_step_ns": (20.0, GT0, "dark interval step, ns"),
@@ -114,7 +115,7 @@ def domain_text(key: str) -> str:
         return "comma list, each %s, distinct to 6 significant digits" % domain[0]
     if isinstance(domain[0], str):
         return "one of " + ", ".join(domain)
-    return "integer %d..%s" % (domain[0], "" if domain[1] is None else domain[1])
+    return "integer %d..%d" % domain
 
 
 def _breach(value, domain) -> Optional[str]:
@@ -132,7 +133,7 @@ def _breach(value, domain) -> Optional[str]:
         return "must be one of " + ", ".join(domain)
     if isinstance(value, int) and value < domain[0]:
         return "must be at least %d" % domain[0]
-    if isinstance(value, int) and domain[1] is not None and value > domain[1]:
+    if isinstance(value, int) and value > domain[1]:
         return "exceeds the limit of %d" % domain[1]
     return None
 

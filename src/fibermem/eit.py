@@ -22,14 +22,23 @@ detunings equal, the control staying on its resonance.
 The system is linear and the slices couple only through E, so an RK4
 step with E frozen is one affine map of (P, S, E), the same on every
 slice: its coefficients are computed once per run, before time stepping.
-Each slice carries (f P, P, S, W), f = 0.5 dz i od Gamma/4 the
-trapezoid weight and W the field the atoms see, so a time step is two
-matrix products, a 1x3 predictor row and a 3x3 corrector of (P, S, W),
-each followed by a field sweep along zeta: one running sum of the f P
-pairs seeded with the input field.  propagate_pulse also takes rows of
-operating points (a control and an od per row, one probe and grid) that
-do not couple to each other: their states are stacked and advanced by
-the same two batched products per time step, at most MAX_BATCH_ROWS
+The stepper writes P = i p, which makes every coefficient real:
+
+    dp/dtau = -(Gamma/2) p + E + (Omega_c/2) S
+    dS/dtau = -(gamma_gs) S - (Omega_c/2) p
+    dE/dzeta = -(od Gamma / 4) p
+
+Each slice carries (f p, p, S, W), f = -0.5 dz od Gamma/4 the real
+trapezoid weight (f p = 0.5 dz i (od Gamma/4) P) and W the field the
+atoms see, so a time step is two real matrix products, a 1x3 predictor
+row and a 3x3 corrector of (p, S, W), each applied to a float view of
+the complex state, in which a slice's real and imaginary parts are two
+columns.  Each is followed by a field sweep along zeta: one complex
+running sum of the f p pairs seeded with the input field.  E, S and
+every output are those of the P form.  propagate_pulse also takes rows
+of operating points (a control and an od per row, one probe and grid)
+that do not couple to each other: their states are stacked and advanced
+by the same two batched products per time step, at most MAX_BATCH_ROWS
 rows at a time, so a sweep is one call.
 """
 
@@ -341,13 +350,15 @@ def propagate_pulse(
     stepping is a predictor-corrector sweep: atoms advance by RK4 with
     the field frozen, the field is rebuilt by trapezoidal integration
     of dE/dzeta = i (od Gamma/4) P, then the atomic step is corrected
-    with the time-averaged field; the RK4 coefficients of (P, S, E) are
-    computed once per run, from one step before the input field's first
-    nonzero sample (state and output are zero until then), as a 1x3
-    predictor row and a 3x3 corrector per step.  The state is
-    (f P, P, S, W), with f the trapezoid weight and W the field the atoms
-    see, and each field sweep is one running sum seeded with the input
-    field.  Retrieval starts where the control first rises after a dark
+    with the time-averaged field; the RK4 coefficients of (p, S, E),
+    p = -i P, are computed once per run, from one step before the input
+    field's first nonzero sample (state and output are zero until then),
+    as a real 1x3 predictor row and a real 3x3 corrector per step, both
+    float64.  The state is (f p, p, S, W), complex, with f the real
+    trapezoid weight and W the field the atoms see; the step matrices
+    multiply float views of it, made once before the time loop, and each
+    field sweep is one running sum seeded with the input field.
+    Retrieval starts where the control first rises after a dark
     interval.  Deterministic for identical inputs.
 
     control may be a sequence of ControlFields and od a sequence of
@@ -431,9 +442,9 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
     start = max(int(np.flatnonzero(e_in)[0]) - 1, 0)
     rabi_mid = peak * np.array([c.envelope(t[start:-1] + 0.5 * dt) for c in controls])
 
-    def atom_rhs(p, s, e, rabi):
-        dp = -(0.5 * gamma) * p + 1j * e + 0.5j * rabi * s
-        ds = -gamma_gs * s + 0.5j * rabi * p
+    def atom_rhs(p, s, e, rabi):  # in p = -i P, whose coefficients are real
+        dp = -(0.5 * gamma) * p + e + 0.5 * rabi * s
+        ds = -gamma_gs * s - 0.5 * rabi * p
         return dp, ds
 
     def rk4_step(p, s, e, r0, rm, r1, sum_p, sum_s):
@@ -455,17 +466,18 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
         sum_s *= dt / 6.0
         sum_s += s
 
-    # the state of row r is (f P, P, S, W): f = 0.5 dz i kappa weighs the
-    # trapezoid of dE/dzeta = i kappa P, and W is the field e_z at the start
-    # of a step and e_z + e_pred, e_pred the predicted step-end field, at
-    # its corrector.  From step n's RK4 response to each unit input (P, S, E),
-    # pred[n, r] maps (P, S, W) to the predicted f P and corr[n, r] to the
-    # new (f P, P, S); corr's W column is half the E response
+    # the state of row r is (f p, p, S, W): p = -i P, f = -0.5 dz kappa
+    # weighs the trapezoid of dE/dzeta = -kappa p (so f p = 0.5 dz i kappa P),
+    # and W is the field e_z at the start of a step and e_z + e_pred, e_pred
+    # the predicted step-end field, at its corrector.  From step n's RK4
+    # response to each unit input (p, S, E), pred[n, r] maps (p, S, W) to
+    # the predicted f p and corr[n, r] to the new (f p, p, S); corr's W
+    # column is half the E response.  All of them are real
     rates = (rabi_t[:, start:-1].T, rabi_mid.T, rabi_t[:, start + 1:].T)
-    f = (0.5j / nz) * kappa
-    pred = np.empty((nt - 1 - start, len(ods), 1, 3), dtype=complex)
-    corr = np.empty((nt - 1 - start, len(ods), 3, 3), dtype=complex)
-    for j, unit in enumerate(np.eye(3, dtype=complex)):
+    f = (-0.5 / nz) * kappa
+    pred = np.empty((nt - 1 - start, len(ods), 1, 3))
+    corr = np.empty((nt - 1 - start, len(ods), 3, 3))
+    for j, unit in enumerate(np.eye(3)):
         rk4_step(*unit, *rates, corr[..., 1, j], corr[..., 2, j])
         np.multiply(f, corr[..., 1, j], out=pred[..., 0, j])
     corr[..., 0, :] = pred[..., 0, :]
@@ -490,13 +502,17 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
     # a step reads one state buffer and writes the other: a slot per state
     # row, each row's slices contiguous.  The views into them are made
     # here, and a step's matrices and output slot come from iterating the
-    # step arrays, so the loop body is nine NumPy calls that build no view
+    # step arrays, so the loop body is nine NumPy calls that build no view.
+    # The real step matrices multiply float views of the complex state, in
+    # which each slice is its (real, imaginary) pair
     states = np.zeros((2, 4, len(ods), nz + 1), dtype=complex)
     states[0, 3] = e_in[start]
-    old, new = [(s, s[1:].transpose(1, 0, 2), s[:3].transpose(1, 0, 2), s[0, :, 1:],
+    old, new = [(s, s[1:].transpose(1, 0, 2).view(float),
+                 s[:3].transpose(1, 0, 2).view(float), s[0, :, 1:],
                  s[0, :, :-1], s[3], s[3, :, -1]) for s in states]
     e_pred = np.empty((len(ods), nz + 1), dtype=complex)
     fp_pred = np.empty((len(ods), 1, nz + 1), dtype=complex)
+    fp_pred_f = fp_pred.view(float)
     seed, pairs = buf[:, 0], buf[:, 1:]
     pred_hi, pred_lo = fp_pred[:, 0, 1:], fp_pred[:, 0, :-1]
     out_e = np.zeros((len(ods), nt), dtype=complex)
@@ -507,7 +523,7 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
         psw, w = old[1], old[5]
         state, _, fps, fp_hi, fp_lo, w_new, e_out = new
         # the atoms' step with E frozen at W predicts the step-end field
-        matmul(pr, psw, fp_pred)
+        matmul(pr, psw, fp_pred_f)
         seed[...] = e0
         add(pred_hi, pred_lo, pairs)
         accumulate(buf, 1, None, e_pred)

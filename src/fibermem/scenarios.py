@@ -209,10 +209,18 @@ def _sweep(cfg, key_pattern: str) -> np.ndarray:
     return np.arange(lo, lo + (count - 0.5) * step, step)
 
 
+def _seconds(cfg, key: str) -> float:
+    """The positive time cfg[key], in ns, in seconds, refused if it underflows."""
+    seconds = cfg[key] * 1e-9
+    if seconds == 0.0:
+        raise ValueError("config key %r underflows to 0 s, got %s" % (key, cfg[key]))
+    return seconds
+
+
 def _storage_control(cfg, dark_ns: float) -> ControlField:
     off_s = cfg["storage.switch_off_ns"] * 1e-9
     return ControlField(_rabi(cfg, cfg["control.power_mW"]), off_s,
-                        off_s + dark_ns * 1e-9, cfg["storage.ramp_ns"] * 1e-9)
+                        off_s + dark_ns * 1e-9, _seconds(cfg, "storage.ramp_ns"))
 
 
 # most samples a storage time grid may hold (the default grid has 2,801):
@@ -232,14 +240,14 @@ def _storage_inputs(cfg):
                          " %d time samples" % MAX_TIME_SAMPLES)
     probe = ProbePulse(
         mean_photon_number=cfg["probe.photons"],
-        fwhm_s=cfg["probe.fwhm_ns"] * 1e-9,
+        fwhm_s=_seconds(cfg, "probe.fwhm_ns"),
         shape=cfg["probe.shape"],
         detuning_rad_per_s=cfg["probe.detuning_MHz"] * MHZ,
         peak_time_s=cfg["probe.peak_ns"] * 1e-9,
     )
     grid = PropagationGrid(
-        t_stop_s=cfg["storage.t_stop_ns"] * 1e-9,
-        dt_s=cfg["storage.dt_ns"] * 1e-9,
+        t_stop_s=_seconds(cfg, "storage.t_stop_ns"),
+        dt_s=_seconds(cfg, "storage.dt_ns"),
         n_z=cfg["storage.n_z"],
     )
     # propagate_pulse's own tests, made here to name the keys they tie together

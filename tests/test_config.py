@@ -62,9 +62,8 @@ def outside(key):
     if isinstance(domain[0], str):
         return st.text(alphabet=KEY_ALPHABET).filter(lambda t: t not in domain)
     lo, hi = domain
-    below = st.integers(max_value=lo - 1)
-    ints = below if hi is None else st.one_of(below, st.integers(min_value=hi + 1))
-    return ints.map(str)
+    return st.one_of(st.integers(max_value=lo - 1),
+                     st.integers(min_value=hi + 1)).map(str)
 
 
 def accepted_list():

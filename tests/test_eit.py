@@ -461,21 +461,25 @@ class TestPropagation:
         assert eit.refinement_delta(probe, ctrl, od, sch, grid) < 0.01
 
 
-def transfer_function_error(od, dt, nz):
+def transfer_function_error(od, dt, nz, detuning_rad_per_s=0.0):
     """Largest |output intensity - transfer-function oracle|, over the peak.
 
     Under a constant control the medium is linear and time-invariant in
     the co-moving frame, so the output field is the inverse FFT of
     E_in(omega) exp(i od chi/2), chi taken at -omega for NumPy's FFT sign;
-    the input is zero-padded 4x so that nothing wraps around.
+    the input is zero-padded 4x so that nothing wraps around.  E_in is
+    the unit-energy Gaussian envelope times the carrier e^{-i delta t}.
     """
     sch = default_scheme()
-    probe = eit.ProbePulse(mean_photon_number=1.0, fwhm_s=100e-9,
-                           shape="gaussian", peak_time_s=600e-9)
+    probe = eit.ProbePulse(mean_photon_number=1.0, fwhm_s=100e-9, shape="gaussian",
+                           detuning_rad_per_s=detuning_rad_per_s, peak_time_s=600e-9)
     ctrl = eit.ControlField(eit.rabi_from_power(2.0e-3))
     r = eit.propagate_pulse(probe, ctrl, od, sch, eit.PropagationGrid(2e-6, dt, nz))
-    n = r.t_grid_s.size
-    e_in = np.sqrt(r.input_intensity)  # an undetuned Gaussian is real, >= 0
+    t = r.t_grid_s
+    n = t.size
+    envelope = probe.field_envelope(t)
+    e_in = (envelope / math.sqrt(np.trapezoid(envelope * envelope, t))
+            * np.exp(-1j * detuning_rad_per_s * t))
     omega = 2.0 * math.pi * np.fft.fftfreq(4 * n, dt)
     chi = eit.susceptibility(-omega, sch, ctrl.rabi_rad_per_s)
     e_out = np.fft.ifft(np.fft.fft(e_in, 4 * n) * np.exp(0.5j * od * chi))[:n]
@@ -483,13 +487,20 @@ def transfer_function_error(od, dt, nz):
     return np.max(np.abs(r.output_intensity - oracle)) / np.max(oracle)
 
 
-@pytest.mark.parametrize("od, bound", [(3.0, 3e-5), (10.0, 2.5e-4)])
-def test_constant_control_matches_transfer_function(od, bound):
+@pytest.mark.parametrize("od, bound, detuning_MHz", [
+    pytest.param(3.0, 3e-5, 0.0, id="3.0-3e-05"),
+    pytest.param(10.0, 2.5e-4, 0.0, id="10.0-0.00025"),
+    # every default storage run is resonant: this is the one field-level
+    # check of the stepper on a field with an imaginary part
+    pytest.param(3.0, 3e-5, 1.0, id="3.0-3e-05-detuned-1MHz"),
+])
+def test_constant_control_matches_transfer_function(od, bound, detuning_MHz):
     # the stepper against an answer that shares none of its code: under
     # the bound at the default step and slices, and second order, so that
     # halving dt and dz divides the error by 4
-    coarse = transfer_function_error(od, 0.5e-9, 80)
-    fine = transfer_function_error(od, 0.25e-9, 160)
+    detuning = 2.0 * math.pi * 1e6 * detuning_MHz
+    coarse = transfer_function_error(od, 0.5e-9, 80, detuning)
+    fine = transfer_function_error(od, 0.25e-9, 160, detuning)
     assert coarse < bound
     assert coarse / fine == pytest.approx(4.0, rel=0.1)
 

@@ -56,7 +56,7 @@ def just_outside_domains():
             texts = ["Gaussian"]
         else:
             lo, hi = domain
-            texts = [str(lo - 1)] + ([] if hi is None else [str(hi + 1)])
+            texts = [str(lo - 1), str(hi + 1)]
         sim = next(e.scenario_id for e in list_scenarios() if key in e.keys)
         cases += [pytest.param(sim, key, text, id="%s=%s" % (key, text))
                   for text in texts]
@@ -530,7 +530,7 @@ class TestCli:
         assert not out.exists()
         assert entry(["sim", sim, "--out", str(out), "--set", key + "=10000"]) == 0
 
-    def test_exit_code_2_on_bad_input(self, tmp_path, capsys):
+    def test_exit_code_2_on_bad_input(self, tmp_path, capsys, monkeypatch):
         assert entry(["sim", "fig9z"]) == 2
         assert entry(["sim", "fig1c", "--set", "bogus=1"]) == 2
         capsys.readouterr()
@@ -606,6 +606,22 @@ class TestCli:
             assert entry(["sim", sim, "--out", str(out), "--set", bad]) == 2
             err = capsys.readouterr().err
             assert "'storage.dt_ns' must not exceed" in err and "%r" % key in err
+        assert not out.exists()
+        # a positive time whose value in seconds underflows to 0 is refused
+        # by its key before any propagation
+        monkeypatch.setattr(scenarios, "propagate_pulse", None)
+        for sim, bads, key in (
+                ("fig3b", ("storage.t_stop_ns=1e-320", "storage.dt_ns=1e-323"),
+                 "storage.t_stop_ns"),
+                ("fig3b", ("storage.t_stop_ns=1e-312", "storage.dt_ns=1e-315"),
+                 "storage.dt_ns"),
+                ("custom", ("probe.fwhm_ns=1e-320",), "probe.fwhm_ns"),
+                ("fig3c", ("storage.ramp_ns=1e-320",), "storage.ramp_ns")):
+            argv = ["sim", sim, "--out", str(out)]
+            for bad in bads:
+                argv += ["--set", bad]
+            assert entry(argv) == 2
+            assert "config key %r underflows to 0 s" % key in capsys.readouterr().err
         assert not out.exists()
 
     @staticmethod
