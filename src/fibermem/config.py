@@ -208,16 +208,27 @@ def apply_overrides(cfg: dict, assignments) -> None:
         set_key(cfg, key.strip(), raw.strip())
 
 
+def _render_line(key: str, val) -> str:
+    if isinstance(val, float):
+        val = "%.17g" % val
+    elif isinstance(val, tuple):
+        val = ",".join(map(repr, val))
+    return "%s = %s" % (key, val)
+
+
+# each key's default object and its line, rendered once; a value counts as
+# the default only by identity, as -0.0 == 0.0 yet renders as -0
+_DEFAULT_LINES = {key: (val, _render_line(key, val)) for key, val in DEFAULTS.items()}
+_NO_DEFAULT = (object(), None)
+
+
 def render_config(cfg: dict) -> str:
     """Stable text rendering: sorted keys, full float precision."""
     lines = []
     for key in sorted(cfg):
         val = cfg[key]
-        if isinstance(val, float):
-            val = "%.17g" % val
-        elif isinstance(val, tuple):
-            val = ",".join(map(repr, val))
-        lines.append("%s = %s" % (key, val))
+        default, line = _DEFAULT_LINES.get(key, _NO_DEFAULT)
+        lines.append(line if val is default else _render_line(key, val))
     return "\n".join(lines) + "\n"
 
 

@@ -33,26 +33,27 @@ _DEFAULT_LADDER = tuple((2 * m, 1.0 / 7.0) for m in range(-3, 4))
 
 
 def decay_law(t_s, tau_D_s, tau_T_s) -> np.ndarray:
-    """exp[-(t/tau_D)^2/(1+(t/tau_T)^2)] / (1+(t/tau_T)^2)^2; unchecked
-    time constants may be columns that broadcast against t_s, and an
+    """exp[-(t/tau_D)^2/(1+(t/tau_T)^2)] / (1+(t/tau_T)^2)^2, unchecked:
+    the time constants may be columns that broadcast against t_s, and an
     infinite one drops out, as t/inf = 0."""
     t = np.asarray(t_s, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t_s must be nonnegative")
     xt2 = (t / tau_T_s) ** 2
     xd2 = (t / tau_D_s) ** 2
     return np.exp(-xd2 / (1.0 + xt2)) / (1.0 + xt2) ** 2
 
 
 def efficiency_decay(t_s, tau_D_s: float, tau_T_s: float) -> np.ndarray:
-    """Relative retrieval efficiency after a storage time t (decay_law).
+    """Relative retrieval efficiency after a storage time t >= 0 (decay_law).
 
     Equal to 1 at t=0 and strictly decreasing.  Infinite time constants
     disable the corresponding mechanism.
     """
     if tau_D_s <= 0.0 or tau_T_s <= 0.0:
         raise ValueError("time constants must be positive")
-    return scalar_or_array(decay_law(t_s, tau_D_s, tau_T_s))
+    t = np.asarray(t_s, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("t_s must be nonnegative")
+    return scalar_or_array(decay_law(t, tau_D_s, tau_T_s))
 
 
 def half_larmor_period(b_field_T: float) -> float:

@@ -140,11 +140,9 @@ def atom_number_from_absorption(
 
 
 def saturation_law(p_W, alpha0_L, p_sat_W, k_exp) -> np.ndarray:
-    """T = exp(-alpha0_L / (1 + P/P_sat)^k); unchecked parameters may be
-    columns that broadcast against p_W."""
+    """T = exp(-alpha0_L / (1 + P/P_sat)^k), unchecked: the parameters may
+    be columns that broadcast against p_W."""
     p = np.asarray(p_W, dtype=float)
-    if np.any(p < 0.0):
-        raise ValueError("p_W must be nonnegative")
     return np.exp(-alpha0_L / (1.0 + p / p_sat_W) ** k_exp)
 
 
@@ -156,10 +154,13 @@ def lorentzian_law(delta_rad_per_s, od, gamma_rad_per_s) -> np.ndarray:
 
 
 def saturation_transmission(p_W, model: AbsorptionModel) -> np.ndarray:
-    """Resonant transmission against probe power, strictly increasing in P
-    (saturation_law)."""
+    """Resonant transmission against probe power P >= 0, strictly
+    increasing in P (saturation_law)."""
+    p = np.asarray(p_W, dtype=float)
+    if np.any(p < 0.0):
+        raise ValueError("p_W must be nonnegative")
     return scalar_or_array(
-        saturation_law(p_W, model.alpha0_L, model.p_sat_W, model.k_exp))
+        saturation_law(p, model.alpha0_L, model.p_sat_W, model.k_exp))
 
 
 def lorentzian_transmission(delta_rad_per_s, model: AbsorptionModel) -> np.ndarray:

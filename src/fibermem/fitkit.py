@@ -8,8 +8,10 @@ model's lower bounds are > 0) and is fitted in log space, which keeps
 every trial strictly positive, finite and in bounds, and makes the box
 bounds smooth.  So a model's fn is the plain-parameter law of its
 physics module, the formula its public curve function evaluates op for
-op, without the parameter checks and with no dataclass built; negative
-powers and times in the data are still refused.  fn(x, *params) takes
+op, without the checks and with no dataclass built.  The data domain is
+checked once per call instead: a model whose x is a power or a time
+names it in x_nonnegative, and fit and evaluate_model refuse a
+negative x with the public curve's message.  fn(x, *params) takes
 each parameter as a scalar or as a (k, 1) column and returns (k, n)
 curves, one per parameter row, so each Jacobian is one call on a block
 of stepped rows.
@@ -46,6 +48,8 @@ class ModelSpec:
     default_guess: tuple
     default_bounds: tuple
     fn: object  # the law: fn(x (n,), *_columns(params (..., n_par))) -> (..., n)
+    # the law's name for an x that must be >= 0; None for a detuning
+    x_nonnegative: Optional[str] = None
 
 
 def _columns(p):
@@ -60,6 +64,7 @@ MODELS = {
         default_guess=(5.0, 1e-9, 1.0),
         default_bounds=((1e-3, 1e3), (1e-13, 1e-3), (0.1, 10.0)),
         fn=saturation_law,
+        x_nonnegative="p_W",
     ),
     "lorentzian_od": ModelSpec(
         param_names=("od", "gamma_rad_per_s"),
@@ -75,6 +80,7 @@ MODELS = {
         default_guess=(5e-6, 3e-6),
         default_bounds=((1e-8, 1e-2), (1e-8, 1e-2)),
         fn=decay_law,
+        x_nonnegative="t_s",
     ),
     "eit_spectrum": ModelSpec(
         param_names=("od", "gamma_rad_per_s", "gamma_gs_rad_per_s",
@@ -96,7 +102,9 @@ def evaluate_model(model_id: str, parameters, x_grid):
             "%s expects %d parameters" % (model_id, len(spec.param_names))
         )
     _check_bounds(spec, p)
-    return scalar_or_array(spec.fn(np.asarray(x_grid, dtype=float), *_columns(p)))
+    x = np.asarray(x_grid, dtype=float)
+    _check_x(spec, x)
+    return scalar_or_array(spec.fn(x, *_columns(p)))
 
 
 def _model_spec(model_id: str) -> ModelSpec:
@@ -112,6 +120,12 @@ def _check_bounds(spec: ModelSpec, values, label: str = "") -> None:
         if not lo <= val <= hi:
             raise ValueError(
                 "%s%s=%g outside bounds [%g, %g]" % (label, name, val, lo, hi))
+
+
+def _check_x(spec: ModelSpec, x: np.ndarray) -> None:
+    """Refuse an x outside the model's data domain."""
+    if spec.x_nonnegative and np.any(x < 0.0):
+        raise ValueError("%s must be nonnegative" % spec.x_nonnegative)
 
 
 @dataclass(frozen=True)
@@ -166,6 +180,7 @@ def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
                          % (bad[0] + 1))
     if np.any(sig <= 0.0):
         raise ValueError("sigma_y must be positive")
+    _check_x(spec, x)
     guess = (
         np.asarray(initial_guess, dtype=float)
         if initial_guess is not None
@@ -198,7 +213,8 @@ def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
     converged = False
     n_iter = 0
     idx_free = np.flatnonzero(free)
-    free_hi = list(zip(idx_free.tolist(), hi_int[idx_free].tolist()))
+    lo_free, hi_free = lo_int[idx_free], hi_int[idx_free]
+    free_hi = list(zip(idx_free.tolist(), hi_free.tolist()))
 
     def jacobian(theta, r0):
         # one model call on a row of theta per free parameter, each row
@@ -243,9 +259,9 @@ def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
             if big > _MAX_STEP:
                 delta *= _MAX_STEP / big
             trial = theta.copy()
-            trial[idx_free] = np.clip(
-                theta[idx_free] + delta, lo_int[idx_free], hi_int[idx_free]
-            )
+            # np.clip's values, without its per-call dispatch
+            trial[idx_free] = np.minimum(
+                np.maximum(theta[idx_free] + delta, lo_free), hi_free)
             r_trial = residual(trial)
             cost_trial = float(r_trial @ r_trial)
             if cost_trial <= cost:

@@ -36,6 +36,7 @@ from .counting import (
 from .decoherence import (
     DecoherenceParams,
     MagneticScenario,
+    efficiency_decay,
     half_larmor_period,
     revival_envelope,
 )
@@ -85,13 +86,19 @@ def _scheme(cfg) -> LambdaScheme:
 
 
 def _rabi(cfg, p_mW):
-    """Control Rabi frequency at p_mW, a power or an array of powers."""
-    return rabi_from_power(
+    """Control Rabi frequency at p_mW, a power or an array of powers,
+    refused where a positive power gives 0: the waist is too wide."""
+    omega = rabi_from_power(
         p_mW * 1e-3,
         waist_m=cfg["control.waist_um"] * 1e-6,
         calibration=cfg["calibration.rabi_calibration"],
         gamma_rad_per_s=cfg["scheme.gamma_MHz"] * MHZ,
     )
+    if np.any((omega == 0.0) & (np.asarray(p_mW) > 0.0)):
+        raise ValueError("config key 'control.waist_um' underflows the control Rabi"
+                         " frequency to 0 at a positive power, got %s"
+                         % cfg["control.waist_um"])
+    return omega
 
 
 def _decoherence(cfg) -> DecoherenceParams:
@@ -252,10 +259,15 @@ def _storage_inputs(cfg):
     )
     # propagate_pulse's own tests, made here to name the keys they tie together
     t = grid.times()
-    if np.trapezoid(probe.field_envelope(t) ** 2, t) <= 0.0:
+    energy = float(np.trapezoid(probe.field_envelope(t) ** 2, t))
+    if energy <= 0.0:
         raise ValueError("'probe.peak_ns', 'probe.fwhm_ns' and 'probe.shape' put the"
                          " probe outside the grid of 'storage.t_stop_ns' and"
                          " 'storage.dt_ns'")
+    if not math.isfinite(math.sqrt(probe.mean_photon_number / energy)):
+        raise ValueError("'storage.t_stop_ns' and 'storage.dt_ns' make a grid too"
+                         " short to normalize the probe: its energy on the grid"
+                         " is %.3g" % energy)
     scheme = _scheme(cfg)
     broken = grid_limit(grid.dt_s, probe.fwhm_s, _rabi(cfg, cfg["control.power_mW"]),
                         cfg["storage.od"], scheme)
@@ -331,7 +343,8 @@ def _run_fig4a(cfg, seed):
     """Field-free memory decay, with the lifetime fit back out."""
     params = _decoherence(cfg)
     t_us = np.linspace(0.0, cfg["decoherence.t_max_us"], cfg["decoherence.points"])
-    curve = revival_envelope(t_us * 1e-6, MagneticScenario(b_field_T=0.0), params)
+    curve = efficiency_decay(t_us * 1e-6, params.effective_tau_D_s,
+                             params.effective_tau_T_s)
     # start at the configured cloud: from the model's fixed default guess
     # the fit walks tau_D to its bound at many ordinary clouds
     lo, hi = np.array(MODELS["decay_lifetime"].default_bounds).T
@@ -366,7 +379,9 @@ def _run_magnetic(cfg, seed, field_key: str):
     scenario = MagneticScenario(b_field_T=b_field_G * 1e-4)
     t_us = np.linspace(0.0, cfg["decoherence.t_max_us"], cfg["decoherence.points"])
     curve = revival_envelope(t_us * 1e-6, scenario, params)
-    free = revival_envelope(t_us * 1e-6, MagneticScenario(b_field_T=0.0), params)
+    # the field-free curve, exact: its interference comb is identically 1
+    free = efficiency_decay(t_us * 1e-6, params.effective_tau_D_s,
+                            params.effective_tau_T_s)
     with np.errstate(invalid="ignore", divide="ignore"):
         comb = np.where(free > 0.0, curve / free, 0.0)
     t_half_us = half_larmor_period(b_field_G * 1e-4) * 1e6

@@ -179,6 +179,51 @@ def test_out_of_domain_value_rejected_naming_key(key_text):
     assert cfg == DEFAULTS
 
 
+def reference_render(cfg):
+    """render_config's text, each line built from its value."""
+    lines = []
+    for key in sorted(cfg):
+        value = cfg[key]
+        if isinstance(value, float):
+            text = "%.17g" % value
+        elif isinstance(value, tuple):
+            text = ",".join(repr(v) for v in value)
+        else:
+            text = str(value)
+        lines.append(key + " = " + text)
+    return "".join(line + "\n" for line in lines)
+
+
+def test_render_of_default_lines_matches_a_fresh_render():
+    # render_config takes a default value's line from a table built at
+    # import; a value counts as the default only when it is that object
+    assert render_config(dict(DEFAULTS)) == reference_render(DEFAULTS)
+    assert config_digest(render_config(dict(DEFAULTS))) == "a45ad5fe93ae7b24"
+    cfg = dict(DEFAULTS)
+    for item in ("storage.od=12", "probe.shape=gaussian", "storage.n_z=120",
+                 POWERS + "=0.25,3", "probe.peak_ns=-1e-300"):
+        key, _, text = item.partition("=")
+        set_key(cfg, key, text)
+    assert render_config(cfg) == reference_render(cfg)
+    # -0.0 == 0.0, yet it renders as -0
+    negative_zero = dict(DEFAULTS)
+    set_key(negative_zero, "probe.detuning_MHz", "-0.0")
+    assert negative_zero["probe.detuning_MHz"] == DEFAULTS["probe.detuning_MHz"] == 0.0
+    rendered = render_config(negative_zero)
+    assert "probe.detuning_MHz = -0\n" in rendered
+    assert rendered == reference_render(negative_zero)
+    assert config_digest(rendered) != "a45ad5fe93ae7b24"
+    # a value equal to its default, but not the same object, renders alike
+    equal = dict(DEFAULTS)
+    for key, text in (("storage.od", "10"), ("probe.detuning_MHz", "0"),
+                      (POWERS, "0.5,1,1.6,2.4"), ("storage.n_z", "80")):
+        set_key(equal, key, text)
+    assert equal["storage.od"] is not DEFAULTS["storage.od"]
+    assert equal[POWERS] is not DEFAULTS[POWERS]
+    assert equal == DEFAULTS
+    assert render_config(equal) == reference_render(equal) == render_config(DEFAULTS)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(values=accepted_list(), gaps=st.sets(st.integers(0, 6)))
 def test_accepted_power_list_round_trips_render(values, gaps):

@@ -102,6 +102,14 @@ def test_efficiency_decay_values():
     )
 
 
+def test_efficiency_decay_refuses_negative_time():
+    # decay_law is a bare formula; the public curve checks the data
+    with pytest.raises(ValueError, match="t_s must be nonnegative"):
+        efficiency_decay(np.array([0.0, -1e-9]), 5.5e-6, 3.7e-6)
+    with pytest.raises(ValueError, match="t_s must be nonnegative"):
+        efficiency_decay(-1e-6, 5.5e-6, 3.7e-6)
+
+
 def test_efficiency_decay_monotonicity():
     t = np.linspace(0.0, 20e-6, 500)
     y = efficiency_decay(t, 4.72e-6, 3.58e-6)

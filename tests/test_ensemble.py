@@ -125,6 +125,14 @@ def test_saturation_transmission_increasing_and_bounded():
     assert np.all((t > 0.0) & (t <= 1.0))
 
 
+def test_saturation_transmission_refuses_negative_power():
+    # saturation_law is a bare formula; the public curve checks the data
+    with pytest.raises(ValueError, match="p_W must be nonnegative"):
+        saturation_transmission(np.array([1e-9, -1e-15]), AbsorptionModel())
+    with pytest.raises(ValueError, match="p_W must be nonnegative"):
+        saturation_transmission(-1e-9, AbsorptionModel())
+
+
 def test_lorentzian_transmission_values():
     model = AbsorptionModel()
     assert lorentzian_transmission(0.0, model) == pytest.approx(math.exp(-3.0), rel=1e-12)

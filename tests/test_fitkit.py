@@ -120,6 +120,30 @@ class TestProblemValidation:
             fitkit.fit("lorentzian_od", rows)
 
 
+class TestDataDomain:
+    # the laws are bare formulas: fit and evaluate_model check x once per
+    # call against the model's registered domain
+    @pytest.mark.parametrize("model_id, name", [("saturation", "p_W"),
+                                                ("decay_lifetime", "t_s")])
+    def test_negative_x_refused(self, model_id, name):
+        x = GRIDS[model_id].copy()
+        y = fitkit.evaluate_model(model_id, TRUTH[model_id], x)
+        x[5] = -x[5]
+        with pytest.raises(ValueError, match="%s must be nonnegative" % name):
+            fitkit.evaluate_model(model_id, TRUTH[model_id], x)
+        with pytest.raises(ValueError, match="%s must be nonnegative" % name):
+            fitkit.fit(model_id, np.column_stack((x, y)))
+        # the law itself evaluates the negative x
+        assert np.isfinite(fitkit.MODELS[model_id].fn(x, *TRUTH[model_id])).all()
+
+    @pytest.mark.parametrize("model_id", ["lorentzian_od", "eit_spectrum"])
+    def test_negative_detuning_accepted(self, model_id):
+        x = GRIDS[model_id]
+        assert x.min() < 0.0 and fitkit.MODELS[model_id].x_nonnegative is None
+        res = fitkit.fit(model_id, clean_rows(model_id))
+        assert res.converged
+
+
 class TestZeroNoiseRecovery:
     @pytest.mark.parametrize("model_id", sorted(TRUTH))
     def test_exact_fixed_point(self, model_id):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -596,6 +597,12 @@ class TestCli:
                             "2,0.6,0.01\n%s\n4,0.7,0.01\n" % bad_row)
             assert entry(["fit", "lorentzian_od", "--data", str(data)]) == 2
         assert capsys.readouterr().err.count("data row 3 holds a non-finite") == 3
+        # a negative power or time lies outside the model's data domain
+        for model, header, name in (("saturation", "power_nW", "p_W"),
+                                    ("decay_lifetime", "time_us", "t_s")):
+            data.write_text("%s,y\n1,0.5\n2,0.6\n-3,0.7\n4,0.8\n5,0.9\n" % header)
+            assert entry(["fit", model, "--data", str(data)]) == 2
+            assert "%s must be nonnegative" % name in capsys.readouterr().err
         assert entry(["fit", "nomodel", "--data", "x.csv"]) == 2
         assert entry(["fit", "lorentzian_od", "--data", str(tmp_path / "no.csv")]) == 2
         assert entry(["frobnicate"]) == 2
@@ -622,6 +629,17 @@ class TestCli:
                 argv += ["--set", bad]
             assert entry(argv) == 2
             assert "config key %r underflows to 0 s" % key in capsys.readouterr().err
+        assert not out.exists()
+        # a grid too short for the probe's energy to normalize: fig3b
+        # overflowed to exit 3, fig3c warned and wrote zero efficiencies
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sim in ("fig3b", "fig3c"):
+                assert entry(["sim", sim, "--out", str(out),
+                              "--set", "storage.t_stop_ns=1e-300",
+                              "--set", "storage.dt_ns=1e-303"]) == 2
+                err = capsys.readouterr().err
+                assert "'storage.t_stop_ns' and 'storage.dt_ns'" in err
         assert not out.exists()
 
     @staticmethod
@@ -802,6 +820,25 @@ class TestCli:
             assert np.isfinite(read_csv(out)[2]).all()
         else:
             assert not out.exists()
+
+    @pytest.mark.parametrize("sim", ["fig2", "fig3a", "fig3b"])
+    def test_rabi_underflow_refused_naming_the_waist(self, tmp_path, capsys, sim):
+        # the waist squared overflows, so a positive power gives Omega_c = 0
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert entry(["sim", sim, "--out", str(out),
+                          "--set", "control.waist_um=1e300"]) == 2
+        err = capsys.readouterr().err
+        assert "config key 'control.waist_um'" in err and "omega_c" not in err
+        assert not out.exists()
+
+    def test_zero_control_power_runs(self, tmp_path):
+        # Omega_c = 0 at 0 mW is the bare line, not an underflow
+        out = tmp_path / "x.csv"
+        assert entry(["sim", "fig2", "--out", str(out),
+                      "--set", "spectroscopy.powers_mW=0,1"]) == 0
+        assert np.isfinite(read_csv(out)[2]).all()
 
     def test_exit_code_3_on_solver_failure(self, tmp_path, capsys, monkeypatch):
         rc = entry([
