@@ -159,15 +159,16 @@ def revival_envelope(
 ) -> np.ndarray:
     """Relative efficiency curve with Larmor collapses and revivals.
 
-    eta_rel(t) = |sum_m w_m exp(i m 2 pi nu_L t)|^2 * efficiency_decay(t),
-    bounded above by the field-free decay with equality at rephasing
-    times.  At B=0 the interference factor is identically 1.
+    eta_rel(t) = |sum_m w_m exp(i m 2 pi nu_L t) / sum_m w_m|^2
+    * efficiency_decay(t), bounded above by the field-free decay with
+    equality at rephasing times.  Both sums run in the ladder's order, so
+    at B=0 the interference factor is identically 1.
     """
     t = np.asarray(t_grid, dtype=float)
     nu_larmor = CS_GF_GROUND * MU_BOHR * scenario.b_field_T / H_PLANCK
     amp = np.zeros_like(t, dtype=complex)
     for m, w in scenario.m_populations:
         amp += w * np.exp(1j * m * 2.0 * np.pi * nu_larmor * t)
-    comb = np.abs(amp) ** 2
+    comb = (np.abs(amp) / sum(w for _, w in scenario.m_populations)) ** 2
     decay = efficiency_decay(t, params.effective_tau_D_s, params.effective_tau_T_s)
     return scalar_or_array(comb * decay)

@@ -28,18 +28,22 @@ The stepper writes P = i p, which makes every coefficient real:
     dS/dtau = -(gamma_gs) S - (Omega_c/2) p
     dE/dzeta = -(od Gamma / 4) p
 
-Each slice carries (f p, p, S, W), f = -0.5 dz od Gamma/4 the real
-trapezoid weight (f p = 0.5 dz i (od Gamma/4) P) and W the field the
-atoms see, so a time step is two real matrix products, a 1x3 predictor
-row and a 3x3 corrector of (p, S, W), each applied to a float view of
-the complex state, in which a slice's real and imaginary parts are two
-columns.  Each is followed by a field sweep along zeta: one complex
-running sum of the f p pairs seeded with the input field.  E, S and
-every output are those of the P form.  propagate_pulse also takes rows
-of operating points (a control and an od per row, one probe and grid)
+Each slice carries (f p, p, S, W~, 1, i), f = -0.5 dz od Gamma/4 the real
+trapezoid weight (f p = 0.5 dz i (od Gamma/4) P) and W~ = W - E_in the
+field the atoms see less the input field, which the two constant slots
+1 and i bring in.  A time step is two real matrix products, a 1x5
+predictor row and a 3x5 corrector of (p, S, W~, 1, i), each applied to
+a float view of the complex state, in which a slice's real and
+imaginary parts are two columns.  Each is followed by a field sweep
+along zeta: one complex running sum of the f p pairs, which starts at 0
+and needs no seed, so a step is seven NumPy calls.  E, S and every
+output are those of the P form.  propagate_pulse also takes rows of
+operating points (a control and an od per row, one probe and grid)
 that do not couple to each other: their states are stacked and advanced
 by the same two batched products per time step, at most MAX_BATCH_ROWS
-rows at a time, so a sweep is one call.
+rows at a time, so a sweep is one call.  Rows that share row 0's od and
+Rabi samples up to some step, as a dark-time sweep does until its
+shortest dark interval ends, are stepped as one row until then.
 """
 
 from __future__ import annotations
@@ -353,11 +357,14 @@ def propagate_pulse(
     with the time-averaged field; the RK4 coefficients of (p, S, E),
     p = -i P, are computed once per run, from one step before the input
     field's first nonzero sample (state and output are zero until then),
-    as a real 1x3 predictor row and a real 3x3 corrector per step, both
-    float64.  The state is (f p, p, S, W), complex, with f the real
-    trapezoid weight and W the field the atoms see; the step matrices
-    multiply float views of it, made once before the time loop, and each
-    field sweep is one running sum seeded with the input field.
+    as a real 1x5 predictor row and a real 3x5 corrector per step, both
+    float64.  The state is (f p, p, S, W~, 1, i), complex, with f the real
+    trapezoid weight, W~ the field the atoms see less the input field and
+    1 and i two constant slots that carry the input field's terms; the
+    step matrices multiply float views of it, made once before the time
+    loop, and each field sweep is one running sum that starts at 0, so a
+    time step is seven NumPy calls.  The input field is added to the
+    output once, after the loop.
     Retrieval starts where the control first rises after a dark
     interval.  Deterministic for identical inputs.
 
@@ -365,7 +372,9 @@ def propagate_pulse(
     optical depths: each pair is one row, and a single value on either
     side is repeated to match the other.  The rows share the probe, the
     scheme and the grid and are stepped together as one stacked
-    (f P, P, S, W) state, MAX_BATCH_ROWS at a time.  A single control with
+    (f p, p, S, W~, 1, i) state, MAX_BATCH_ROWS at a time.  Rows whose od
+    and Rabi samples equal the first row's up to some step are stepped as
+    one row over that shared span and apart after it.  A single control with
     a scalar od returns one PropagationResult; any sequence returns a
     list, one result per row, each equal to its own single-row call.
     """
@@ -466,84 +475,105 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
         sum_s *= dt / 6.0
         sum_s += s
 
-    # the state of row r is (f p, p, S, W): p = -i P, f = -0.5 dz kappa
+    # the state of row r is (f p, p, S, W~, 1, i): p = -i P, f = -0.5 dz kappa
     # weighs the trapezoid of dE/dzeta = -kappa p (so f p = 0.5 dz i kappa P),
-    # and W is the field e_z at the start of a step and e_z + e_pred, e_pred
-    # the predicted step-end field, at its corrector.  From step n's RK4
-    # response to each unit input (p, S, E), pred[n, r] maps (p, S, W) to
-    # the predicted f p and corr[n, r] to the new (f p, p, S); corr's W
+    # and W~ = W - e_in[n] is the field the atoms see less the input field:
+    # e_z - e_in[n] at the start of step n and e_z + e_pred - e_in[n] -
+    # e_in[n+1], e_pred the predicted step-end field, at its corrector.  The
+    # constant slots 1 and i carry the input field's terms.  From step n's
+    # RK4 response to each unit input (p, S, E), pred[n, r] maps (p, S, W~,
+    # 1, i) to f p plus the predicted f p, whose field sweep is the
+    # corrector's W~, and corr[n, r] to the new (f p, p, S); corr's W~
     # column is half the E response.  All of them are real
     rates = (rabi_t[:, start:-1].T, rabi_mid.T, rabi_t[:, start + 1:].T)
     f = (-0.5 / nz) * kappa
-    pred = np.empty((nt - 1 - start, len(ods), 1, 3))
-    corr = np.empty((nt - 1 - start, len(ods), 3, 3))
+    n_steps, n_rows = nt - 1 - start, len(ods)
+    pred = np.empty((n_steps, n_rows, 1, 5))
+    corr = np.empty((n_steps, n_rows, 3, 5))
     for j, unit in enumerate(np.eye(3)):
         rk4_step(*unit, *rates, corr[..., 1, j], corr[..., 2, j])
         np.multiply(f, corr[..., 1, j], out=pred[..., 0, j])
-    corr[..., 0, :] = pred[..., 0, :]
+    corr[..., 0, :3] = pred[..., 0, :3]
     corr[..., 2] *= 0.5
+    pred[..., 0, 0] += f
+    e_now, e_sum = e_in[start:-1], e_in[start:-1] + e_in[start + 1:]
+    np.multiply(pred[..., 0, 2], e_now.real[:, None], out=pred[..., 0, 3])
+    np.multiply(pred[..., 0, 2], e_now.imag[:, None], out=pred[..., 0, 4])
+    np.multiply(corr[..., 2], e_sum.real[:, None, None], out=corr[..., 3])
+    np.multiply(corr[..., 2], e_sum.imag[:, None, None], out=corr[..., 4])
 
-    # the field along zeta is one running sum: buf[:, 0] holds the input
-    # field e0, buf[:, 1:] the pairwise sums f (P[j] + P[j+1])
-    buf = np.empty((len(ods), nz + 1), dtype=complex)
+    # rows whose od and Rabi samples equal row 0's bit for bit up to step
+    # `shared` have row 0's step matrices and state until then: they are
+    # stepped as one row over that span, and apart from there on
+    differs = np.zeros(n_steps, dtype=bool)
+    for rate in rates:
+        differs |= np.any(rate.view(np.int64) != rate[:, :1].view(np.int64), axis=1)
+    differs |= np.any(f.view(np.int64) != f[:1].view(np.int64))
+    shared = int(np.argmax(differs)) if differs.any() else n_steps
 
-    # the spin wave is kept at the first step the control has gone dark
+    # the spin wave is kept at the first step the control has gone dark,
+    # from the one stepped row while the row is in the shared span
     env_vals = np.where(peak > 0.0, env_t, 1.0)  # zero peak: never dark
     snap_at = {}
-    spinwave = [None] * len(ods)
+    spinwave = [None] * n_rows
     for r, env in enumerate(env_vals):
         dark = np.flatnonzero(env[1:] <= 1e-3)
         if dark.size and env[0] > 1e-3:
             if dark[0] < start:  # dark before the probe arrives: nothing stored
                 spinwave[r] = np.zeros(nz + 1, dtype=complex)
             else:
-                snap_at.setdefault(int(dark[0]), []).append(r)
+                src = 0 if dark[0] < start + shared else r
+                snap_at.setdefault(int(dark[0]), []).append((r, src))
 
     # a step reads one state buffer and writes the other: a slot per state
     # row, each row's slices contiguous.  The views into them are made
-    # here, and a step's matrices and output slot come from iterating the
-    # step arrays, so the loop body is nine NumPy calls that build no view.
-    # The real step matrices multiply float views of the complex state, in
-    # which each slice is its (real, imaginary) pair
-    states = np.zeros((2, 4, len(ods), nz + 1), dtype=complex)
-    states[0, 3] = e_in[start]
-    old, new = [(s, s[1:].transpose(1, 0, 2).view(float),
-                 s[:3].transpose(1, 0, 2).view(float), s[0, :, 1:],
-                 s[0, :, :-1], s[3], s[3, :, -1]) for s in states]
-    e_pred = np.empty((len(ods), nz + 1), dtype=complex)
-    fp_pred = np.empty((len(ods), 1, nz + 1), dtype=complex)
-    fp_pred_f = fp_pred.view(float)
-    seed, pairs = buf[:, 0], buf[:, 1:]
-    pred_hi, pred_lo = fp_pred[:, 0, 1:], fp_pred[:, 0, :-1]
-    out_e = np.zeros((len(ods), nt), dtype=complex)
-    out_e[:, start] = e_in[start]
-    steps = zip(pred, corr, e_in[start + 1:].tolist(), out_e.T[start + 1:])
+    # before each span, and a step's matrices and output slot come from
+    # iterating the step arrays, so the loop body is seven NumPy calls that
+    # build no view.  The real step matrices multiply float views of the
+    # complex state, in which each slice is its (real, imaginary) pair.
+    # Both field sweeps start at 0, so W~[:, 0] stays 0 and only the
+    # running sum of the pairwise sums f (p[j] + p[j+1]) is written
+    out_e = np.zeros((n_rows, nt), dtype=complex)
     add, matmul, accumulate = np.add, np.matmul, np.add.accumulate
-    for n, (pr, co, e0, out_n) in enumerate(steps, start):
-        psw, w = old[1], old[5]
-        state, _, fps, fp_hi, fp_lo, w_new, e_out = new
-        # the atoms' step with E frozen at W predicts the step-end field
-        matmul(pr, psw, fp_pred_f)
-        seed[...] = e0
-        add(pred_hi, pred_lo, pairs)
-        accumulate(buf, 1, None, e_pred)
-        # the corrected step takes the sum of both step-end fields
-        add(w, e_pred, w)
-        matmul(co, psw, fps)
-        add(fp_hi, fp_lo, pairs)
-        accumulate(buf, 1, None, w_new)
-        out_n[...] = e_out
-        old, new = new, old
-        if n in snap_at:
-            for r in snap_at[n]:
-                spinwave[r] = state[2, r].copy()
-    del steps, pred, corr  # freed before the results are built
+    lo, old = 0, None
+    for hi, m in ((shared, 1), (n_steps, n_rows)):
+        states = np.zeros((2, 6, m, nz + 1), dtype=complex)
+        states[:, 4], states[:, 5] = 1.0, 1j
+        if old is not None:
+            states[0] = old[0]  # the shared row's state, one copy per row
+        old, new = [(s, s[1:].transpose(1, 0, 2).view(float),
+                     s[:3].transpose(1, 0, 2).view(float), s[0, :, 1:],
+                     s[0, :, :-1], s[3, :, 1:], s[3, :, -1]) for s in states]
+        q = np.empty((m, 1, nz + 1), dtype=complex)
+        q_f, q_hi, q_lo = q.view(float), q[:, 0, 1:], q[:, 0, :-1]
+        pairs = np.empty((m, nz), dtype=complex)
+        steps = zip(pred[lo:hi, :m], corr[lo:hi, :m],
+                    out_e.T[start + 1 + lo:start + 1 + hi])
+        for n, (pr, co, out_n) in enumerate(steps, start + lo):
+            psw, w = old[1], old[5]
+            state, _, fps, fp_hi, fp_lo, w_new, e_out = new
+            # f p and the predicted f p, whose sweep moves W~ to the corrector's
+            matmul(pr, psw, q_f)
+            add(q_hi, q_lo, pairs)
+            accumulate(pairs, 1, None, w)
+            matmul(co, psw, fps)
+            add(fp_hi, fp_lo, pairs)
+            accumulate(pairs, 1, None, w_new)
+            out_n[...] = e_out
+            old, new = new, old
+            if n in snap_at:
+                for r, src in snap_at[n]:
+                    spinwave[r] = state[2, src].copy()
+        lo = hi
+    # freed before the results are built, with the last step's views of them
+    del steps, pr, co, pred, corr
+    out_e += e_in
     out_flux = np.abs(out_e) ** 2
 
     in_flux = np.abs(e_in) ** 2
     z_grid = np.linspace(0.0, 1.0, nz + 1)
     results = []
-    for r, od in enumerate(ods):
+    for r, od in enumerate(ods):  # old[0] holds n_rows rows after the last span
         readout_start_s = _infer_readout_start(t, env_vals[r])
         fp = _fingerprint(
             [t, e_in, rabi_t[r], od, gamma, gamma_gs, nz, probe.shape,

@@ -158,7 +158,7 @@ def test_revival_envelope_field_free_and_single_level():
     t = np.linspace(0.0, 10e-6, 501)
     dec = efficiency_decay(t, p.effective_tau_D_s, p.effective_tau_T_s)
     flat = revival_envelope(t, MagneticScenario(b_field_T=0.0), p)
-    assert flat == pytest.approx(dec, rel=1e-9)
+    assert np.array_equal(flat, dec)
     single = MagneticScenario(b_field_T=0.4e-4, m_populations=((4, 1.0),))
     assert revival_envelope(t, single, p) == pytest.approx(dec, rel=1e-9)
 

@@ -583,12 +583,38 @@ class TestBatchedPropagation:
             with pytest.raises(ValueError):
                 eit.propagate_pulse(probe, controls, [5.0, bad, 5.0], sch, grid)
 
+    # a shared span: identical rows share the whole grid, a dark-time sweep
+    # shares it until its shortest dark interval ends, rows of distinct od
+    # share none of it; about 0.2 s
+    @pytest.mark.parametrize("darks, ods", [
+        ([60.0] * 3, 10.0),
+        ((20.0, 60.0, 150.0), 10.0),
+        ([60.0] * 3, [3.0, 5.0, 12.0]),
+    ], ids=["identical", "dark-times", "ods"])
+    def test_shared_span_rows_bit_identical(self, darks, ods):
+        probe, controls, sch, grid = short_rows(darks)
+        rows = eit.propagate_pulse(probe, controls, ods, sch, grid)
+        for row, ctrl, od in zip(rows, controls, np.broadcast_to(ods, len(rows))):
+            ref = eit.propagate_pulse(probe, ctrl, float(od), sch, grid)
+            for field in dataclasses.fields(ref):
+                got, want = getattr(row, field.name), getattr(ref, field.name)
+                assert np.array_equal(got, want), field.name
+        for i, row in enumerate(rows):
+            assert row.spinwave.flags.writeable and np.any(row.spinwave)
+            for other in rows[i + 1:]:
+                assert not np.shares_memory(row.spinwave, other.spinwave)
+                assert not np.shares_memory(row.output_intensity,
+                                            other.output_intensity)
+
     def test_memory_bounded_in_rows(self):
         def peak(n_rows):
+            # distinct ods, so that no two rows share a span and the state
+            # grows with the batch
             probe, controls, sch, grid = short_rows([30.0] * n_rows, t_stop_ns=450)
             tracemalloc.start()
             try:
-                eit.propagate_pulse(probe, controls, 10.0, sch, grid)
+                eit.propagate_pulse(probe, controls, np.linspace(5.0, 12.0, n_rows),
+                                    sch, grid)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
