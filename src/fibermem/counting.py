@@ -83,5 +83,5 @@ def snr_standard_error(model: CountingModel) -> float:
     mu_b = model.background_per_window
     if mu_b == 0.0:
         return math.inf
-    var = (mu_s / mu_b**2 + mu_s**2 / mu_b**3) / model.n_shots
-    return math.sqrt(var)
+    # var = mu_s (mu_s + mu_b) / (n mu_b^3), kept clear of mu_b**3 underflow
+    return math.sqrt(mu_s * (mu_s + mu_b) / model.n_shots) / mu_b / math.sqrt(mu_b)

@@ -550,15 +550,14 @@ def _write_csv(path: str, comments: list, columns) -> int:
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("column length mismatch")
-    for name, a in zip(names, arrays):
-        if not np.all(np.isfinite(a)):
-            # a solver failure, caught before any file is created
-            raise FloatingPointError("column %r holds a non-finite value" % name)
-    lines = ["# %s" % comment for comment in comments]
-    lines.append(",".join(names))
-    row_format = ",".join(["%.12g"] * len(arrays))
-    lines += [row_format % row for row in zip(*(a.tolist() for a in arrays))]
-    text = "\n".join(lines) + "\n"
+    table = np.column_stack(arrays)
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():  # a solver failure, caught before any file is created
+        raise FloatingPointError("column %r holds a non-finite value" % names[finite.argmin()])
+    # the whole body in one format call, each cell still CPython's %.12g
+    row_format = ",".join(["%.12g"] * len(arrays)) + "\n"
+    head = "".join("# %s\n" % comment for comment in comments) + ",".join(names) + "\n"
+    text = head + row_format * n % tuple(table.ravel().tolist())
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

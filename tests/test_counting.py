@@ -15,11 +15,39 @@ class TestAnalyticSnr:
     def test_zero_background_is_infinite(self):
         model = counting.CountingModel(background_per_window=0.0)
         assert counting.analytic_snr(model) == math.inf
+        assert counting.snr_standard_error(model) == math.inf
 
     def test_zero_efficiency_is_zero(self):
         model = counting.CountingModel(efficiency=0.0,
                                        background_per_window=0.0)
         assert counting.analytic_snr(model) == 0.0
+
+
+class TestStandardError:
+    def test_storage_operating_point(self):
+        # the default fig3b/custom point, as pinned in tests/golden.json
+        model = counting.CountingModel(mean_photons_in=0.6,
+                                       efficiency=0.09895564483912438,
+                                       background_per_window=0.003)
+        assert counting.snr_standard_error(model) == 3.703511463412805
+
+    @pytest.mark.parametrize("background", [0.003, 1e-105, 1e-110, 1e-300, 5e-324])
+    def test_matches_log_space_evaluation(self, background):
+        model = counting.CountingModel(background_per_window=background)
+        mu_s = model.mean_photons_in * model.efficiency
+        # log of sqrt(mu_s (mu_s + mu_b) / (n mu_b^3))
+        log_se = 0.5 * (math.log(mu_s) + math.log(mu_s + background)
+                        - math.log(model.n_shots) - 3.0 * math.log(background))
+        se = counting.snr_standard_error(model)
+        if log_se < math.log(np.finfo(float).max):
+            assert se == pytest.approx(math.exp(log_se), rel=1e-12)
+        else:
+            # past the float range it reads inf, like the zero-background sentinel
+            assert se == math.inf
+
+    def test_zero_signal_is_zero(self):
+        model = counting.CountingModel(efficiency=0.0, background_per_window=5e-324)
+        assert counting.snr_standard_error(model) == 0.0
 
 
 class TestSimulation:

@@ -227,6 +227,27 @@ class TestCsvOutput:
         assert lines[-6:] == [",".join("%.12g" % float(v) for v in row)
                               for row in zip(values, values[::-1], range(6))]
         assert lines[-6:-4] == ["-0,-2.75e-07,0", "4.94065645841e-324,123456789012,1"]
+        # a storage-size table mixing magnitudes 1e-320..1e300, signs, zeros, integers
+        rng = np.random.default_rng(26)
+        table = rng.choice([-1.0, 1.0], (2000, 4)) * 10.0 ** rng.uniform(-320, 300, (2000, 4))
+        table[rng.random((2000, 4)) < 0.05] = 0.0
+        table[:, 3] = rng.integers(-10**6, 10**6, 2000)
+        columns = [(name, table[:, j]) for j, name in enumerate("abcd")]
+        assert scenarios._write_csv(str(path), ["scenario: fig1b"], columns) == 2000
+        lines = path.read_text().splitlines()
+        assert lines[-2001] == "a,b,c,d"
+        assert lines[-2000:] == [",".join("%.12g" % float(v) for v in row) for row in table]
+
+    def test_refuses_non_finite_and_ragged_columns_leaving_no_file(self, tmp_path):
+        path = tmp_path / "w.csv"
+        columns = [("a", np.arange(3.0)), ("b", [0.0, np.nan, 1.0]), ("c", [np.inf, 0.0, 1.0])]
+        with pytest.raises(FloatingPointError, match="column 'b' holds a non-finite value"):
+            scenarios._write_csv(str(path), ["scenario: fig1b"], columns)
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(ValueError, match="column length mismatch"):
+            scenarios._write_csv(str(path), ["scenario: fig1b"],
+                                 [("a", np.arange(3.0)), ("b", np.arange(4.0))])
+        assert os.listdir(tmp_path) == []
 
     def test_override_lands_in_comments_and_digest(self, tmp_path):
         base = run(tmp_path, "fig1c", out="base.csv")
@@ -798,6 +819,15 @@ class TestCli:
         assert np.isfinite(read_csv(out)[2]).all()
         if sim == "fig4a":
             assert re.search(r"tau_dephasing_us +inf\n", capsys.readouterr().out)
+
+    @pytest.mark.parametrize("sim", ["fig3b", "custom"])
+    def test_tiny_background_runs(self, tmp_path, capsys, sim):
+        # mu_b**3 underflowed to 0 here and ended in a ZeroDivisionError
+        out = tmp_path / "x.csv"
+        assert entry(["sim", sim, "--out", str(out),
+                      "--set", "counting.background=1e-110"]) == 0
+        assert np.isfinite(read_csv(out)[2]).all()
+        assert re.search(r"snr_std_error +5\.9\d*e\+161\n", capsys.readouterr().out)
 
     @pytest.mark.parametrize("sim, item", [
         *[(sim, item) for sim in ("fig4a", "fig4b", "fig4c")
