@@ -354,29 +354,21 @@ def propagate_pulse(
     stepping is a predictor-corrector sweep: atoms advance by RK4 with
     the field frozen, the field is rebuilt by trapezoidal integration
     of dE/dzeta = i (od Gamma/4) P, then the atomic step is corrected
-    with the time-averaged field; the RK4 coefficients of (p, S, E),
-    p = -i P, are computed once per run, from one step before the input
-    field's first nonzero sample (state and output are zero until then),
-    as a real 1x5 predictor row and a real 3x5 corrector per step, both
-    float64.  The state is (f p, p, S, W~, 1, i), complex, with f the real
-    trapezoid weight, W~ the field the atoms see less the input field and
-    1 and i two constant slots that carry the input field's terms; the
-    step matrices multiply float views of it, made once before the time
-    loop, and each field sweep is one running sum that starts at 0, so a
-    time step is seven NumPy calls.  The input field is added to the
-    output once, after the loop.
-    Retrieval starts where the control first rises after a dark
-    interval.  Deterministic for identical inputs.
+    with the time-averaged field (the module docstring gives the step).
+    State and output are zero until one step before the input field's
+    first nonzero sample, where stepping starts.  Retrieval starts where
+    the control first rises after a dark interval.  Deterministic for
+    identical inputs.
 
     control may be a sequence of ControlFields and od a sequence of
     optical depths: each pair is one row, and a single value on either
     side is repeated to match the other.  The rows share the probe, the
-    scheme and the grid and are stepped together as one stacked
-    (f p, p, S, W~, 1, i) state, MAX_BATCH_ROWS at a time.  Rows whose od
-    and Rabi samples equal the first row's up to some step are stepped as
-    one row over that shared span and apart after it.  A single control with
-    a scalar od returns one PropagationResult; any sequence returns a
-    list, one result per row, each equal to its own single-row call.
+    scheme and the grid and are stepped together as one stacked state,
+    MAX_BATCH_ROWS at a time.  Rows whose od and Rabi samples equal the
+    first row's up to some step are stepped as one row over that shared
+    span and apart after it.  A single control with a scalar od returns
+    one PropagationResult; any sequence returns a list, one result per
+    row, each equal to its own single-row call.
     """
     single = isinstance(control, ControlField) and np.ndim(od) == 0
     controls = [control] if isinstance(control, ControlField) else list(control)
@@ -456,24 +448,13 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
         ds = -gamma_gs * s - 0.5 * rabi * p
         return dp, ds
 
-    def rk4_step(p, s, e, r0, rm, r1, sum_p, sum_s):
-        # k1 + 2 k2 + 2 k3 + k4 summed in that order into sum_p and sum_s,
-        # and each stage's input built in the previous slope's buffer, so
-        # that few (steps, rows) arrays are held at once
-        kp, ks = atom_rhs(p, s, e, r0)
-        sum_p[...], sum_s[...] = kp, ks
+    def rk4_step(p, s, e, r0, rm, r1):
+        sum_p, sum_s = kp, ks = atom_rhs(p, s, e, r0)
         for weight, half, rabi in ((2.0, 0.5, rm), (2.0, 0.5, rm), (1.0, 1.0, r1)):
-            kp *= half * dt
-            kp += p
-            ks *= half * dt
-            ks += s
-            kp, ks = atom_rhs(kp, ks, e, rabi)
-            sum_p += weight * kp
-            sum_s += weight * ks
-        sum_p *= dt / 6.0
-        sum_p += p
-        sum_s *= dt / 6.0
-        sum_s += s
+            kp, ks = atom_rhs(p + half * dt * kp, s + half * dt * ks, e, rabi)
+            sum_p = sum_p + weight * kp
+            sum_s = sum_s + weight * ks
+        return p + dt / 6.0 * sum_p, s + dt / 6.0 * sum_s
 
     # the state of row r is (f p, p, S, W~, 1, i): p = -i P, f = -0.5 dz kappa
     # weighs the trapezoid of dE/dzeta = -kappa p (so f p = 0.5 dz i kappa P),
@@ -491,7 +472,7 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
     pred = np.empty((n_steps, n_rows, 1, 5))
     corr = np.empty((n_steps, n_rows, 3, 5))
     for j, unit in enumerate(np.eye(3)):
-        rk4_step(*unit, *rates, corr[..., 1, j], corr[..., 2, j])
+        corr[..., 1, j], corr[..., 2, j] = rk4_step(*unit, *rates)
         np.multiply(f, corr[..., 1, j], out=pred[..., 0, j])
     corr[..., 0, :3] = pred[..., 0, :3]
     corr[..., 2] *= 0.5
@@ -665,27 +646,20 @@ def calibrate_control(
     multiple of gamma_gs; the delay at the low power (Omega^2 scaling
     linearly with power) then pins gamma_gs itself.  Returns the
     rabi_from_power calibration constant and gamma_gs in rad/s.
+
+    With Omega_low^2/4 = c1 (Gamma/2) gamma_gs r, group_delay's line
+    centre delay is 0.5 od (c1 (Gamma/2) r / gamma_gs - 1) /
+    ((Gamma/2) (1 + c1 r)^2), which falls with gamma_gs for c1 > 0 and
+    equals delay_s at the gamma_gs computed below.
     """
     half_g = 0.5 * gamma_rad_per_s
     m = -math.log(transparency) / od
     c1 = 1.0 / m - 1.0  # Omega_high^2/4 = c1 * half_g * gamma_gs
     ratio = power_low_W / power_high_W
-
-    def delay_of(gam: float) -> float:
-        om2_low = 4.0 * c1 * half_g * gam * ratio
-        d0 = half_g * gam + 0.25 * om2_low
-        return 0.5 * od * half_g * (0.25 * om2_low - gam * gam) / (d0 * d0)
-
-    lo, hi = 1.0, half_g
-    if not delay_of(lo) > delay_s > delay_of(hi):
+    gamma_gs = 0.5 * od * c1 * half_g * ratio / (
+        delay_s * half_g * (1.0 + c1 * ratio) ** 2 + 0.5 * od)
+    if not 1.0 < gamma_gs < half_g:
         raise ValueError("anchors admit no gamma_gs in (0, Gamma/2)")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if delay_of(mid) > delay_s:
-            lo = mid
-        else:
-            hi = mid
-    gamma_gs = 0.5 * (lo + hi)
     omega_high = 2.0 * math.sqrt(c1 * half_g * gamma_gs)
     calibration = omega_high / rabi_from_power(power_high_W, waist_m, 1.0, gamma_rad_per_s)
     return calibration, gamma_gs

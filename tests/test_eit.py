@@ -61,11 +61,61 @@ def fig3b_setup(od=10.0, n_ph=0.6, t_stop=1.4e-6, dt=0.5e-9, nz=80):
     return probe, ctrl, od, default_scheme(), grid
 
 
+def optimal_retrieval_bound(od):
+    """Largest storage-and-retrieval efficiency at optical depth od.
+
+    The square of the top eigenvalue of the kernel
+    (d/2) exp(-d (z + z')/2) I0(d sqrt(z z')) on [0, 1], d = od/2,
+    found by a 200-node Gauss-Legendre Nystrom discretisation.
+    """
+    d = 0.5 * od
+    x, w = np.polynomial.legendre.leggauss(200)
+    z, w = 0.5 * (x + 1.0), 0.5 * w
+    kernel = 0.5 * d * np.exp(-0.5 * d * (z[:, None] + z)) * np.i0(
+        d * np.sqrt(np.outer(z, z)))
+    root_w = np.sqrt(w)
+    return np.linalg.eigvalsh(root_w[:, None] * kernel * root_w)[-1] ** 2
+
+
 class TestCalibration:
     def test_literals_match_solver(self):
-        cal, gs = eit.calibrate_control()
-        assert cal == pytest.approx(eit.RABI_CALIBRATION, rel=1e-10)
-        assert gs == pytest.approx(eit.GAMMA_GS_CALIBRATED_RAD_PER_S, rel=1e-10)
+        assert eit.calibrate_control() == (
+            eit.RABI_CALIBRATION, eit.GAMMA_GS_CALIBRATED_RAD_PER_S) == (CAL, GAMMA_GS)
+
+    @pytest.mark.parametrize("anchors", [
+        {"transparency": 0.01},  # below the bare opacity e^-od: no window
+        {"delay_s": 1e-12},  # would need gamma_gs above Gamma/2
+    ])
+    def test_refuses_anchors_without_solution(self, anchors):
+        with pytest.raises(ValueError, match="anchors admit no gamma_gs"):
+            eit.calibrate_control(**anchors)
+
+    def test_solution_meets_both_anchors(self):
+        # near the default anchors, where gamma_gs stays below Gamma/5 and
+        # LambdaScheme does not warn
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            anchors = {
+                "gamma_rad_per_s": eit.GAMMA_EFF_RAD_PER_S * rng.uniform(0.9, 1.1),
+                "od": rng.uniform(2.5, 4.0),
+                "transparency": rng.uniform(0.7, 0.8),
+                "power_high_W": rng.uniform(1.4e-3, 1.8e-3),
+                "power_low_W": rng.uniform(0.4e-3, 0.6e-3),
+                "delay_s": rng.uniform(50e-9, 70e-9),
+                "waist_m": rng.uniform(300e-6, 500e-6),
+            }
+            cal, gs = eit.calibrate_control(**anchors)
+            sch = eit.LambdaScheme(anchors["gamma_rad_per_s"], gs)
+
+            def rabi(power_W):
+                return eit.rabi_from_power(power_W, anchors["waist_m"], cal,
+                                           anchors["gamma_rad_per_s"])
+
+            delay = eit.group_delay(anchors["od"], sch, rabi(anchors["power_low_W"]))
+            assert delay.delay_s == pytest.approx(anchors["delay_s"], rel=1e-12)
+            window = eit.eit_spectrum(anchors["od"], sch,
+                                      rabi(anchors["power_high_W"]), 0.0)
+            assert window == pytest.approx(anchors["transparency"], rel=1e-12)
 
     def test_transparency_anchor(self):
         sch = default_scheme()
@@ -422,6 +472,24 @@ class TestPropagation:
         etas = [r.retrieval_efficiency for r in
                 eit.propagate_pulse(probe, ctrl, (1.0, 4.0, 10.0), sch, grid)]
         assert etas[0] < etas[1] < etas[2]
+
+    def test_retrieval_below_optimal_bound(self):
+        # Gorshkov et al., PRA 76, 033805 (2007): no storage and retrieval
+        # at optical depth od returns more than optimal_retrieval_bound(od).
+        # 16 rows in two batches on 800-ns grids, about 0.2 s
+        ods, powers_mW = (1.0, 5.0, 10.0, 20.0), (0.5, 1.0, 2.0, 4.0)
+        rows = [(od, storage_setup(od, **{"storage.t_stop_ns": 800,
+                                          "control.power_mW": p}))
+                for od in ods for p in powers_mW]
+        probe, _, _, sch, grid = rows[0][1]
+        results = eit.propagate_pulse(probe, [setup[1] for _, setup in rows],
+                                      [od for od, _ in rows], sch, grid)
+        bounds = {od: optimal_retrieval_bound(od) for od in ods}
+        # the Nystrom sums move by < 1e-13 from 200 to 400 nodes
+        assert [bounds[od] for od in ods] == pytest.approx(
+            [0.03974, 0.29668, 0.48554, 0.66295], abs=1e-5)
+        for (od, _), r in zip(rows, results):
+            assert 0.0 < r.retrieval_efficiency <= bounds[od]
 
     def test_late_switch_off_stores_nothing(self):
         sch = default_scheme()
