@@ -652,6 +652,12 @@ def calibrate_control(
     ((Gamma/2) (1 + c1 r)^2), which falls with gamma_gs for c1 > 0 and
     equals delay_s at the gamma_gs computed below.
     """
+    if not 0.0 < transparency < 1.0:
+        raise ValueError(f"transparency must be in (0, 1), got {transparency!r}")
+    for name, value in (("od", od), ("power_high_W", power_high_W),
+                        ("power_low_W", power_low_W), ("delay_s", delay_s)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     half_g = 0.5 * gamma_rad_per_s
     m = -math.log(transparency) / od
     c1 = 1.0 / m - 1.0  # Omega_high^2/4 = c1 * half_g * gamma_gs
@@ -659,7 +665,7 @@ def calibrate_control(
     gamma_gs = 0.5 * od * c1 * half_g * ratio / (
         delay_s * half_g * (1.0 + c1 * ratio) ** 2 + 0.5 * od)
     if not 1.0 < gamma_gs < half_g:
-        raise ValueError("anchors admit no gamma_gs in (0, Gamma/2)")
+        raise ValueError("anchors admit no gamma_gs in (1, Gamma/2)")
     omega_high = 2.0 * math.sqrt(c1 * half_g * gamma_gs)
     calibration = omega_high / rabi_from_power(power_high_W, waist_m, 1.0, gamma_rad_per_s)
     return calibration, gamma_gs

@@ -14,7 +14,10 @@ names it in x_nonnegative, and fit and evaluate_model refuse a
 negative x with the public curve's message.  fn(x, *params) takes
 each parameter as a scalar or as a (k, 1) column and returns (k, n)
 curves, one per parameter row, so each Jacobian is one call on a block
-of stepped rows.
+of stepped rows.  The loop keeps the 2-4 parameters, their steps and
+their bounds in Python floats, which round as NumPy's float64 does, and
+calls NumPy only on n-point arrays and where BLAS or LAPACK sets the
+bits: every bit is kept and the per-call dispatch on tiny arrays is gone.
 """
 
 from __future__ import annotations
@@ -91,6 +94,9 @@ MODELS = {
         fn=driven_transmission,
     ),
 }
+# each model's box in log space, as lists of floats: [lower bounds, upper bounds]
+_LOG_BOUNDS = {m: np.log(np.array(spec.default_bounds, dtype=float)).T.tolist()
+               for m, spec in MODELS.items()}
 
 
 def evaluate_model(model_id: str, parameters, x_grid):
@@ -173,13 +179,13 @@ def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
         raise ValueError("need at least %d data points" % max(3, n_par + 1))
     weighted = data.shape[1] == 3
     x, y = data[:, 0], data[:, 1]
-    sig = data[:, 2] if weighted else np.ones(len(data))
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise ValueError("data row %d holds a non-finite x, y or sigma_y"
-                         % (bad[0] + 1))
-    if np.any(sig <= 0.0):
-        raise ValueError("sigma_y must be positive")
+    if not np.isfinite(data).all():
+        bad = np.flatnonzero(~np.isfinite(data).all(axis=1))[0]
+        raise ValueError("data row %d holds a non-finite x, y or sigma_y" % (bad + 1))
+    if weighted:
+        if np.any(data[:, 2] <= 0.0):
+            raise ValueError("sigma_y must be positive")
+        w = 1.0 / data[:, 2]
     _check_x(spec, x)
     guess = (
         np.asarray(initial_guess, dtype=float)
@@ -188,86 +194,87 @@ def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
     )
     if guess.shape != (n_par,):
         raise ValueError("initial_guess length mismatch")
-    _check_bounds(spec, guess, "guess ")
+    _check_bounds(spec, guess.tolist(), "guess ")
     unknown = set(frozen) - set(names)
     if unknown:
         raise ValueError("frozen names not in model: %s" % sorted(unknown))
 
-    bounds = spec.default_bounds
-    free = np.array([nm not in frozen for nm in names])
+    idx = [j for j, nm in enumerate(names) if nm not in frozen]
+    n_free = len(idx)
     n_x = 1 + np.count_nonzero(np.diff(np.sort(x)))  # np.unique would import numpy.ma
-    if n_x < free.sum():
+    if n_x < n_free:
         raise ValueError("%d distinct x values cannot identify %d free parameters"
-                         % (n_x, free.sum()))
-    lo_int, hi_int = np.log(np.array(bounds, dtype=float)).T
-    w = 1.0 / sig
+                         % (n_x, n_free))
+    lo, hi = _LOG_BOUNDS[model_id]
 
     def residual(theta):
-        return (y - spec.fn(x, *_columns(np.exp(theta)))) * w
+        # unweighted, w would be 1.0 exactly, so the product is skipped
+        r = y - spec.fn(x, *_columns(np.exp(theta)))
+        return r * w if weighted else r
 
-    theta = np.log(guess)
+    theta = np.log(guess).tolist()
     r = residual(theta)
     cost = float(r @ r)
     history = [cost]
     lam = _LAMBDA0
     converged = False
     n_iter = 0
-    idx_free = np.flatnonzero(free)
-    lo_free, hi_free = lo_int[idx_free], hi_int[idx_free]
-    free_hi = list(zip(idx_free.tolist(), hi_free.tolist()))
 
     def jacobian(theta, r0):
         # one model call on a row of theta per free parameter, each row
         # stepped forward in its own parameter (backward at the upper bound)
-        rows = np.empty((idx_free.size, theta.size))
-        rows[:] = theta
-        actual = []
-        values = theta.tolist()  # Python floats round alike, at less cost
-        for row, (j, hi) in enumerate(free_hi):
-            start = values[j]
+        rows, steps = [], []
+        for j in idx:
+            start = theta[j]
             h = max(1e-8, 1e-6 * abs(start))
-            stepped = min(start + h, hi)
+            stepped = min(start + h, hi[j])
+            row = theta.copy()
             if stepped == start:  # at the upper bound: step backward
-                rows[row, j], step = start - h, -h
+                row[j], step = start - h, -h
             else:
-                rows[row, j], step = stepped, stepped - start
-            actual.append(step)
+                row[j], step = stepped, stepped - start
+            rows.append(row)
+            steps.append(step)
         block = residual(rows)
         block -= r0
-        block /= np.array(actual)[:, None]
+        block /= np.array(steps)[:, None]
         # d(model)/d(theta) in residual sign, laid out as the column stack
         # of one residual difference per parameter, so that jac.T @ jac
         # sums in the same order
         return np.ascontiguousarray(-block.T)
 
-    while n_iter < _MAX_ITER and idx_free.size:
+    while n_iter < _MAX_ITER and idx:
         n_iter += 1
         jac = jacobian(theta, r)
-        jtj = jac.T @ jac
+        jtj = (jac.T @ jac).tolist()
         jtr = jac.T @ r
-        damping = np.maximum(np.diag(jtj), 1e-300)
+        damping = [max(jtj[i][i], 1e-300) for i in range(n_free)]
         accepted = False
         while lam <= 1e12:
-            damped = jtj.copy()
-            damped.flat[::idx_free.size + 1] += lam * damping
+            damped = [row.copy() for row in jtj]
+            for i, d in enumerate(damping):
+                damped[i][i] += lam * d
             try:
-                delta = np.linalg.solve(damped, jtr)
+                delta = np.linalg.solve(damped, jtr).tolist()
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            big = np.max(np.abs(delta))
+            big = max(map(abs, delta))
             if big > _MAX_STEP:
-                delta *= _MAX_STEP / big
+                cap = _MAX_STEP / big
+                delta = [d * cap for d in delta]
             trial = theta.copy()
-            # np.clip's values, without its per-call dispatch
-            trial[idx_free] = np.minimum(
-                np.maximum(theta[idx_free] + delta, lo_free), hi_free)
+            for j, d in zip(idx, delta):
+                t = theta[j] + d
+                # np.clip's value, NaN included
+                trial[j] = hi[j] if t > hi[j] else lo[j] if t < lo[j] else t
             r_trial = residual(trial)
             cost_trial = float(r_trial @ r_trial)
             if cost_trial <= cost:
-                step = trial - theta
+                step = np.subtract(trial, theta)
                 step_norm = math.sqrt(step @ step)
-                theta_norm = max(math.sqrt(theta @ theta), 1e-300)
+                theta_arr = np.array(theta)
+                theta_norm = max(math.sqrt(theta_arr @ theta_arr), 1e-300)
                 rel_drop = (cost - cost_trial) / max(cost, 1e-300)
                 theta, r, cost = trial, r_trial, cost_trial
                 history.append(cost)
@@ -281,31 +288,33 @@ def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
             break
 
     params = np.exp(theta)
-    params[~free] = guess[~free]  # frozen values verbatim, no transform wobble
-    dof = max(x.size - int(free.sum()), 1)
+    for j, nm in enumerate(names):
+        if nm in frozen:
+            params[j] = guess[j]  # verbatim, no transform wobble
+    dof = max(x.size - n_free, 1)
     red_chi2 = cost / dof
 
     unidentifiable = []
     cov = np.zeros((n_par, n_par))
-    if not idx_free.size:
+    if not idx:
         converged = True
     else:
         jac = jacobian(theta, r)
         jtj = jac.T @ jac
         u, s, vt = np.linalg.svd(jtj)
         if s[0] == 0.0:  # a flat model: no direction is identified
-            unidentifiable = [names[k] for k in idx_free]
-            cov[idx_free, idx_free] = np.inf
+            unidentifiable = [names[k] for k in idx]
+            cov[idx, idx] = np.inf
             converged = False
         else:
             if s[-1] / s[0] < 1.0 / _COND_LIMIT:
-                bad = np.abs(vt[-1]) > 1.0 / math.sqrt(idx_free.size) * 0.5
-                unidentifiable = [names[idx_free[k]] for k in np.flatnonzero(bad)]
+                bad = np.abs(vt[-1]) > 1.0 / math.sqrt(n_free) * 0.5
+                unidentifiable = [names[idx[k]] for k in np.flatnonzero(bad)]
                 s = np.where(s / s[0] < 1.0 / _COND_LIMIT, np.inf, s)
             cov_int = (vt.T * (1.0 / s)) @ vt * red_chi2
             # delta-method back-transform from log space
-            scale = params[idx_free]
-            cov[np.ix_(idx_free, idx_free)] = cov_int * np.outer(scale, scale)
+            scale = params[idx]
+            cov[np.ix_(idx, idx)] = cov_int * np.outer(scale, scale)
 
     return FitResult(
         model_id=model_id,

@@ -90,6 +90,17 @@ class TestCalibration:
         with pytest.raises(ValueError, match="anchors admit no gamma_gs"):
             eit.calibrate_control(**anchors)
 
+    # each used to end in a ZeroDivisionError or a math domain error
+    @pytest.mark.parametrize("anchors, message", [
+        ({"transparency": 1.0}, "transparency must be in"),
+        ({"transparency": 0.0}, "transparency must be in"),
+        ({"od": 0.0}, "od must be finite and > 0"),
+        ({"power_high_W": 0.0}, "power_high_W must be finite and > 0"),
+    ])
+    def test_refuses_bad_anchor_by_name(self, anchors, message):
+        with pytest.raises(ValueError, match=message):
+            eit.calibrate_control(**anchors)
+
     def test_solution_meets_both_anchors(self):
         # near the default anchors, where gamma_gs stays below Gamma/5 and
         # LambdaScheme does not warn

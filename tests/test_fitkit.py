@@ -292,6 +292,22 @@ class TestFitContract:
         res_w = fitkit.fit("lorentzian_od", rows)
         assert not res_w.chi2_unitless
 
+    @pytest.mark.parametrize("model_id", sorted(fitkit.MODELS))
+    def test_unweighted_equals_unit_sigma_exactly(self, model_id):
+        # an unweighted fit skips the weight product, which at sigma 1 is
+        # multiplication by 1.0 and so changes no bit
+        rows = noisy_rows(model_id)
+        ones = np.column_stack((rows[:, :2], np.ones(len(rows))))
+        plain = fitkit.fit(model_id, rows[:, :2])
+        unit = fitkit.fit(model_id, ones)
+        assert plain.parameters.tobytes() == unit.parameters.tobytes()
+        assert plain.covariance.tobytes() == unit.covariance.tobytes()
+        assert plain.cost_history == unit.cost_history
+        assert plain.reduced_chi2 == unit.reduced_chi2
+        assert plain.n_iterations == unit.n_iterations
+        assert plain.converged == unit.converged
+        assert plain.unidentifiable == unit.unidentifiable
+
     def test_format_result_mentions_every_parameter(self):
         res = fitkit.fit("saturation", clean_rows("saturation"))
         text = fitkit.format_result(res)
