@@ -2,7 +2,6 @@
 the scalar-return and finite-input conventions shared by the physics
 modules."""
 
-import dataclasses
 import math
 import numbers
 
@@ -45,17 +44,17 @@ def scalar_or_array(out):
 
 
 def check_fields(obj, positive=(), nonnegative=()) -> None:
-    """Reject a NaN or infinite number in any field of dataclass `obj`,
-    and a value <= 0 in the fields named in `positive`, < 0 in those
-    named in `nonnegative`."""
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
+    """Reject a NaN or infinite number in any field of dataclass `obj`
+    (or value of dict `obj`), and a value <= 0 in the fields named in
+    `positive`, < 0 in those named in `nonnegative`."""
+    values = obj if isinstance(obj, dict) else vars(obj)
+    for name, value in values.items():
         # float first: one C-level check for the common case, before the ABC
         if isinstance(value, (float, numbers.Real)) and not math.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (f.name, value))
+            raise ValueError("%s must be finite, got %r" % (name, value))
     for name in positive:
-        if getattr(obj, name) <= 0:
+        if values[name] <= 0:
             raise ValueError("%s must be positive" % name)
     for name in nonnegative:
-        if getattr(obj, name) < 0:
+        if values[name] < 0:
             raise ValueError("%s must be nonnegative" % name)

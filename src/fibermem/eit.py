@@ -397,10 +397,15 @@ def propagate_pulse(
     t = grid.times()
     shape = probe.field_envelope(t).astype(complex)
     shape *= np.exp(-1j * probe.detuning_rad_per_s * t)
-    energy = np.trapezoid(np.abs(shape) ** 2, t)
+    energy = float(np.trapezoid(np.abs(shape) ** 2, t))
     if energy <= 0.0:
         raise ValueError("probe pulse has no support on the grid")
-    e_in = shape * math.sqrt(probe.mean_photon_number / energy)
+    # on Python floats an overflow gives inf without a RuntimeWarning
+    scale = math.sqrt(probe.mean_photon_number / energy)
+    if not math.isfinite(scale):
+        raise ValueError("probe energy on the grid, %.3g, is too small to normalize"
+                         % energy)
+    e_in = shape * scale
 
     results = []
     for lo in range(0, len(ods), MAX_BATCH_ROWS):

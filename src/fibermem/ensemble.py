@@ -10,7 +10,6 @@ the absorbed-power ratio N = P_abs / p_single.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,21 +64,6 @@ class CloudSpec:
     def sink_radius_m(self) -> float:
         """Distance from the surface where |U| = kT, edge of the capture shell."""
         return (self.c3_JK / (K_BOLTZMANN * self.temperature_K)) ** (1.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class AbsorptionModel:
-    """Empirical absorption parameters of the fiber-coupled ensemble."""
-
-    alpha0_L: float = 8.0 / 1.3
-    p_sat_W: float = 1.3e-9
-    k_exp: float = 1.0
-    gamma_rad_per_s: float = 2.0 * math.pi * 6.8e6
-    od: float = 3.0
-
-    def __post_init__(self):
-        check_fields(self, positive=("alpha0_L", "p_sat_W", "k_exp",
-                                     "gamma_rad_per_s", "od"))
 
 
 def density_profile(cloud: CloudSpec, fiber: FiberSpec, rho_m) -> np.ndarray:
@@ -153,18 +137,20 @@ def lorentzian_law(delta_rad_per_s, od, gamma_rad_per_s) -> np.ndarray:
     return np.exp(-od / (1.0 + (2.0 * delta / gamma_rad_per_s) ** 2))
 
 
-def saturation_transmission(p_W, model: AbsorptionModel) -> np.ndarray:
+def saturation_transmission(p_W, alpha0_L, p_sat_W, k_exp) -> np.ndarray:
     """Resonant transmission against probe power P >= 0, strictly
     increasing in P (saturation_law)."""
+    check_fields(dict(alpha0_L=alpha0_L, p_sat_W=p_sat_W, k_exp=k_exp),
+                 positive=("alpha0_L", "p_sat_W", "k_exp"))
     p = np.asarray(p_W, dtype=float)
     if np.any(p < 0.0):
         raise ValueError("p_W must be nonnegative")
-    return scalar_or_array(
-        saturation_law(p, model.alpha0_L, model.p_sat_W, model.k_exp))
+    return scalar_or_array(saturation_law(p, alpha0_L, p_sat_W, k_exp))
 
 
-def lorentzian_transmission(delta_rad_per_s, model: AbsorptionModel) -> np.ndarray:
+def lorentzian_transmission(delta_rad_per_s, od, gamma_rad_per_s) -> np.ndarray:
     """Transmission against probe detuning, even in delta with the
     minimum exp(-OD) on resonance (lorentzian_law)."""
-    return scalar_or_array(
-        lorentzian_law(delta_rad_per_s, model.od, model.gamma_rad_per_s))
+    check_fields(dict(od=od, gamma_rad_per_s=gamma_rad_per_s),
+                 positive=("od", "gamma_rad_per_s"))
+    return scalar_or_array(lorentzian_law(delta_rad_per_s, od, gamma_rad_per_s))

@@ -8,8 +8,9 @@ model's lower bounds are > 0) and is fitted in log space, which keeps
 every trial strictly positive, finite and in bounds, and makes the box
 bounds smooth.  So a model's fn is the plain-parameter law of its
 physics module, the formula its public curve function evaluates op for
-op, without the checks and with no dataclass built.  The data domain is
-checked once per call instead: a model whose x is a power or a time
+op, without the checks and with no dataclass built (of the curves, only
+eit_spectrum takes one, its LambdaScheme).  The data domain is checked
+once per call instead: a model whose x is a power or a time
 names it in x_nonnegative, and fit and evaluate_model refuse a
 negative x with the public curve's message.  fn(x, *params) takes
 each parameter as a scalar or as a (k, 1) column and returns (k, n)

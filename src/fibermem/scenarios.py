@@ -51,11 +51,7 @@ from .eit import (
     propagate_pulse,
     rabi_from_power,
 )
-from .ensemble import (
-    AbsorptionModel,
-    lorentzian_transmission,
-    saturation_transmission,
-)
+from .ensemble import lorentzian_transmission, saturation_transmission
 from .fitkit import MODELS, fit
 from .waveguide import surface_intensity_scan
 
@@ -85,19 +81,22 @@ def _scheme(cfg) -> LambdaScheme:
     )
 
 
-def _rabi(cfg, p_mW):
+def _rabi(cfg, p_mW, power_key: str):
     """Control Rabi frequency at p_mW, a power or an array of powers,
-    refused where a positive power gives 0: the waist is too wide."""
+    refused where a positive power gives 0: power_key, the key that sets
+    the (lowest) power, if it underflows to 0 W, else the waist."""
+    p_W = p_mW * 1e-3
     omega = rabi_from_power(
-        p_mW * 1e-3,
+        p_W,
         waist_m=cfg["control.waist_um"] * 1e-6,
         calibration=cfg["calibration.rabi_calibration"],
         gamma_rad_per_s=cfg["scheme.gamma_MHz"] * MHZ,
     )
-    if np.any((omega == 0.0) & (np.asarray(p_mW) > 0.0)):
-        raise ValueError("config key 'control.waist_um' underflows the control Rabi"
-                         " frequency to 0 at a positive power, got %s"
-                         % cfg["control.waist_um"])
+    zero = (omega == 0.0) & (np.asarray(p_mW) > 0.0)
+    if np.any(zero):
+        key = power_key if np.any(zero & (p_W == 0.0)) else "control.waist_um"
+        raise ValueError("config key %r underflows the control Rabi frequency to 0"
+                         " at a positive power, got %s" % (key, cfg[key]))
     return omega
 
 
@@ -121,13 +120,10 @@ def _span(cfg, key_pattern: str) -> tuple:
 
 def _run_fig1b(cfg, seed):
     """Saturation of the transmitted power, with a self-fit check."""
-    model = AbsorptionModel(
-        alpha0_L=cfg["absorption.alpha0_L"],
-        p_sat_W=cfg["absorption.p_sat_nW"] * 1e-9,
-        k_exp=cfg["absorption.k_exp"],
-    )
     p_nW = np.geomspace(*_span(cfg, "absorption.power_%s_nW"), cfg["absorption.points"])
-    trans = saturation_transmission(p_nW * 1e-9, model)
+    trans = saturation_transmission(p_nW * 1e-9, cfg["absorption.alpha0_L"],
+                                    cfg["absorption.p_sat_nW"] * 1e-9,
+                                    cfg["absorption.k_exp"])
     res = fit("saturation", np.column_stack((p_nW * 1e-9, trans)))
     summary = {
         "alpha0_L_fit": res.parameter("alpha0_L"),
@@ -141,12 +137,10 @@ def _run_fig1b(cfg, seed):
 
 def _run_fig1c(cfg, seed):
     """Resonant absorption line, with the optical depth fit back out."""
-    model = AbsorptionModel(
-        gamma_rad_per_s=cfg["scheme.gamma_MHz"] * MHZ, od=cfg["spectroscopy.od"]
-    )
     span = cfg["spectroscopy.span_MHz"]
     delta_MHz = np.linspace(-span, span, cfg["spectroscopy.points"])
-    trans = lorentzian_transmission(delta_MHz * MHZ, model)
+    trans = lorentzian_transmission(delta_MHz * MHZ, cfg["spectroscopy.od"],
+                                    cfg["scheme.gamma_MHz"] * MHZ)
     res = fit("lorentzian_od", np.column_stack((delta_MHz * MHZ, trans)))
     summary = {
         "od_fit": res.parameter("od"),
@@ -168,7 +162,7 @@ def _run_fig2(cfg, seed):
     summary = {}
     for p_mW in cfg["spectroscopy.powers_mW"]:
         tag = ("%g" % p_mW).replace(".", "p")  # distinct: config's list domain
-        omega = _rabi(cfg, p_mW)
+        omega = _rabi(cfg, p_mW, "spectroscopy.powers_mW")
         trans = eit_spectrum(od, scheme, omega, delta_MHz * MHZ)
         cols.append(("transmission_%smW" % tag, trans))
         summary["transparency_%smW" % tag] = float(
@@ -184,10 +178,12 @@ def _run_fig3a(cfg, seed):
     od = cfg["slowlight.od"]
     length_m = cfg["medium.length_mm"] * 1e-3
     p_mW = np.linspace(*_span(cfg, "slowlight.power_%s_mW"), cfg["slowlight.points"])
-    sweep = group_delay(od, scheme, _rabi(cfg, p_mW), length_m)
+    sweep = group_delay(od, scheme, _rabi(cfg, p_mW, "slowlight.power_min_mW"), length_m)
     delay_ns = sweep.delay_s * 1e9
     anchor_p = cfg["calibration.anchor_delay_power_mW"]
-    anchor = group_delay(od, scheme, _rabi(cfg, anchor_p), length_m)
+    anchor = group_delay(od, scheme,
+                         _rabi(cfg, anchor_p, "calibration.anchor_delay_power_mW"),
+                         length_m)
     summary = {
         "delay_at_anchor_ns": anchor.delay_s * 1e9,
         "slowdown_at_anchor": anchor.slowdown,
@@ -226,7 +222,7 @@ def _seconds(cfg, key: str) -> float:
 
 def _storage_control(cfg, dark_ns: float) -> ControlField:
     off_s = cfg["storage.switch_off_ns"] * 1e-9
-    return ControlField(_rabi(cfg, cfg["control.power_mW"]), off_s,
+    return ControlField(_rabi(cfg, cfg["control.power_mW"], "control.power_mW"), off_s,
                         off_s + dark_ns * 1e-9, _seconds(cfg, "storage.ramp_ns"))
 
 
@@ -265,11 +261,13 @@ def _storage_inputs(cfg):
                          " probe outside the grid of 'storage.t_stop_ns' and"
                          " 'storage.dt_ns'")
     if not math.isfinite(math.sqrt(probe.mean_photon_number / energy)):
-        raise ValueError("'storage.t_stop_ns' and 'storage.dt_ns' make a grid too"
-                         " short to normalize the probe: its energy on the grid"
+        raise ValueError("'probe.peak_ns', 'probe.fwhm_ns' and 'probe.shape' put too"
+                         " little of the probe on the grid of 'storage.t_stop_ns' and"
+                         " 'storage.dt_ns' to normalize it: its energy on the grid"
                          " is %.3g" % energy)
     scheme = _scheme(cfg)
-    broken = grid_limit(grid.dt_s, probe.fwhm_s, _rabi(cfg, cfg["control.power_mW"]),
+    broken = grid_limit(grid.dt_s, probe.fwhm_s,
+                        _rabi(cfg, cfg["control.power_mW"], "control.power_mW"),
                         cfg["storage.od"], scheme)
     if broken is not None:
         rule, dt_max_s = broken

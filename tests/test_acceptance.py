@@ -22,7 +22,6 @@ from fibermem.decoherence import (
     revival_envelope,
 )
 from fibermem.ensemble import (
-    AbsorptionModel,
     CloudSpec,
     atom_number_from_absorption,
     effective_atom_number,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fibermem import eit
 from fibermem.config import DEFAULTS, apply_overrides
 from fibermem.constants import C_LIGHT
-from fibermem.ensemble import AbsorptionModel, lorentzian_transmission
+from fibermem.ensemble import lorentzian_transmission
 from fibermem.scenarios import _storage_control, _storage_inputs
 
 # frozen outputs of calibrate_control(); regression-pinned
@@ -165,10 +165,9 @@ class TestCalibration:
 class TestSusceptibility:
     def test_matches_lorentzian_without_control(self):
         sch = default_scheme()
-        model = AbsorptionModel(od=3.0)
         delta = np.linspace(-3e8, 3e8, 2001)
         t_eit = eit.eit_spectrum(3.0, sch, 0.0, delta)
-        t_lor = lorentzian_transmission(delta, model)
+        t_lor = lorentzian_transmission(delta, 3.0, 2 * math.pi * 6.8e6)
         assert np.max(np.abs(t_eit - t_lor)) < 1e-12
 
     def test_perfect_dark_state(self):
@@ -376,6 +375,15 @@ class TestPropagation:
             with pytest.raises(eit.GridError):
                 eit.propagate_pulse(probe, ctrl, big_od, sch,
                                     eit.PropagationGrid(1.4e-6, 0.5e-9, 80))
+
+    def test_probe_too_faint_to_normalize_refused(self):
+        # only the Gaussian's far tail lies on the grid: its energy there,
+        # about 1e-311, cannot scale to 0.6 photons in floating point
+        probe = eit.ProbePulse(0.6, 60e-9, "gaussian", 0.0, -950e-9)
+        ctrl = eit.ControlField(eit.rabi_from_power(2e-3), 315e-9, 345e-9, 10e-9)
+        grid = eit.PropagationGrid(1.4e-6, 0.5e-9, 50)
+        with pytest.raises(ValueError, match="too small to normalize"):
+            eit.propagate_pulse(probe, ctrl, 10.0, default_scheme(), grid)
 
     def test_square_probe_output_zero_until_input_starts(self):
         # stepping starts one step before the first nonzero input sample

@@ -5,7 +5,6 @@ import pytest
 
 from fibermem.constants import CS_D2_PSAT_ATOM_W
 from fibermem.ensemble import (
-    AbsorptionModel,
     CloudSpec,
     DensityDomainError,
     atom_number_from_absorption,
@@ -18,6 +17,8 @@ from fibermem.waveguide import FiberSpec
 
 FIBER = FiberSpec(radius_m=200e-9, wavelength_m=852e-9)
 UNIFORM = CloudSpec(profile="uniform")
+SATURATION = (8.0 / 1.3, 1.3e-9, 1.0)  # alpha0_L, p_sat_W, k_exp
+GAMMA = 2.0 * math.pi * 6.8e6
 
 
 def test_density_far_field_and_surface():
@@ -106,21 +107,18 @@ def test_atom_number_from_absorption():
 
 
 def test_saturation_transmission_values():
-    model = AbsorptionModel()
-    assert model.alpha0_L == pytest.approx(8.0 / 1.3)
-    assert saturation_transmission(0.0, model) == pytest.approx(
+    assert saturation_transmission(0.0, *SATURATION) == pytest.approx(
         math.exp(-8.0 / 1.3), rel=1e-12
     )
-    assert saturation_transmission(1e-3, model) == pytest.approx(1.0, abs=1e-5)
-    assert saturation_transmission(model.p_sat_W, model) == pytest.approx(
-        math.exp(-model.alpha0_L / 2.0), rel=1e-12
+    assert saturation_transmission(1e-3, *SATURATION) == pytest.approx(1.0, abs=1e-5)
+    assert saturation_transmission(1.3e-9, *SATURATION) == pytest.approx(
+        math.exp(-8.0 / 1.3 / 2.0), rel=1e-12
     )
 
 
 def test_saturation_transmission_increasing_and_bounded():
-    model = AbsorptionModel()
     p = np.logspace(-12, -6, 60)
-    t = saturation_transmission(p, model)
+    t = saturation_transmission(p, *SATURATION)
     assert np.all(np.diff(t) > 0.0)
     assert np.all((t > 0.0) & (t <= 1.0))
 
@@ -128,34 +126,32 @@ def test_saturation_transmission_increasing_and_bounded():
 def test_saturation_transmission_refuses_negative_power():
     # saturation_law is a bare formula; the public curve checks the data
     with pytest.raises(ValueError, match="p_W must be nonnegative"):
-        saturation_transmission(np.array([1e-9, -1e-15]), AbsorptionModel())
+        saturation_transmission(np.array([1e-9, -1e-15]), *SATURATION)
     with pytest.raises(ValueError, match="p_W must be nonnegative"):
-        saturation_transmission(-1e-9, AbsorptionModel())
+        saturation_transmission(-1e-9, *SATURATION)
 
 
 def test_lorentzian_transmission_values():
-    model = AbsorptionModel()
-    assert lorentzian_transmission(0.0, model) == pytest.approx(math.exp(-3.0), rel=1e-12)
-    half = 0.5 * model.gamma_rad_per_s
-    assert lorentzian_transmission(half, model) == pytest.approx(
+    assert lorentzian_transmission(0.0, 3.0, GAMMA) == pytest.approx(math.exp(-3.0), rel=1e-12)
+    half = 0.5 * GAMMA
+    assert lorentzian_transmission(half, 3.0, GAMMA) == pytest.approx(
         math.exp(-1.5), rel=1e-12
     )
-    assert lorentzian_transmission(1e12, model) == pytest.approx(1.0, abs=1e-4)
+    assert lorentzian_transmission(1e12, 3.0, GAMMA) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_lorentzian_transmission_even_minimum_on_resonance():
-    model = AbsorptionModel()
     d = np.linspace(-1e8, 1e8, 201)
-    t = lorentzian_transmission(d, model)
+    t = lorentzian_transmission(d, 3.0, GAMMA)
     assert np.array_equal(t, t[::-1])
     assert np.argmin(t) == 100
     assert np.all((t > 0.0) & (t <= 1.0))
 
 
 def test_absorption_model_validation():
-    with pytest.raises(ValueError):
-        AbsorptionModel(od=0.0)
-    with pytest.raises(ValueError):
-        AbsorptionModel(p_sat_W=-1e-9)
-    with pytest.raises(ValueError):
-        AbsorptionModel(k_exp=0.0)
+    with pytest.raises(ValueError, match="^od must be positive$"):
+        lorentzian_transmission(0.0, 0.0, GAMMA)
+    with pytest.raises(ValueError, match="^p_sat_W must be positive$"):
+        saturation_transmission(0.0, 8.0 / 1.3, -1e-9, 1.0)
+    with pytest.raises(ValueError, match="^k_exp must be positive$"):
+        saturation_transmission(0.0, 8.0 / 1.3, 1.3e-9, 0.0)

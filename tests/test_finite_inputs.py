@@ -1,4 +1,5 @@
-"""Each physical input dataclass refuses a NaN or infinite number."""
+"""Each physical input dataclass, and each parameter of the two
+absorption laws, refuses a NaN or infinite number."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from fibermem.counting import CountingModel
 from fibermem.decoherence import DecoherenceParams, MagneticScenario
 from fibermem.eit import ControlField, LambdaScheme, ProbePulse, PropagationGrid
-from fibermem.ensemble import AbsorptionModel, CloudSpec
+from fibermem.ensemble import CloudSpec, lorentzian_transmission, saturation_transmission
 from fibermem.waveguide import FiberSpec
 
 NAN, INF = math.nan, math.inf
@@ -39,8 +40,6 @@ CASES = [
     case(MagneticScenario, "m_populations", ((0, NAN),)),
     case(CountingModel, "mean_photons_in", NAN),
     case(CountingModel, "background_per_window", INF),
-    case(AbsorptionModel, "od", NAN),
-    case(AbsorptionModel, "gamma_rad_per_s", INF),
     case(CloudSpec, "peak_density_per_m3", NAN),
     case(CloudSpec, "temperature_K", INF),
 ]
@@ -50,3 +49,19 @@ CASES = [
 def test_non_finite_input_rejected(cls, kwargs):
     with pytest.raises(ValueError, match="finite"):
         cls(**kwargs)
+
+
+LAW_PARAMETERS = {
+    saturation_transmission: {"alpha0_L": 8.0 / 1.3, "p_sat_W": 1.3e-9, "k_exp": 1.0},
+    lorentzian_transmission: {"od": 3.0, "gamma_rad_per_s": 2 * math.pi * 6.8e6},
+}
+
+
+@pytest.mark.parametrize("curve, name, value", [
+    pytest.param(curve, name, value, id="%s-%s-%r" % (curve.__name__, name, value))
+    for curve, params in LAW_PARAMETERS.items() for name in params
+    for value in (NAN, INF)
+])
+def test_non_finite_law_parameter_rejected(curve, name, value):
+    with pytest.raises(ValueError, match="finite"):
+        curve(0.0, **{**LAW_PARAMETERS[curve], name: value})

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from fibermem import cli, decoherence, eit, fitkit
-from fibermem.ensemble import (
-    AbsorptionModel,
-    lorentzian_transmission,
-    saturation_transmission,
-)
+from fibermem.ensemble import lorentzian_transmission, saturation_transmission
 
 TRUTH = {
     "saturation": (8.0 / 1.3, 1.3e-9, 1.0),
@@ -49,8 +45,7 @@ class TestEvaluateModel:
         # omega_c at its lower bound is effectively off
         y_eit = fitkit.evaluate_model(
             "eit_spectrum", (3.0, 2 * math.pi * 6.8e6, 1e2, 1e4), delta)
-        model = AbsorptionModel(od=3.0)
-        y_lor = lorentzian_transmission(delta, model)
+        y_lor = lorentzian_transmission(delta, 3.0, 2 * math.pi * 6.8e6)
         assert np.max(np.abs(y_eit - y_lor)) < 1e-6
 
     def test_unknown_model_rejected(self):
@@ -320,10 +315,9 @@ def public_curve(model_id, p, x):
     """The model's curve from its physics module, on validated inputs."""
     p = [float(v) for v in p]
     if model_id == "saturation":
-        return saturation_transmission(x, AbsorptionModel(alpha0_L=p[0], p_sat_W=p[1],
-                                                          k_exp=p[2]))
+        return saturation_transmission(x, *p)
     if model_id == "lorentzian_od":
-        return lorentzian_transmission(x, AbsorptionModel(od=p[0], gamma_rad_per_s=p[1]))
+        return lorentzian_transmission(x, *p)
     if model_id == "decay_lifetime":
         return decoherence.efficiency_decay(x, p[0], p[1])
     with warnings.catch_warnings():
@@ -379,14 +373,13 @@ class TestBatchedModel:
     def test_fit_builds_no_dataclass_and_no_warnings_context(self, monkeypatch):
         data = {m: noisy_rows(m) for m in fitkit.MODELS}
         built, contexts = [], []
-        for cls in (AbsorptionModel, eit.LambdaScheme):
-            check = cls.__post_init__
+        check = eit.LambdaScheme.__post_init__
 
-            def counted(self, check=check):
-                built.append(type(self).__name__)
-                check(self)
+        def counted(self):
+            built.append(type(self).__name__)
+            check(self)
 
-            monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(eit.LambdaScheme, "__post_init__", counted)
         catch = warnings.catch_warnings
 
         def counted_catch(*args, **kwargs):
@@ -398,7 +391,6 @@ class TestBatchedModel:
             assert fitkit.fit(model_id, rows).converged
         assert built == [] and contexts == []
         # the counters do count
-        AbsorptionModel()
         with warnings.catch_warnings():
             eit.LambdaScheme()
-        assert built == ["AbsorptionModel", "LambdaScheme"] and contexts == [1]
+        assert built == ["LambdaScheme"] and contexts == [1]

@@ -747,6 +747,8 @@ class TestCli:
         ("fig3b", ["probe.peak_ns=1e7"]),
         ("custom", ["probe.peak_ns=-500", "probe.shape=square"]),
         ("fig3c", ["probe.peak_ns=-5000"]),
+        # support on the grid, but too little energy to normalize
+        ("fig3b", ["probe.shape=gaussian", "probe.peak_ns=-950"]),
     ])
     def test_probe_without_support_refused_naming_keys(
             self, tmp_path, monkeypatch, capsys, sim, sets):
@@ -861,6 +863,20 @@ class TestCli:
                           "--set", "control.waist_um=1e300"]) == 2
         err = capsys.readouterr().err
         assert "config key 'control.waist_um'" in err and "omega_c" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sim, key", [
+        ("fig2", "spectroscopy.powers_mW"),
+        ("fig3a", "slowlight.power_min_mW"),
+        ("fig3a", "calibration.anchor_delay_power_mW"),
+        ("fig3b", "control.power_mW"),
+    ])
+    def test_power_underflow_refused_naming_the_power(self, tmp_path, capsys, sim, key):
+        # 5e-324 mW is positive but 0 W, so Omega_c = 0 at a positive power
+        out = tmp_path / "x.csv"
+        assert entry(["sim", sim, "--out", str(out), "--set", "%s=5e-324" % key]) == 2
+        err = capsys.readouterr().err
+        assert "config key %r" % key in err and "control.waist_um" not in err
         assert not out.exists()
 
     def test_zero_control_power_runs(self, tmp_path):
