@@ -1,23 +1,22 @@
 """Command line front end.
 
-Three subcommands:
+    fibermem sim SCENARIO [--set KEY=VALUE]... [--out PATH] [--seed N] [--config FILE]
+    fibermem fit MODEL --data FILE [--guess A,B,...] [--frozen NAME,...]
+    fibermem list
 
-    sim <scenario> [--set key=value]... [--out path] [--seed n] [--config file]
-    fit <model> --data file.csv [--guess a,b,...] [--frozen name,...]
-    list
-
-Exit codes: 0 success, 2 usage or validation error, 3 solver failure,
-4 fit did not converge or identifies no parameter.  Quantities cross the command line in lab units
-(MHz, ns, us, nW, mW, Gauss); unit suffixes on CSV column headers are
-converted to SI before fitting.  Randomness is confined to the seeded
-counting generator (NumPy PCG64 via default_rng), so repeating a
-command reproduces its output byte for byte.
+Flags and the operand come in any order; a flag is spelled in full and
+takes its value as the next word or after '=' (--out=x.csv); --set
+repeats, every other flag keeps its last value; -h or --help prints the
+usage.  Exit codes: 0 success, 2 usage or validation error, 3 solver
+failure, 4 fit did not converge or identifies no parameter.  Quantities
+cross the command line in lab units (MHz, ns, us, nW, mW, Gauss); unit
+suffixes on CSV column headers are converted to SI before fitting.
+Randomness is confined to the seeded counting generator (NumPy PCG64 via
+default_rng), so repeating a command reproduces its output byte for byte.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import sys
 
@@ -111,40 +110,64 @@ def _read_xy(path: str) -> np.ndarray:
     return data
 
 
-@functools.cache  # one parser per process: parse_args leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fibermem",
-        description="nanofiber optical-memory simulator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command's operand and its flags with their defaults; --set collects
+# its values, every other flag keeps its last
+_COMMANDS = {
+    "sim": ("SCENARIO", {"--set": (), "--out": None, "--seed": 0, "--config": None}),
+    "fit": ("MODEL", {"--data": None, "--guess": None, "--frozen": None}),
+    "list": (None, {}),
+}
 
-    sim = sub.add_parser("sim", help="run a scenario and write its CSV")
-    sim.add_argument("scenario", help="scenario id, see the list command")
-    sim.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        dest="overrides",
-        help="override one config key, repeatable",
-    )
-    sim.add_argument("--out", default=None, help="output CSV path")
-    sim.add_argument("--seed", type=int, default=0, help="counting RNG seed")
-    sim.add_argument("--config", default=None, help="INI file overlaying defaults")
+_USAGE = """\
+usage: fibermem sim SCENARIO [--set KEY=VALUE]... [--out PATH] [--seed N] [--config FILE]
+       fibermem fit MODEL --data FILE [--guess A,B,...] [--frozen NAME,...]
+       fibermem list
+"""
 
-    fit_p = sub.add_parser("fit", help="fit a registered model to CSV data")
-    fit_p.add_argument("model", help="model id: %s" % ", ".join(sorted(MODELS)))
-    fit_p.add_argument("--data", required=True, help="CSV with x,y[,sigma] columns")
-    fit_p.add_argument(
-        "--guess", default=None, help="comma-separated starting parameters"
-    )
-    fit_p.add_argument(
-        "--frozen", default=None, help="comma-separated parameter names to pin"
-    )
+_HELP = _USAGE + """
+SCENARIO is an id that fibermem list shows with its config keys; MODEL is
+one of %s.
+sim writes the scenario's CSV: --set overrides one config key and repeats,
+--config overlays an INI file and --seed seeds the photon counting.  fit
+fits the x,y[,sigma] columns of a CSV from the comma-separated --guess
+values, with the --frozen parameters pinned.  Flags are spelled in full
+and take their value as the next word or after '='.
+""" % ", ".join(sorted(MODELS))
 
-    sub.add_parser("list", help="show the scenario catalog")
-    return parser
+
+def _parse(argv):
+    """command, operand and {flag: value} of a command line; a ValueError
+    names the word or flag that does not fit the usage."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValueError("unknown command %r" % argv[0] if argv else "no command")
+    command, words = argv[0], iter(argv[1:])
+    operand_name, defaults = _COMMANDS[command]
+    opts, operands = dict(defaults), []
+    for word in words:
+        if not word.startswith("-"):
+            operands.append(word)
+            continue
+        flag, eq, value = word.partition("=")
+        if flag not in opts:
+            raise ValueError("unknown flag %r for %s" % (flag, command))
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("--"):
+                raise ValueError("%s needs a value" % flag)
+        if flag == "--seed":
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError("--seed %r is not an integer" % value) from None
+        opts[flag] = opts[flag] + (value,) if flag == "--set" else value
+    extra = operands[1:] if operand_name else operands
+    if extra:
+        raise ValueError("unexpected operand %r" % extra[0])
+    if operand_name and not operands:
+        raise ValueError("%s needs a %s" % (command, operand_name))
+    if command == "fit" and opts["--data"] is None:
+        raise ValueError("fit needs --data")
+    return command, operands[0] if operands else None, opts
 
 
 def _cmd_list() -> int:
@@ -169,52 +192,49 @@ def _format_summary_value(value) -> str:
     return str(value)
 
 
-def _cmd_sim(args) -> int:
-    config = load_config(args.config)
-    apply_overrides(config, args.overrides)
-    report = run_scenario(args.scenario, config, args.seed, args.out)
-    print(
-        "wrote %s (%d rows, config %s, seed %d)"
-        % (
-            report["output_path"],
-            report["n_rows"],
-            report["config_digest"],
-            args.seed,
-        )
-    )
+def _cmd_sim(scenario, opts) -> int:
+    config = load_config(opts["--config"])
+    apply_overrides(config, opts["--set"])
+    report = run_scenario(scenario, config, opts["--seed"], opts["--out"])
+    print("wrote %s (%d rows, config %s, seed %d)" % (
+        report["output_path"], report["n_rows"], report["config_digest"], opts["--seed"]))
     for key in sorted(report["summary"]):
         print("  %-28s %s" % (key, _format_summary_value(report["summary"][key])))
     return 0
 
 
-def _cmd_fit(args) -> int:
-    data = _read_xy(args.data)
+def _cmd_fit(model, opts) -> int:
+    data = _read_xy(opts["--data"])
     guess = None
-    if args.guess is not None:
+    if opts["--guess"] is not None:
         try:
-            guess = [float(tok) for tok in args.guess.split(",") if tok.strip()]
+            guess = [float(tok) for tok in opts["--guess"].split(",") if tok.strip()]
         except ValueError as exc:
-            raise ValueError("--guess %r: %s" % (args.guess, exc)) from None
+            raise ValueError("--guess %r: %s" % (opts["--guess"], exc)) from None
     frozen = frozenset(
-        tok.strip() for tok in (args.frozen or "").split(",") if tok.strip()
+        tok.strip() for tok in (opts["--frozen"] or "").split(",") if tok.strip()
     )
-    result = fit(args.model, data, guess, frozen)
+    result = fit(model, data, guess, frozen)
     print(format_result(result))
     return 0 if result.converged else 4
 
 
 def entry(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(_HELP, end="")
+        return 0
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage; normalize --help to success
-        return 0 if exc.code in (0, None) else 2
+        command, operand, opts = _parse(argv)
+    except ValueError as exc:
+        print("%sfibermem: error: %s" % (_USAGE, exc), file=sys.stderr)
+        return 2
     try:
-        if args.command == "list":
+        if command == "list":
             return _cmd_list()
-        if args.command == "sim":
-            return _cmd_sim(args)
-        return _cmd_fit(args)
+        if command == "sim":
+            return _cmd_sim(operand, opts)
+        return _cmd_fit(operand, opts)
     except _SOLVER_ERRORS as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         return 3

@@ -17,6 +17,9 @@ from .constants import check_fields
 
 # most shots one model draws; each shot holds two int64 counts
 MAX_SHOTS = 1_000_000
+# largest mean count a shot is drawn with: NumPy's Generator.poisson
+# refuses a mean above about 9.22e18
+MAX_MEAN = 1e18
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,12 @@ class CountingModel:
         if self.n_shots > MAX_SHOTS:
             raise ValueError("n_shots %d exceeds the limit of %d"
                              % (self.n_shots, MAX_SHOTS))
+        for name, mean in (("mean_photons_in * efficiency",
+                            self.mean_photons_in * self.efficiency),
+                           ("background_per_window", self.background_per_window)):
+            if mean > MAX_MEAN:
+                raise ValueError("%s %.6g exceeds the limit of %g counts per window"
+                                 % (name, mean, MAX_MEAN))
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,9 @@ def saturation_transmission(p_W, alpha0_L, p_sat_W, k_exp) -> np.ndarray:
     p = np.asarray(p_W, dtype=float)
     if np.any(p < 0.0):
         raise ValueError("p_W must be nonnegative")
-    return scalar_or_array(saturation_law(p, alpha0_L, p_sat_W, k_exp))
+    # an overflowing (1 + P/P_sat)^k gives the limit T -> 1
+    with np.errstate(over="ignore"):
+        return scalar_or_array(saturation_law(p, alpha0_L, p_sat_W, k_exp))
 
 
 def lorentzian_transmission(delta_rad_per_s, od, gamma_rad_per_s) -> np.ndarray:
@@ -153,4 +155,6 @@ def lorentzian_transmission(delta_rad_per_s, od, gamma_rad_per_s) -> np.ndarray:
     minimum exp(-OD) on resonance (lorentzian_law)."""
     check_fields(dict(od=od, gamma_rad_per_s=gamma_rad_per_s),
                  positive=("od", "gamma_rad_per_s"))
-    return scalar_or_array(lorentzian_law(delta_rad_per_s, od, gamma_rad_per_s))
+    # an overflowing (2 delta/Gamma)^2 gives the limit T -> 1
+    with np.errstate(over="ignore"):
+        return scalar_or_array(lorentzian_law(delta_rad_per_s, od, gamma_rad_per_s))

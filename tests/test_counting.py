@@ -95,3 +95,14 @@ class TestSimulation:
             counting.CountingModel(efficiency=1.5)
         with pytest.raises(ValueError):
             counting.CountingModel(n_shots=0)
+
+    def test_mean_past_the_poisson_limit_refused_by_field(self):
+        with pytest.raises(ValueError, match="mean_photons_in \\* efficiency"):
+            counting.CountingModel(mean_photons_in=1e300, efficiency=0.5)
+        with pytest.raises(ValueError, match="background_per_window"):
+            counting.CountingModel(background_per_window=1e19)
+        # the limit itself still draws
+        model = counting.CountingModel(mean_photons_in=counting.MAX_MEAN, efficiency=1.0,
+                                       background_per_window=counting.MAX_MEAN, n_shots=10)
+        res = counting.simulate_counting(model, seed=0)
+        assert res.snr == pytest.approx(1.0, rel=1e-6)

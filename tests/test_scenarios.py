@@ -990,3 +990,97 @@ class TestCli:
 
     def test_help_exits_zero(self, capsys):
         assert entry(["--help"]) == 0
+
+    def test_commands_load_no_argparse(self, tmp_path):
+        # the flag table parses every command line: argparse's import and
+        # its subparser scan cost more than the light commands themselves
+        line, decay = str(tmp_path / "fig1c.csv"), str(tmp_path / "fig4a.csv")
+        runs = [["sim", "fig1c", "--out", line, "--set", "spectroscopy.od=4"],
+                ["fit", "lorentzian_od", "--data", line], ["sim", "fig4a", "--out", decay],
+                ["fit", "decay_lifetime", "--data", decay, "--guess", "5e-6,3e-6"]]
+        code = "from fibermem.cli import entry; assert [entry(a) for a in %r] == [0] * 4" % (
+            runs,)
+        assert self._loaded_after(code, ("argparse",)) == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["sim", "fig1c", "-h"], ["fit", "--help"], ["list", "--bogus", "--help"]])
+    def test_help_anywhere_prints_the_usage(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert entry(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: fibermem sim SCENARIO") and err == ""
+        assert "fibermem fit MODEL --data FILE" in out and "fibermem list" in out
+        assert all(model in out for model in fitkit.MODELS)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, word", [
+        ([], "no command"),
+        (["frobnicate"], "'frobnicate'"),
+        (["--out", "x.csv", "sim", "fig1c"], "'--out'"),
+        (["sim"], "SCENARIO"),
+        (["fit", "--data", "x.csv"], "MODEL"),
+        (["sim", "fig1c", "fig1b"], "'fig1b'"),
+        (["list", "fig1c"], "'fig1c'"),
+        (["sim", "fig1c", "--bogus", "1"], "'--bogus'"),
+        (["sim", "fig1c", "-o", "x.csv"], "'-o'"),
+        # argparse took any unique prefix of a flag; the flag table takes none
+        (["sim", "fig1c", "--ou", "x.csv"], "'--ou'"),
+        (["sim", "fig1c", "--conf", "x.ini"], "'--conf'"),
+        (["sim", "fig1c", "--data", "x.csv"], "'--data'"),
+        (["list", "--out", "x.csv"], "'--out'"),
+        (["fit", "lorentzian_od", "--data", "x.csv", "--set", "a=1"], "'--set'"),
+        (["sim", "fig1c", "--out"], "--out needs a value"),
+        (["sim", "fig1c", "--out", "--seed", "1"], "--out needs a value"),
+        (["fit", "lorentzian_od", "--data"], "--data needs a value"),
+        (["fit", "lorentzian_od"], "--data"),
+        (["fit", "lorentzian_od", "--guess", "1,2"], "--data"),
+        (["sim", "fig1c", "--seed", "1.5"], "--seed '1.5'"),
+        (["sim", "fig1c", "--seed=abc"], "--seed 'abc'"),
+        (["sim", "fig1c", "--seed", "2", "--seed", "x"], "--seed 'x'"),
+    ])
+    def test_malformed_line_exits_2_with_usage(self, tmp_path, monkeypatch, capsys,
+                                               argv, word):
+        monkeypatch.chdir(tmp_path)
+        assert entry(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: fibermem sim SCENARIO")
+        last = err.splitlines()[-1]
+        assert last.startswith("fibermem: error: ") and word in last
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flag_forms_and_order_write_the_same_bytes(self, tmp_path, capsys):
+        # --set collects, --seed keeps its last value, which may be negative
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert entry(["sim", "fig1c", "--out", str(first), "--seed", "-1",
+                      "--set", "spectroscopy.od=4", "--set", "scheme.gamma_MHz=6"]) == 0
+        assert entry(["sim", "--set=spectroscopy.od=4", "--seed=7", "--out=%s" % second,
+                      "--seed=-1", "--set", "scheme.gamma_MHz=6", "fig1c"]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        first_out, second_out = capsys.readouterr().out.split("wrote ")[1:]
+        assert first_out.replace(str(first), str(second)) == second_out
+        assert "seed -1)" in second_out and "spectroscopy.od = 4" in first.read_text()
+
+    @pytest.mark.parametrize("sim, item", [
+        ("fig1b", "absorption.k_exp=1e300"),
+        ("fig1c", "scheme.gamma_MHz=5e-324"),
+        ("fig1c", "spectroscopy.span_MHz=1e300"),
+    ])
+    def test_overflowing_curve_runs_without_warning(self, tmp_path, sim, item):
+        # (1 + P/P_sat)^k or (2 delta/Gamma)^2 past the float range is the
+        # T = 1 limit, which these runs reached with overflow warnings
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert entry(["sim", sim, "--out", str(out), "--set", item]) == 0
+        assert np.isfinite(read_csv(out)[2]).all()
+
+    @pytest.mark.parametrize("key", ["probe.photons", "counting.background"])
+    def test_poisson_mean_past_the_limit_refused_naming_the_key(self, tmp_path, capsys,
+                                                                key):
+        # NumPy's Generator.poisson refused these with a bare "lam value too large"
+        out = tmp_path / "x.csv"
+        assert entry(["sim", "fig3b", "--out", str(out), "--set", key + "=1e300",
+                      "--set", "storage.t_stop_ns=700", "--set", "storage.n_z=50"]) == 2
+        err = capsys.readouterr().err
+        assert "config key %r" % key in err and "lam" not in err
+        assert not out.exists()
