@@ -8,6 +8,11 @@ efficiency relative to zero delay decays as
 
     eta_rel(t) = exp[-(t/tau_D)^2 / (1+(t/tau_T)^2)] / (1+(t/tau_T)^2)^2
 
+Without Zeeman broadening it is exact for ballistic atoms in a Gaussian
+mode of waist 2r.  It also divides the Zeeman exponent by the transit
+factor, which atoms with a static Zeeman shift do not: at the defaults it
+exceeds their efficiency by 0.9%, 8.8%, 30% and 2.5x at 2, 4, 6 and 10 us.
+
 With a magnetic field along the fiber the stored coherences accumulate
 phases at even multiples of the Larmor frequency (ground clock pairs
 |F=4,m> and |F=3,m> carry opposite-sign Lande factors, so each pair
@@ -56,11 +61,16 @@ def efficiency_decay(t_s, tau_D_s: float, tau_T_s: float) -> np.ndarray:
     return scalar_or_array(decay_law(t, tau_D_s, tau_T_s))
 
 
+def _larmor_hz(b_field_T: float) -> float:
+    """Ground-state Larmor frequency nu_L = g_F mu_B B / h."""
+    return CS_GF_GROUND * MU_BOHR * b_field_T / H_PLANCK
+
+
 def half_larmor_period(b_field_T: float) -> float:
-    """Half of the Larmor precession period, 1/(2 g_F mu_B B / h)."""
+    """Half of the Larmor precession period, 1/(2 nu_L)."""
     if b_field_T <= 0.0:
         raise ValueError("b_field_T must be positive")
-    freq = 2.0 * CS_GF_GROUND * MU_BOHR * b_field_T / H_PLANCK
+    freq = 2.0 * _larmor_hz(b_field_T)
     if freq == 0.0:
         raise ValueError("b_field_T = %r T underflows the Larmor frequency to 0"
                          % b_field_T)
@@ -154,21 +164,13 @@ class MagneticScenario:
             raise ValueError("population weights must sum to 1")
 
 
-def revival_envelope(
-    t_grid, scenario: MagneticScenario, params: DecoherenceParams
-) -> np.ndarray:
-    """Relative efficiency curve with Larmor collapses and revivals.
-
-    eta_rel(t) = |sum_m w_m exp(i m 2 pi nu_L t) / sum_m w_m|^2
-    * efficiency_decay(t), bounded above by the field-free decay with
-    equality at rephasing times.  Both sums run in the ladder's order, so
-    at B=0 the interference factor is identically 1.
+def revival_envelope(t_grid, scenario: MagneticScenario) -> np.ndarray:
+    """Larmor interference comb |sum_m w_m exp(i m 2 pi nu_L t)|^2 / (sum_m w_m)^2,
+    which efficiency_decay multiplies into collapses and revivals.  Both
+    sums run in the ladder's order, so at B=0 the comb is identically 1.
     """
     t = np.asarray(t_grid, dtype=float)
-    nu_larmor = CS_GF_GROUND * MU_BOHR * scenario.b_field_T / H_PLANCK
-    amp = np.zeros_like(t, dtype=complex)
-    for m, w in scenario.m_populations:
-        amp += w * np.exp(1j * m * 2.0 * np.pi * nu_larmor * t)
-    comb = (np.abs(amp) / sum(w for _, w in scenario.m_populations)) ** 2
-    decay = efficiency_decay(t, params.effective_tau_D_s, params.effective_tau_T_s)
-    return scalar_or_array(comb * decay)
+    nu_larmor = _larmor_hz(scenario.b_field_T)
+    amp = sum(w * np.exp(1j * m * 2.0 * np.pi * nu_larmor * t)
+              for m, w in scenario.m_populations)
+    return scalar_or_array((np.abs(amp) / sum(w for _, w in scenario.m_populations)) ** 2)

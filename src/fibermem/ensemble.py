@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CS_D2_PSAT_ATOM_W, K_BOLTZMANN, check_fields, scalar_or_array
-from .waveguide import FiberSpec
 
 NANOFIBER_WAIST_LENGTH_M = 9e-3  # longest usable overlap length
 
@@ -66,18 +65,19 @@ class CloudSpec:
         return (self.c3_JK / (K_BOLTZMANN * self.temperature_K)) ** (1.0 / 3.0)
 
 
-def density_profile(cloud: CloudSpec, fiber: FiberSpec, rho_m) -> np.ndarray:
-    """Atom number density at radius rho_m from the fiber axis.
+def density_profile(cloud: CloudSpec, radius_m: float, rho_m) -> np.ndarray:
+    """Atom number density at rho_m from the axis of a fiber of radius radius_m.
 
     Zero at the surface, monotone nondecreasing, approaching the peak
     density far from the fiber.  Raises DensityDomainError for radii
     inside the fiber body.
     """
+    if not 0.0 < radius_m < np.inf:
+        raise ValueError("radius_m must be finite and positive")
     rho = np.asarray(rho_m, dtype=float)
-    r = fiber.radius_m
-    if np.any(rho < r):
+    if np.any(rho < radius_m):
         raise DensityDomainError("density is undefined inside the fiber")
-    gap = rho - r
+    gap = rho - radius_m
     if cloud.profile == "uniform":
         out = np.where(gap > 0.0, cloud.peak_density_per_m3, 0.0)
     else:
@@ -90,9 +90,9 @@ def density_profile(cloud: CloudSpec, fiber: FiberSpec, rho_m) -> np.ndarray:
 
 
 def effective_atom_number(
-    cloud: CloudSpec, fiber: FiberSpec, shell_width_in_radii: float = 4.0
+    cloud: CloudSpec, radius_m: float, shell_width_in_radii: float = 4.0
 ) -> float:
-    """Atoms within a shell of width shell*r from the surface.
+    """Atoms within shell*r of the surface of a fiber of radius r = radius_m.
 
     N = L * int_r^{r(1+shell)} n(rho) 2 pi rho drho, fixed-order
     Gauss-Legendre so repeated calls are bit-identical.  The uniform
@@ -100,14 +100,11 @@ def effective_atom_number(
     """
     if shell_width_in_radii < 0.0:
         raise ValueError("shell_width_in_radii must be nonnegative")
-    if shell_width_in_radii == 0.0:
-        return 0.0
-    r = fiber.radius_m
-    lo, hi = r, r * (1.0 + shell_width_in_radii)
+    lo, hi = radius_m, radius_m * (1.0 + shell_width_in_radii)
     half = 0.5 * (hi - lo)
     gl_nodes, gl_weights = _shell_rule()
     nodes = 0.5 * (hi + lo) + half * gl_nodes
-    dens = density_profile(cloud, fiber, nodes)
+    dens = density_profile(cloud, radius_m, nodes)
     integrand = dens * 2.0 * np.pi * nodes * half * gl_weights
     return float(cloud.overlap_length_m * np.sum(integrand))
 

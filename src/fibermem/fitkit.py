@@ -157,6 +157,8 @@ class FitResult:
         return float(math.sqrt(max(self.covariance[i, i], 0.0)))
 
 
+# a law past the float range (a Lorentzian wing at 1e154 widths) is its limit
+@np.errstate(over="ignore")
 def fit(model_id: str, data, initial_guess: Optional[Sequence] = None,
         frozen: frozenset = frozenset()) -> FitResult:
     """Minimize the weighted squared residuals of a registered model.

@@ -3,8 +3,9 @@
 Run with  pytest tests/test_acceptance.py -s  to see every verdict line;
 without -s pytest shows the lines for failing criteria only.  Criterion 1
 is marked xfail: the full-vector mode solver puts 59% of the guided power
-outside a 400 nm core at 852 nm, so the 0.40 +/- 0.05 band cannot be met
-by this implementation; the verdict line reports the measured value.
+outside a 400 nm core at 852 nm, which an independent boundary-matching
+solution confirms, so the 0.40 +/- 0.05 band cannot be met by this
+implementation; the verdict line reports the measured value.
 """
 
 import math
@@ -19,6 +20,7 @@ from fibermem.counting import CountingModel, analytic_snr
 from fibermem.decoherence import (
     DecoherenceParams,
     MagneticScenario,
+    half_larmor_period,
     revival_envelope,
 )
 from fibermem.ensemble import (
@@ -65,11 +67,22 @@ def assert_passive(result) -> None:
 
 
 @pytest.mark.xfail(
-    reason="full-vector evanescent fraction is 0.59 at 400 nm / 852 nm; "
+    reason="full-vector evanescent fraction is 0.59 at 400 nm / 852 nm, as the "
+    "independent boundary-matching solution of tests/test_waveguide.py::"
+    "test_he11_matches_independent_boundary_matching_solution confirms; "
     "the 0.40 +/- 0.05 band is not attainable with this field solution",
     strict=True,
 )
 def test_01_evanescent_fraction_band():
+    """0.40 +/- 0.05 of the guided power outside a 400 nm core at 852 nm.
+
+    The exact HE11 mode carries 0.5926 outside: solve_he11 and an
+    independent solution of the 4x4 boundary-matching determinant with
+    SciPy's Bessel functions, brentq, null_space and quad agree within
+    1e-10 relative (tests/test_waveguide.py::
+    test_he11_matches_independent_boundary_matching_solution).  The band
+    fits a diameter of about 474 nm.
+    """
     t0 = time.perf_counter()
     mode = solve_he11(
         FiberSpec(radius_m=200e-9, wavelength_m=852e-9, core_index=1.4525)
@@ -99,8 +112,7 @@ def test_02_surface_intensity_scan_peak():
 def test_03_atom_number_estimates():
     cloud = CloudSpec(profile="uniform", peak_density_per_m3=1e17,
                       overlap_length_m=5e-3)
-    fiber = FiberSpec(radius_m=200e-9, wavelength_m=852e-9)
-    n_shell = effective_atom_number(cloud, fiber, 4.0)
+    n_shell = effective_atom_number(cloud, 200e-9, 4.0)
     n_abs = atom_number_from_absorption(8e-9, 3.8e-12)
     ok = abs(n_shell - 1508.0) <= 1.0 and 1500.0 <= n_abs <= 2500.0
     verdict(3, ok, "shell count %.1f vs 1508 +/- 1; absorption count %.0f in "
@@ -129,15 +141,8 @@ def test_04_decoherence_time_scales():
 
 
 def first_revival_us(scenario: MagneticScenario) -> float:
-    params = DecoherenceParams()
     t_us = np.linspace(0.0, 5.0, 10001)
-    curve = revival_envelope(t_us * 1e-6, scenario, params)
-    free = revival_envelope(
-        t_us * 1e-6, MagneticScenario(b_field_T=0.0), params
-    )
-    comb = np.where(free > 0.0, curve / free, 0.0)
-    from fibermem.decoherence import half_larmor_period
-
+    comb = revival_envelope(t_us * 1e-6, scenario)
     t_half = half_larmor_period(scenario.b_field_T) * 1e6
     peaks = _revival_peaks(t_us, comb, t_half)
     assert peaks, "no revival found"

@@ -7,6 +7,7 @@ from fibermem.constants import CS_MASS_KG, K_BOLTZMANN
 from fibermem.decoherence import (
     DecoherenceParams,
     MagneticScenario,
+    decay_law,
     efficiency_decay,
     half_larmor_period,
     revival_envelope,
@@ -120,6 +121,35 @@ def test_efficiency_decay_monotonicity():
     assert np.all(efficiency_decay(t, 4.72e-6, 5e-6) >= y)
 
 
+def test_decay_law_matches_ballistic_atoms_without_zeeman_broadening():
+    # Atoms at velocities N(0, sigma^2) per transverse axis fly through a
+    # Gaussian mode of amplitude exp(-rho^2/w^2), w = 2 r, past a grating
+    # of wavevector dk = (4 pi/lambda) sin(a/2) along one axis.  Per axis
+    # the mode overlaps its copy moved by v t as exp(-(v t)^2/(2 w^2)), so
+    # the readout amplitude is the product over both axes of the
+    # Gauss-Hermite velocity averages of that overlap, times cos(dk v t)
+    # along the grating, and the efficiency is its square.  About 25 ms.
+    z, weights = np.polynomial.hermite.hermgauss(100)
+    weights = weights / math.sqrt(math.pi)
+    rng = np.random.default_rng(7)
+    for _ in range(16):
+        p = DecoherenceParams(
+            temperature_K=rng.uniform(20e-6, 1e-3),
+            fiber_radius_m=rng.uniform(100e-9, 500e-9),
+            wavelength_m=rng.uniform(700e-9, 1100e-9),
+            control_angle_rad=math.radians(rng.uniform(1.0, 60.0)),
+            zeeman_broadening_Hz=0.0,
+        )
+        sigma, w = p.velocity_m_s, 2.0 * p.fiber_radius_m
+        dk = (4.0 * math.pi / p.wavelength_m) * math.sin(0.5 * p.control_angle_rad)
+        t = np.linspace(0.0, 2.0, 9) * min(w / sigma, 1.0 / (dk * sigma))
+        vt = math.sqrt(2.0) * sigma * np.outer(t, z)
+        moved = np.exp(-vt**2 / (2.0 * w * w))
+        along, across = (moved * np.cos(dk * vt)) @ weights, moved @ weights
+        law = decay_law(t, p.effective_tau_D_s, p.effective_tau_T_s)
+        assert law == pytest.approx((along * across) ** 2, rel=1e-12)
+
+
 def test_half_larmor_period():
     p04 = half_larmor_period(0.4e-4)
     p06 = half_larmor_period(0.6e-4)
@@ -157,17 +187,17 @@ def test_revival_envelope_field_free_and_single_level():
     p = DecoherenceParams()
     t = np.linspace(0.0, 10e-6, 501)
     dec = efficiency_decay(t, p.effective_tau_D_s, p.effective_tau_T_s)
-    flat = revival_envelope(t, MagneticScenario(b_field_T=0.0), p)
-    assert np.array_equal(flat, dec)
+    flat = revival_envelope(t, MagneticScenario(b_field_T=0.0))
+    assert np.array_equal(flat * dec, dec)
     single = MagneticScenario(b_field_T=0.4e-4, m_populations=((4, 1.0),))
-    assert revival_envelope(t, single, p) == pytest.approx(dec, rel=1e-9)
+    assert revival_envelope(t, single) * dec == pytest.approx(dec, rel=1e-9)
 
 
 def test_revival_envelope_bounded_by_decay():
     p = DecoherenceParams()
     t = np.linspace(0.0, 12e-6, 2001)
-    env = revival_envelope(t, MagneticScenario(b_field_T=0.4e-4), p)
     dec = efficiency_decay(t, p.effective_tau_D_s, p.effective_tau_T_s)
+    env = revival_envelope(t, MagneticScenario(b_field_T=0.4e-4)) * dec
     assert np.all(env <= dec + 1e-12)
     assert env[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -183,8 +213,9 @@ def _principal_peaks(t, env, period, n_peaks):
 def test_revival_peaks_at_half_larmor_multiples():
     p = DecoherenceParams()
     t = np.linspace(0.0, 12e-6, 48001)
+    dec = efficiency_decay(t, p.effective_tau_D_s, p.effective_tau_T_s)
     for b, period in [(0.4e-4, 3.5724e-6), (0.6e-4, 2.3816e-6)]:
-        env = revival_envelope(t, MagneticScenario(b_field_T=b), p)
+        env = revival_envelope(t, MagneticScenario(b_field_T=b)) * dec
         for n, tp in enumerate(_principal_peaks(t, env, period, 2), start=1):
             assert tp == pytest.approx(n * period, rel=0.05)
 
@@ -193,13 +224,6 @@ def test_revival_peak_positions_weight_independent():
     # rephasing comb alone: every half-period multiple is an exact revival
     # for any weights, and for ladders with adjacent occupation it is the
     # argmax of its surroundings
-    p = DecoherenceParams()
-    field_free = MagneticScenario(b_field_T=0.0)
-
-    def comb(times, sc):
-        # the envelope over the field-free decay leaves the comb alone
-        return revival_envelope(times, sc, p) / revival_envelope(times, field_free, p)
-
     t = np.linspace(0.0, 12e-6, 48001)
     period = half_larmor_period(0.4e-4)
     weight_sets = [
@@ -213,8 +237,8 @@ def test_revival_peak_positions_weight_independent():
     for ws in weight_sets:
         sc = MagneticScenario(b_field_T=0.4e-4, m_populations=ws)
         for n in (1, 2, 3):
-            assert comb(n * period, sc) == pytest.approx(1.0, abs=1e-9)
-        positions.append(_principal_peaks(t, comb(t, sc), period, 3))
+            assert revival_envelope(n * period, sc) == pytest.approx(1.0, abs=1e-9)
+        positions.append(_principal_peaks(t, revival_envelope(t, sc), period, 3))
     # sparse ladders may revive more often; adjacent ones peak only there
     for pos in positions[:3]:
         for n, tp in enumerate(pos, start=1):
@@ -224,9 +248,10 @@ def test_revival_peak_positions_weight_independent():
 def test_revival_peak_heights_depend_on_weights():
     p = DecoherenceParams()
     t = np.linspace(0.0, 5e-6, 20001)
+    dec = efficiency_decay(t, p.effective_tau_D_s, p.effective_tau_T_s)
     flat = MagneticScenario(b_field_T=0.4e-4)
     lumped = MagneticScenario(b_field_T=0.4e-4, m_populations=((-6, 0.5), (6, 0.5)))
-    env_flat = revival_envelope(t, flat, p)
-    env_lump = revival_envelope(t, lumped, p)
+    env_flat = revival_envelope(t, flat) * dec
+    env_lump = revival_envelope(t, lumped) * dec
     mid = (t > 1.0e-6) & (t < 2.5e-6)
     assert not np.allclose(env_flat[mid], env_lump[mid], rtol=0.05)

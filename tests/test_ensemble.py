@@ -13,41 +13,47 @@ from fibermem.ensemble import (
     lorentzian_transmission,
     saturation_transmission,
 )
-from fibermem.waveguide import FiberSpec
-
-FIBER = FiberSpec(radius_m=200e-9, wavelength_m=852e-9)
+R = 200e-9  # fiber radius
 UNIFORM = CloudSpec(profile="uniform")
 SATURATION = (8.0 / 1.3, 1.3e-9, 1.0)  # alpha0_L, p_sat_W, k_exp
 GAMMA = 2.0 * math.pi * 6.8e6
 
 
 def test_density_far_field_and_surface():
-    assert density_profile(UNIFORM, FIBER, 1e-3) == pytest.approx(1e17)
-    assert density_profile(UNIFORM, FIBER, FIBER.radius_m) == 0.0
+    assert density_profile(UNIFORM, R, 1e-3) == pytest.approx(1e17)
+    assert density_profile(UNIFORM, R, R) == 0.0
 
 
 def test_density_uniform_flat():
-    rho = FIBER.radius_m * np.array([1.001, 2.0, 5.0, 50.0])
-    assert np.all(density_profile(UNIFORM, FIBER, rho) == 1e17)
+    rho = R * np.array([1.001, 2.0, 5.0, 50.0])
+    assert np.all(density_profile(UNIFORM, R, rho) == 1e17)
 
 
 def test_density_inside_fiber_rejected():
     with pytest.raises(DensityDomainError):
-        density_profile(UNIFORM, FIBER, 0.5 * FIBER.radius_m)
+        density_profile(UNIFORM, R, 0.5 * R)
+
+
+@pytest.mark.parametrize("radius", [0.0, -200e-9, math.nan, math.inf])
+def test_bad_fiber_radius_refused(radius):
+    with pytest.raises(ValueError, match="radius_m must be finite and positive"):
+        density_profile(UNIFORM, radius, 1e-3)
+    with pytest.raises(ValueError, match="radius_m must be finite and positive"):
+        effective_atom_number(UNIFORM, radius, 0.0)
 
 
 def test_density_tiny_c3_approaches_uniform():
     cloud = CloudSpec(profile="depleted", c3_JK=1e-60)
-    rho = FIBER.radius_m * np.array([1.01, 2.0, 5.0])
-    assert density_profile(cloud, FIBER, rho) == pytest.approx(
+    rho = R * np.array([1.01, 2.0, 5.0])
+    assert density_profile(cloud, R, rho) == pytest.approx(
         np.full(3, 1e17), rel=1e-6
     )
 
 
 def test_density_depleted_monotone_and_bounded():
     cloud = CloudSpec(profile="depleted")
-    rho = np.linspace(FIBER.radius_m, FIBER.radius_m * 30, 400)
-    n = density_profile(cloud, FIBER, rho)
+    rho = np.linspace(R, R * 30, 400)
+    n = density_profile(cloud, R, rho)
     assert np.all(np.diff(n) >= 0.0)
     assert np.all(n <= cloud.peak_density_per_m3)
     assert n[0] == 0.0
@@ -55,31 +61,31 @@ def test_density_depleted_monotone_and_bounded():
 
 
 def test_effective_atom_number_uniform_annulus():
-    n = effective_atom_number(UNIFORM, FIBER, 4.0)
+    n = effective_atom_number(UNIFORM, R, 4.0)
     closed = 1e17 * math.pi * ((1 + 4.0) ** 2 - 1.0) * (200e-9) ** 2 * 5e-3
     assert n == pytest.approx(closed, rel=1e-12)
     assert n == pytest.approx(1508.0, abs=1.0)
 
 
 def test_effective_atom_number_edges_and_linearity():
-    assert effective_atom_number(UNIFORM, FIBER, 0.0) == 0.0
+    assert effective_atom_number(UNIFORM, R, 0.0) == 0.0
     doubled = CloudSpec(profile="uniform", peak_density_per_m3=2e17)
-    assert effective_atom_number(doubled, FIBER, 4.0) == pytest.approx(
-        2.0 * effective_atom_number(UNIFORM, FIBER, 4.0), rel=1e-12
+    assert effective_atom_number(doubled, R, 4.0) == pytest.approx(
+        2.0 * effective_atom_number(UNIFORM, R, 4.0), rel=1e-12
     )
 
 
 def test_effective_atom_number_monotone_in_inputs():
-    base = effective_atom_number(UNIFORM, FIBER, 4.0)
-    assert effective_atom_number(UNIFORM, FIBER, 6.0) > base
+    base = effective_atom_number(UNIFORM, R, 4.0)
+    assert effective_atom_number(UNIFORM, R, 6.0) > base
     longer = CloudSpec(profile="uniform", overlap_length_m=7e-3)
-    assert effective_atom_number(longer, FIBER, 4.0) > base
+    assert effective_atom_number(longer, R, 4.0) > base
 
 
 def test_depleted_below_uniform():
     depl = CloudSpec(profile="depleted")
-    assert effective_atom_number(depl, FIBER, 4.0) < effective_atom_number(
-        UNIFORM, FIBER, 4.0
+    assert effective_atom_number(depl, R, 4.0) < effective_atom_number(
+        UNIFORM, R, 4.0
     )
 
 

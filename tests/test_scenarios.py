@@ -1074,6 +1074,17 @@ class TestCli:
             assert entry(["sim", sim, "--out", str(out), "--set", item]) == 0
         assert np.isfinite(read_csv(out)[2]).all()
 
+    def test_fit_of_overflowing_wings_runs_without_warning(self, tmp_path, capsys):
+        # every LM step evaluates (2 delta/Gamma)^2 past the float range on
+        # these wings; the fit reads them as T = 1.  Under 5 ms.
+        out = tmp_path / "x.csv"
+        assert entry(["sim", "fig1c", "--out", str(out),
+                      "--set", "spectroscopy.span_MHz=1e300"]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert entry(["fit", "lorentzian_od", "--data", str(out)]) == 0
+        assert "od = 3 +/-" in capsys.readouterr().out
+
     @pytest.mark.parametrize("key", ["probe.photons", "counting.background"])
     def test_poisson_mean_past_the_limit_refused_naming_the_key(self, tmp_path, capsys,
                                                                 key):

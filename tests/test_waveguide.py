@@ -315,6 +315,83 @@ def test_closed_form_power_matches_quadrature_reference(d_nm, lam_nm, core):
     assert mode.intensity_profile(t * spec.radius_m) == pytest.approx(reference, rel=rel)
 
 
+def _boundary_matched_he11(ka, n1):
+    """(n_eff, fraction of the power outside the core) of the HE11 mode of a
+    core of index n1 in vacuum, from the 4x4 boundary-matching determinant.
+
+    Uses nothing of waveguide.  Lengths are in units of 1/k, so the core
+    radius is ka.  Each layer carries Ez = A F(s r) e^{i(phi + beta z)} and
+    Z0 Hz = i B F(s r) e^{i(...)}, F = J1 in the core and K1 outside; with
+    them the transverse fields from Maxwell's equations are real up to the
+    factors i (E_r, H_phi) and -1 (E_phi, H_r).  The rows are the
+    continuity of Ez, Hz, E_phi and H_phi at r = ka.
+    """
+    from scipy.integrate import quad
+    from scipy.linalg import null_space
+    from scipy.optimize import brentq
+    from scipy.special import jv, jvp, kv, kvp
+
+    def layers(beta):
+        h, q = np.sqrt(n1**2 - beta**2), np.sqrt(beta**2 - 1.0)
+        return (h**2, h, n1, jv, jvp), (-q**2, q, 1.0, kv, kvp)
+
+    def fields(beta, r, layer, a, b):
+        # (Ez, Z0 Hz, E_r/i, -E_phi, -Z0 H_r, Z0 H_phi/i) per unit A and B
+        kt2, s, n, f, fp = layer
+        F, Fp = f(1, s * r), fp(1, s * r)
+        return (a * F, b * F,
+                (beta * s * a * Fp - b * F / r) / kt2,
+                (beta * a * F / r - s * b * Fp) / kt2,
+                (beta * s * b * Fp - n**2 * a * F / r) / kt2,
+                (n**2 * s * a * Fp - beta * b * F / r) / kt2)
+
+    def matrix(beta):
+        # columns A, B of the core and -C, -D of the cladding; rows Ez,
+        # Hz, E_phi, H_phi
+        cols = []
+        for layer, sign in zip(layers(beta), (1.0, -1.0)):
+            for a, b in ((1.0, 0.0), (0.0, 1.0)):
+                ez, hz, _, ephi, _, hphi = fields(beta, ka, layer, a, b)
+                cols.append([sign * ez, sign * hz, sign * ephi, sign * hphi])
+        return np.moveaxis(np.array(cols), (0, 1), (-1, -2))
+
+    # HE11 is the highest root in (1, n1); the determinant has no pole
+    # there, so a coarse sign scan brackets it
+    scan = np.linspace(1.0, n1, 34)[1:-1]
+    det = np.linalg.det(matrix(scan))
+    i = np.flatnonzero(np.sign(det[:-1]) != np.sign(det[1:]))[-1]
+    n_eff = brentq(lambda beta: np.linalg.det(matrix(beta)), scan[i], scan[i + 1],
+                   xtol=1e-16)
+    coef = null_space(matrix(n_eff), rcond=1e-9)
+    assert coef.shape == (4, 1)
+
+    def flux(r, layer, a, b):
+        # S_z r = Re(E_r H_phi* - E_phi H_r*) r / 2
+        _, _, er, ephi, hr, hphi = fields(n_eff, r, layer, a, b)
+        return 0.5 * (er * hphi - ephi * hr) * r
+
+    core, clad = layers(n_eff)
+    outer = ka + 80.0 / math.sqrt(n_eff**2 - 1.0)  # K1 has fallen by e^-80
+    p_in = quad(flux, 0.0, ka, (core, *coef[:2, 0]), epsabs=0.0, epsrel=1e-13,
+                limit=200)[0]
+    p_out = quad(flux, ka, outer, (clad, *coef[2:, 0]), epsabs=0.0, epsrel=1e-13,
+                 limit=200)[0]
+    return n_eff, p_out / (p_in + p_out)
+
+
+def test_he11_matches_independent_boundary_matching_solution():
+    # Le Kien et al., Opt. Commun. 242, 445 (2004): at a 400 nm diameter
+    # and 852 nm the exact mode carries 59% of its power outside the core,
+    # the value that criterion 1's 0.40 band excludes.  About 8 ms once
+    # SciPy is loaded (the quadrature-reference tests above load it).
+    mode = solve_he11(FiberSpec(radius_m=200e-9, wavelength_m=852e-9, core_index=1.4525))
+    n_eff, outside = _boundary_matched_he11(2.0 * math.pi * 200.0 / 852.0, 1.4525)
+    assert n_eff == pytest.approx(1.068979498399, rel=1e-12)
+    assert outside == pytest.approx(0.5925768326, rel=1e-10)
+    assert mode.n_eff == pytest.approx(n_eff, rel=1e-10)
+    assert mode.evanescent_fraction == pytest.approx(outside, rel=1e-10)
+
+
 def test_boundary_jump_is_bounded_dielectric_discontinuity():
     mode = solve_he11(SPEC_400)
     a = SPEC_400.radius_m
