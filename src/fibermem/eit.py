@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -100,7 +101,7 @@ class LambdaScheme:
         if self.gamma_gs_rad_per_s > 0.2 * self.gamma_ge_rad_per_s:
             warnings.warn(
                 "gamma_gs is not small against gamma_ge; EIT contrast will be poor",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to its caller
             )
 
 
@@ -221,7 +222,12 @@ class PropagationGrid:
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Output of one propagation run, co-moving time axis."""
+    """Output of one propagation run, co-moving time axis.
+
+    spinwave is S on z_grid at the grid's last sample, a copy.  A grid
+    that ends while the control is dark, after the probe has entered,
+    gives the stored spin wave.
+    """
 
     t_grid_s: np.ndarray
     input_intensity: np.ndarray
@@ -406,12 +412,18 @@ def propagate_pulse(
         raise ValueError("probe energy on the grid, %.3g, is too small to normalize"
                          % energy)
     e_in = shape * scale
+    # the input's photon number divides every energy fraction: below the
+    # smallest normal float it has lost precision, and at 0 gives NaN
+    in_flux = np.abs(e_in) ** 2
+    if not np.trapezoid(in_flux, t) >= sys.float_info.min:
+        raise ValueError("mean_photon_number must put at least %.3g photons on the"
+                         " grid, got %r" % (sys.float_info.min, probe.mean_photon_number))
 
     results = []
     for lo in range(0, len(ods), MAX_BATCH_ROWS):
         rows = slice(lo, lo + MAX_BATCH_ROWS)
         results += _propagate_rows(probe, controls[rows], ods[rows], scheme,
-                                   grid, t, e_in)
+                                   grid, t, e_in, in_flux)
     return results[0] if single else results
 
 
@@ -433,7 +445,7 @@ def grid_limit(dt_s, fwhm_s, rabi_rad_per_s, od, scheme: LambdaScheme):
     return None
 
 
-def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
+def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in, in_flux):
     """Step a batch of rows together; one PropagationResult per row."""
     nt = t.size
     dt = grid.dt_s
@@ -497,20 +509,6 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
     differs |= np.any(f.view(np.int64) != f[:1].view(np.int64))
     shared = int(np.argmax(differs)) if differs.any() else n_steps
 
-    # the spin wave is kept at the first step the control has gone dark,
-    # from the one stepped row while the row is in the shared span
-    env_vals = np.where(peak > 0.0, env_t, 1.0)  # zero peak: never dark
-    snap_at = {}
-    spinwave = [None] * n_rows
-    for r, env in enumerate(env_vals):
-        dark = np.flatnonzero(env[1:] <= 1e-3)
-        if dark.size and env[0] > 1e-3:
-            if dark[0] < start:  # dark before the probe arrives: nothing stored
-                spinwave[r] = np.zeros(nz + 1, dtype=complex)
-            else:
-                src = 0 if dark[0] < start + shared else r
-                snap_at.setdefault(int(dark[0]), []).append((r, src))
-
     # a step reads one state buffer and writes the other: a slot per state
     # row, each row's slices contiguous.  The views into them are made
     # before each span, and a step's matrices and output slot come from
@@ -535,9 +533,9 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
         pairs = np.empty((m, nz), dtype=complex)
         steps = zip(pred[lo:hi, :m], corr[lo:hi, :m],
                     out_e.T[start + 1 + lo:start + 1 + hi])
-        for n, (pr, co, out_n) in enumerate(steps, start + lo):
+        for pr, co, out_n in steps:
             psw, w = old[1], old[5]
-            state, _, fps, fp_hi, fp_lo, w_new, e_out = new
+            _, _, fps, fp_hi, fp_lo, w_new, e_out = new
             # f p and the predicted f p, whose sweep moves W~ to the corrector's
             matmul(pr, psw, q_f)
             add(q_hi, q_lo, pairs)
@@ -547,18 +545,14 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
             accumulate(pairs, 1, None, w_new)
             out_n[...] = e_out
             old, new = new, old
-            if n in snap_at:
-                for r, src in snap_at[n]:
-                    spinwave[r] = state[2, src].copy()
         lo = hi
     # freed before the results are built, with the last step's views of them
     del steps, pr, co, pred, corr
     out_e += e_in
     out_flux = np.abs(out_e) ** 2
-
-    in_flux = np.abs(e_in) ** 2
     z_grid = np.linspace(0.0, 1.0, nz + 1)
     results = []
+    env_vals = np.where(peak > 0.0, env_t, 1.0)  # zero peak: never dark
     for r, od in enumerate(ods):  # old[0] holds n_rows rows after the last span
         readout_start_s = _infer_readout_start(t, env_vals[r])
         fp = _fingerprint(
@@ -566,8 +560,7 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in):
              readout_start_s]
         )
         results.append(_row_result(
-            t, in_flux, out_flux[r], rabi_t[r],
-            old[0][2, r] if spinwave[r] is None else spinwave[r],
+            t, in_flux, out_flux[r], rabi_t[r], old[0][2, r].copy(),
             z_grid, readout_start_s, fp,
         ))
     return results

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from functools import partial
@@ -256,16 +257,21 @@ def _storage_inputs(cfg):
     )
     # propagate_pulse's own tests, made here to name the keys they tie together
     t = grid.times()
-    energy = float(np.trapezoid(probe.field_envelope(t) ** 2, t))
+    shape = probe.field_envelope(t)
+    energy = float(np.trapezoid(shape ** 2, t))
     if energy <= 0.0:
         raise ValueError("'probe.peak_ns', 'probe.fwhm_ns' and 'probe.shape' put the"
                          " probe outside the grid of 'storage.t_stop_ns' and"
                          " 'storage.dt_ns'")
-    if not math.isfinite(math.sqrt(probe.mean_photon_number / energy)):
+    scale = math.sqrt(probe.mean_photon_number / energy)
+    if not math.isfinite(scale):
         raise ValueError("'probe.peak_ns', 'probe.fwhm_ns' and 'probe.shape' put too"
                          " little of the probe on the grid of 'storage.t_stop_ns' and"
                          " 'storage.dt_ns' to normalize it: its energy on the grid"
                          " is %.3g" % energy)
+    if not np.trapezoid((scale * shape) ** 2, t) >= sys.float_info.min:
+        raise ValueError("'probe.photons' must put at least %.3g photons on the grid,"
+                         " got %s" % (sys.float_info.min, cfg["probe.photons"]))
     scheme = _scheme(cfg)
     broken = grid_limit(grid.dt_s, probe.fwhm_s,
                         _rabi(cfg, cfg["control.power_mW"], "control.power_mW"),

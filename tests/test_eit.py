@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -61,18 +62,31 @@ def fig3b_setup(od=10.0, n_ph=0.6, t_stop=1.4e-6, dt=0.5e-9, nz=80):
     return probe, ctrl, od, default_scheme(), grid
 
 
-def optimal_retrieval_bound(od):
-    """Largest storage-and-retrieval efficiency at optical depth od.
+@functools.cache
+def gauss_legendre_nodes():
+    """Nodes and weights of a 200-node Gauss-Legendre rule on [0, 1];
+    leggauss takes tens of ms, so it runs once."""
+    x, w = np.polynomial.legendre.leggauss(200)
+    return 0.5 * (x + 1.0), 0.5 * w
 
-    The square of the top eigenvalue of the kernel
-    (d/2) exp(-d (z + z')/2) I0(d sqrt(z z')) on [0, 1], d = od/2,
-    found by a 200-node Gauss-Legendre Nystrom discretisation.
+
+def readout_kernel(od):
+    """gauss_legendre_nodes' z and w, and the forward readout kernel at
+    them (Gorshkov, Andre, Lukin & Sorensen, PRA 76, 033805 (2007)):
+    k(z, z') = (d/2) exp(-d (2 - z - z')/2) I0(d sqrt((1 - z)(1 - z'))),
+    d = od/2.
     """
     d = 0.5 * od
-    x, w = np.polynomial.legendre.leggauss(200)
-    z, w = 0.5 * (x + 1.0), 0.5 * w
-    kernel = 0.5 * d * np.exp(-0.5 * d * (z[:, None] + z)) * np.i0(
-        d * np.sqrt(np.outer(z, z)))
+    z, w = gauss_legendre_nodes()
+    u = 1.0 - z
+    return z, w, 0.5 * d * np.exp(-0.5 * d * (u[:, None] + u)) * np.i0(
+        d * np.sqrt(np.outer(u, u)))
+
+
+def optimal_retrieval_bound(od):
+    """Largest storage-and-retrieval efficiency at optical depth od: the
+    square of the top eigenvalue of readout_kernel(od), by Nystrom."""
+    _, w, kernel = readout_kernel(od)
     root_w = np.sqrt(w)
     return np.linalg.eigvalsh(root_w[:, None] * kernel * root_w)[-1] ** 2
 
@@ -254,8 +268,10 @@ class TestGroupDelay:
         assert d1 > d2 > 0.0
 
     def test_scheme_warns_on_large_ground_decoherence(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             eit.LambdaScheme(gamma_gs_rad_per_s=1e7)
+        # reported at the caller, not inside the dataclass-generated __init__
+        assert caught[0].filename == __file__
 
     def test_scheme_validation(self):
         with pytest.raises(ValueError):
@@ -385,6 +401,13 @@ class TestPropagation:
         with pytest.raises(ValueError, match="too small to normalize"):
             eit.propagate_pulse(probe, ctrl, 10.0, default_scheme(), grid)
 
+    def test_probe_with_too_few_photons_refused(self):
+        # 5e-324 photons: the input's photon number on the grid underflows
+        # to 0, and every energy fraction would be 0/0
+        probe, ctrl, od, sch, grid = fig3b_setup(n_ph=5e-324)
+        with pytest.raises(ValueError, match="mean_photon_number must put at least"):
+            eit.propagate_pulse(probe, ctrl, od, sch, grid)
+
     def test_square_probe_output_zero_until_input_starts(self):
         # stepping starts one step before the first nonzero input sample
         probe, ctrl, od, sch, grid = storage_setup(10.0, **{"probe.shape": "square"})
@@ -398,7 +421,7 @@ class TestPropagation:
             10.0, **{"probe.shape": "square", "probe.peak_ns": 600,
                      "storage.switch_off_ns": 200})
         r = eit.propagate_pulse(probe, ctrl, od, sch, grid)
-        assert r.readout_start_s is not None and not np.any(r.spinwave)
+        assert r.readout_start_s is not None
         assert r.retrieval_efficiency > 0.0
 
     def test_empty_medium_returns_input(self):
@@ -448,7 +471,9 @@ class TestPropagation:
         assert r1.fingerprint != r3.fingerprint
 
     def test_spinwave_snapshot_nontrivial(self):
-        probe, ctrl, od, sch, grid = fig3b_setup()
+        # a grid that ends at the control's switch-off, after the probe has
+        # entered, returns the stored spin wave
+        probe, ctrl, od, sch, grid = fig3b_setup(t_stop=315e-9)
         r = eit.propagate_pulse(probe, ctrl, od, sch, grid)
         kappa = 0.25 * od * sch.gamma_ge_rad_per_s
         stored = kappa * np.trapezoid(np.abs(r.spinwave) ** 2, r.z_grid)
@@ -509,6 +534,36 @@ class TestPropagation:
             [0.03974, 0.29668, 0.48554, 0.66295], abs=1e-5)
         for (od, _), r in zip(rows, results):
             assert 0.0 < r.retrieval_efficiency <= bounds[od]
+
+    def test_retrieval_matches_spinwave_readout_kernel(self):
+        # with gamma_gs = 0, forward retrieval of a stored spin wave S is
+        # kappa / N_in * int int S*(z) k(z, z') S(z') dz dz', k the kernel of
+        # readout_kernel and kappa = od Gamma/4.  The oracle's domain:
+        # gamma_gs = 0, so the spin wave is frozen in the dark, and the
+        # default exponential-rising probe, which has ended at 312 ns, before
+        # the 315-ns switch-off.  A grid that ends at the switch-off plus the
+        # 100-ns dark time gives S; a shorter dark time leaves more P to the
+        # retrieval (3.0e-3 apart at 30 ns, od 10, 0.5 mW).  About 0.2 s
+        points = [(3.0, 2.0), (10.0, 0.5), (10.0, 2.0), (30.0, 3.0)]
+
+        def rows(t_stop_ns):
+            setups = [storage_setup(od, **{
+                "scheme.gamma_gs_rad_per_s": 0, "storage.dark_ns": 100,
+                "control.power_mW": p, "storage.t_stop_ns": t_stop_ns})
+                for od, p in points]
+            probe, _, _, sch, grid = setups[0]
+            return eit.propagate_pulse(probe, [setup[1] for setup in setups],
+                                       [od for od, _ in points], sch, grid)
+
+        probe, _, _, sch, _ = storage_setup(1.0)
+        for (od, _), stored, run in zip(points, rows(415), rows(1400)):
+            z, w, kernel = readout_kernel(od)
+            s = w * (np.interp(z, stored.z_grid, stored.spinwave.real)
+                     + 1j * np.interp(z, stored.z_grid, stored.spinwave.imag))
+            kappa = 0.25 * od * sch.gamma_ge_rad_per_s
+            predicted = kappa / probe.mean_photon_number * np.vdot(s, kernel @ s).real
+            simulated = run.retrieval_efficiency
+            assert abs(simulated - predicted) < 1e-3 * simulated
 
     def test_late_switch_off_stores_nothing(self):
         sch = default_scheme()

@@ -766,6 +766,19 @@ class TestCli:
             assert "%r" % key in err
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("sim", ["fig3b", "custom", "fig3c"])
+    def test_probe_photons_underflow_refused(self, tmp_path, monkeypatch, capsys, sim):
+        # 5e-324 photons underflow to 0 on the grid, where every energy
+        # fraction would be 0/0
+        calls = []
+        monkeypatch.setattr(scenarios, "propagate_pulse",
+                            lambda *args: calls.append(1))
+        out = tmp_path / "probe.csv"
+        assert entry(["sim", sim, "--out", str(out),
+                      "--set", "probe.photons=5e-324"]) == 2
+        assert "'probe.photons' must put at least" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     def test_counting_inputs_refused_before_propagation(
             self, tmp_path, monkeypatch, capsys):
         calls = []
