@@ -19,22 +19,20 @@ import hashlib
 import math
 from typing import Optional
 
-from .counting import MAX_SHOTS
+from .counting import MAX_MEAN, MAX_SHOTS
 from .eit import GAMMA_GS_CALIBRATED_RAD_PER_S, MIN_SLICES, PROBE_SHAPES
 from .eit import RABI_CALIBRATION
 
-# a domain: a float rule named in _HOLDS, (lo, hi) an inclusive int
-# range, a tuple of string choices, or [rule]:
-# a nonempty comma list of floats, each held to rule, distinct under %g
-FINITE, GT0, GE0 = "finite", "positive", "nonnegative"
-GT1, HALF_TURN = "greater than 1", "at least 0 and below 180"
-_HOLDS = {
-    FINITE: lambda v: True,
-    GT0: lambda v: v > 0.0,
-    GE0: lambda v: v >= 0.0,
-    GT1: lambda v: v > 1.0,  # a core index above the vacuum cladding's
-    HALF_TURN: lambda v: 0.0 <= v < 180.0,  # an angle in degrees
-}
+# a domain: (lo, hi) an inclusive range of the key's type, a tuple of
+# string choices, or [range]: a nonempty comma list of floats, each in
+# range, distinct under %g.  1e30 in a key's lab unit is far past any lab
+# value, yet no SI value or its square overflows, and none of a positive
+# key's underflows.
+FINITE, GT0, GE0 = (-1e30, 1e30), (1e-30, 1e30), (0.0, 1e30)
+# a core index above the vacuum cladding's, and at most 100, where the
+# mode solver still runs clean
+GT1 = (math.nextafter(1.0, 2.0), 100.0)
+HALF_TURN = (0.0, math.nextafter(180.0, 0.0))  # an angle in degrees, below 180
 # most samples accepted on one axis: a points key, a fig3c/mode_scan sweep
 # or the medium slices of a storage run
 MAX_POINTS = 10_000
@@ -52,7 +50,7 @@ _KEYS = {  # key: (default, domain, doc)
     "calibration.anchor_delay_power_mW": (0.5, GT0, "power of the reported delay, mW"),
     "medium.length_mm": (5.0, GT0, "medium length for the slowdown factor, mm"),
     "fiber.radius_nm": (200.0, GT0, "fiber radius setting the transit length, nm"),
-    "fiber.wavelength_nm": (852.0, GT0, "vacuum wavelength, nm"),
+    "fiber.wavelength_nm": (852.0, (10.0, 1e30), "vacuum wavelength, nm"),
     "fiber.core_index": (1.4525, GT1, "core refractive index, dimensionless"),
     "scan.diameter_min_nm": (250.0, GT0, "smallest diameter, nm"),
     "scan.diameter_max_nm": (800.0, GT0, "largest diameter, nm"),
@@ -73,7 +71,8 @@ _KEYS = {  # key: (default, domain, doc)
     "slowlight.power_min_mW": (0.2, GT0, "lowest control power, mW"),
     "slowlight.power_max_mW": (3.2, GT0, "highest control power, mW"),
     "slowlight.points": (31, (1, MAX_POINTS), "number of power samples"),
-    "probe.photons": (0.6, GT0, "mean photon number per probe pulse, dimensionless"),
+    "probe.photons": (
+        0.6, (1e-30, MAX_MEAN), "mean photon number per probe pulse, dimensionless"),
     "probe.fwhm_ns": (60.0, GT0, "probe intensity FWHM, ns"),
     "probe.shape": ("exponential-rising", PROBE_SHAPES, "probe envelope"),
     "probe.peak_ns": (300.0, FINITE, "probe peak arrival time, ns"),
@@ -98,7 +97,8 @@ _KEYS = {  # key: (default, domain, doc)
     "decoherence.points": (1201, (3, MAX_POINTS), "number of time samples"),
     "magnetic.b_field_G": (0.4, GT0, "longitudinal field, Gauss"),
     "magnetic.b_field_alt_G": (0.6, GT0, "alternate longitudinal field, Gauss"),
-    "counting.background": (0.003, GE0, "mean background counts per window"),
+    "counting.background": (
+        0.003, (0.0, MAX_MEAN), "mean background counts per window"),
     "counting.shots": (10000, (1, MAX_SHOTS), "number of repeated shots"),
 }
 
@@ -109,32 +109,28 @@ KEY_DOCS = {key: doc for key, (_, _, doc) in _KEYS.items()}
 def domain_text(key: str) -> str:
     """The domain of key as fibermem list shows it."""
     domain = _KEYS[key][1]
-    if isinstance(domain, str):
-        return domain
     if isinstance(domain, list):
-        return "comma list, each %s, distinct to 6 significant digits" % domain[0]
+        return "comma list, each %r..%r, distinct to 6 significant digits" % domain[0]
     if isinstance(domain[0], str):
         return "one of " + ", ".join(domain)
-    return "integer %d..%d" % domain
+    return ("integer %d..%d" if isinstance(domain[0], int) else "%r..%r") % domain
 
 
 def _breach(value, domain) -> Optional[str]:
     """How value falls outside domain, or None if it lies inside."""
     if isinstance(value, float) and not math.isfinite(value):
         return "must be finite"
-    if isinstance(value, tuple):  # a list domain [rule]
+    if isinstance(value, tuple):  # a list domain [range]
         breach = next(filter(None, (_breach(v, domain[0]) for v in value)), None)
         if not breach and len({"%g" % v for v in value}) < len(value):
             breach = "must not repeat an entry to 6 significant digits"
         return breach if value else "must list at least one number"
-    if isinstance(domain, str) and not _HOLDS[domain](value):
-        return "must be " + domain
-    if isinstance(value, str) and value not in domain:
-        return "must be one of " + ", ".join(domain)
-    if isinstance(value, int) and value < domain[0]:
-        return "must be at least %d" % domain[0]
-    if isinstance(value, int) and value > domain[1]:
-        return "exceeds the limit of %d" % domain[1]
+    if isinstance(value, str):
+        return None if value in domain else "must be one of " + ", ".join(domain)
+    if value < domain[0]:
+        return "must be at least %r" % domain[0]
+    if value > domain[1]:
+        return "exceeds the limit of %r" % domain[1]
     return None
 
 

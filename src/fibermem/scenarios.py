@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import tempfile
 from dataclasses import dataclass
 from functools import partial
@@ -28,13 +27,7 @@ import numpy as np
 from .config import KEY_DOCS, MAX_POINTS, config_digest, render_config
 # set_key stays bound here for perfbench/tracer.py, which wraps it by name
 from .config import set_key  # noqa: F401
-from .counting import (
-    MAX_MEAN,
-    CountingModel,
-    analytic_snr,
-    simulate_counting,
-    snr_standard_error,
-)
+from .counting import CountingModel, analytic_snr, simulate_counting, snr_standard_error
 from .decoherence import (
     DecoherenceParams,
     MagneticScenario,
@@ -209,33 +202,30 @@ def _sweep(cfg, key_pattern: str) -> np.ndarray:
     # counted before allocating, capped to stay finite; 1e-6 absorbs rounding
     count = math.floor(min((hi - lo) / step, MAX_POINTS) + 1e-6) + 1
     if count > MAX_POINTS:
-        raise ValueError("sweep exceeds the limit of %d points: raise %r"
-                         % (MAX_POINTS, step_key))
+        raise ValueError("sweep from %r to %r exceeds the limit of %d points: raise %r"
+                         % (key_pattern % "min", key_pattern % "max", MAX_POINTS,
+                            step_key))
     return np.arange(lo, lo + (count - 0.5) * step, step)
-
-
-def _seconds(cfg, key: str) -> float:
-    """The positive time cfg[key], in ns, in seconds, refused if it underflows."""
-    seconds = cfg[key] * 1e-9
-    if seconds == 0.0:
-        raise ValueError("config key %r underflows to 0 s, got %s" % (key, cfg[key]))
-    return seconds
 
 
 def _storage_control(cfg, dark_ns: float) -> ControlField:
     off_s = cfg["storage.switch_off_ns"] * 1e-9
     return ControlField(_rabi(cfg, cfg["control.power_mW"], "control.power_mW"), off_s,
-                        off_s + dark_ns * 1e-9, _seconds(cfg, "storage.ramp_ns"))
+                        off_s + dark_ns * 1e-9, cfg["storage.ramp_ns"] * 1e-9)
 
 
 # most samples a storage time grid may hold (the default grid has 2,801):
 # propagate_pulse keeps two step matrices for each
 MAX_TIME_SAMPLES = 20_000
 
-# the config key behind each rule of eit.grid_limit
-_GRID_RULE_KEYS = {"fwhm": "probe.fwhm_ns", "gamma": "scheme.gamma_MHz",
-                   "rabi": "control.power_mW",
-                   "gamma_gs": "scheme.gamma_gs_rad_per_s", "kappa": "storage.od"}
+# the config keys that set the rate behind each rule of eit.grid_limit
+_GRID_RULE_KEYS = {
+    "fwhm": ("probe.fwhm_ns",), "gamma": ("scheme.gamma_MHz",),
+    "rabi": ("control.power_mW", "control.waist_um", "calibration.rabi_calibration",
+             "scheme.gamma_MHz"),
+    "gamma_gs": ("scheme.gamma_gs_rad_per_s",),
+    "kappa": ("storage.od", "scheme.gamma_MHz"),
+}
 
 
 def _storage_inputs(cfg):
@@ -245,14 +235,14 @@ def _storage_inputs(cfg):
                          " %d time samples" % MAX_TIME_SAMPLES)
     probe = ProbePulse(
         mean_photon_number=cfg["probe.photons"],
-        fwhm_s=_seconds(cfg, "probe.fwhm_ns"),
+        fwhm_s=cfg["probe.fwhm_ns"] * 1e-9,
         shape=cfg["probe.shape"],
         detuning_rad_per_s=cfg["probe.detuning_MHz"] * MHZ,
         peak_time_s=cfg["probe.peak_ns"] * 1e-9,
     )
     grid = PropagationGrid(
-        t_stop_s=_seconds(cfg, "storage.t_stop_ns"),
-        dt_s=_seconds(cfg, "storage.dt_ns"),
+        t_stop_s=cfg["storage.t_stop_ns"] * 1e-9,
+        dt_s=cfg["storage.dt_ns"] * 1e-9,
         n_z=cfg["storage.n_z"],
     )
     # propagate_pulse's own tests, made here to name the keys they tie together
@@ -269,18 +259,16 @@ def _storage_inputs(cfg):
                          " little of the probe on the grid of 'storage.t_stop_ns' and"
                          " 'storage.dt_ns' to normalize it: its energy on the grid"
                          " is %.3g" % energy)
-    if not np.trapezoid((scale * shape) ** 2, t) >= sys.float_info.min:
-        raise ValueError("'probe.photons' must put at least %.3g photons on the grid,"
-                         " got %s" % (sys.float_info.min, cfg["probe.photons"]))
     scheme = _scheme(cfg)
     broken = grid_limit(grid.dt_s, probe.fwhm_s,
                         _rabi(cfg, cfg["control.power_mW"], "control.power_mW"),
                         cfg["storage.od"], scheme)
     if broken is not None:
         rule, dt_max_s = broken
-        raise ValueError("'storage.dt_ns' must not exceed %.4g ns, the largest step that %r"
-                         " allows, got %s" % (dt_max_s * 1e9, _GRID_RULE_KEYS[rule],
-                                              cfg["storage.dt_ns"]))
+        keys = ", ".join(map(repr, _GRID_RULE_KEYS[rule]))
+        raise ValueError("'storage.dt_ns' must not exceed %.4g ns, the largest step"
+                         " allowed by %s, got %s" % (dt_max_s * 1e9, keys,
+                                                     cfg["storage.dt_ns"]))
     return probe, grid, scheme
 
 
@@ -290,11 +278,6 @@ def _run_storage(cfg, seed, with_target: bool):
     control = _storage_control(cfg, cfg["storage.dark_ns"])
     result = propagate_pulse(probe, control, cfg["storage.od"], scheme, grid)
     efficiency = min(result.retrieval_efficiency, 1.0)
-    for key, mean in (("probe.photons", cfg["probe.photons"] * efficiency),
-                      ("counting.background", cfg["counting.background"])):
-        if mean > MAX_MEAN:
-            raise ValueError("config key %r gives %.6g counts per window, above the"
-                             " limit of %g, got %s" % (key, mean, MAX_MEAN, cfg[key]))
     counting = CountingModel(
         mean_photons_in=cfg["probe.photons"],
         efficiency=efficiency,

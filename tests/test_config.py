@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 
 from fibermem import config
 from fibermem.cli import entry
-from fibermem.config import (
-    DEFAULTS, FINITE, GE0, GT0, GT1, HALF_TURN, config_digest, load_config,
-    render_config, set_key,
-)
+from fibermem.config import DEFAULTS, config_digest, load_config, render_config, set_key
 
 FLOAT_KEYS = sorted(k for k, v in DEFAULTS.items() if isinstance(v, float))
 INT_KEYS = sorted(
@@ -28,47 +25,36 @@ POWERS = "spectroscopy.powers_mW"  # the one key with a list domain
 
 def inside(key):
     """Values of key's type that lie in its domain."""
-    domain = DOMAINS[key]
-    if domain == GT0:
-        return st.floats(min_value=0.0, exclude_min=True, **REAL)
-    if domain == GE0:
-        return st.floats(min_value=0.0, **REAL)
-    if domain == FINITE:
-        return st.floats(**REAL)
-    if domain == GT1:
-        return st.floats(min_value=1.0, exclude_min=True, **REAL)
-    if domain == HALF_TURN:
-        return st.floats(min_value=0.0, max_value=180.0, exclude_max=True)
-    lo, hi = domain
+    lo, hi = DOMAINS[key]
+    if isinstance(lo, float):
+        return st.floats(min_value=lo, max_value=hi)
     return st.integers(min_value=lo, max_value=hi)
+
+
+def beyond(lo, hi):
+    """Finite floats outside the inclusive range lo..hi."""
+    return st.one_of(st.floats(max_value=math.nextafter(lo, -math.inf), **REAL),
+                     st.floats(min_value=math.nextafter(hi, math.inf), **REAL))
 
 
 def outside(key):
     """Text that set_key coerces to a value outside key's domain."""
     domain = DOMAINS[key]
-    if domain == GT0:
-        return st.floats(max_value=0.0, **REAL).map(repr)
-    if domain == GE0:
-        return st.floats(max_value=0.0, exclude_max=True, **REAL).map(repr)
-    if domain == FINITE:
-        return st.sampled_from(["nan", "inf", "-inf", "1e999"])
-    if domain == GT1:
-        return st.floats(max_value=1.0, **REAL).map(repr)
-    if domain == HALF_TURN:
-        return st.one_of(st.floats(max_value=0.0, exclude_max=True, **REAL),
-                         st.floats(min_value=180.0, **REAL)).map(repr)
     if isinstance(domain, list):
         return refused_list()
     if isinstance(domain[0], str):
         return st.text(alphabet=KEY_ALPHABET).filter(lambda t: t not in domain)
     lo, hi = domain
+    if isinstance(lo, float):
+        return beyond(lo, hi).map(repr)
     return st.one_of(st.integers(max_value=lo - 1),
                      st.integers(min_value=hi + 1)).map(str)
 
 
 def accepted_list():
-    """Nonempty lists of finite nonnegative floats, distinct under %g."""
-    return st.lists(st.floats(min_value=0.0, **REAL), min_size=1, max_size=6,
+    """Nonempty lists of floats in the list key's range, distinct under %g."""
+    lo, hi = DOMAINS[POWERS][0]
+    return st.lists(st.floats(min_value=lo, max_value=hi), min_size=1, max_size=6,
                     unique_by=lambda v: "%g" % v)
 
 
@@ -78,9 +64,9 @@ def list_text(values, gaps):
 
 
 def refused_list():
-    """Comma-list text that parses to a list outside the [GE0] domain:
-    a negative or non-finite entry, a %g repeat, or no entries."""
-    bad_entry = st.one_of(st.floats(max_value=0.0, exclude_max=True, **REAL),
+    """Comma-list text that parses to a list outside the list key's domain:
+    an entry out of range or non-finite, a %g repeat, or no entries."""
+    bad_entry = st.one_of(beyond(*DOMAINS[POWERS][0]),
                           st.sampled_from([math.nan, math.inf, -math.inf]))
     with_bad = st.tuples(accepted_list(), bad_entry, st.integers(0, 6)).map(
         lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])

@@ -95,6 +95,8 @@ class TestSimulation:
             counting.CountingModel(efficiency=1.5)
         with pytest.raises(ValueError):
             counting.CountingModel(n_shots=0)
+        with pytest.raises(ValueError, match="exceeds the limit of %d" % counting.MAX_SHOTS):
+            counting.CountingModel(n_shots=counting.MAX_SHOTS + 1)
 
     def test_mean_past_the_poisson_limit_refused_by_field(self):
         with pytest.raises(ValueError, match="mean_photons_in \\* efficiency"):

@@ -103,6 +103,12 @@ def test_efficiency_decay_values():
     )
 
 
+def test_efficiency_decay_refuses_nonpositive_time_constant():
+    for taus in ((0.0, 3.7e-6), (5.5e-6, -1.0)):
+        with pytest.raises(ValueError, match="time constants must be positive"):
+            efficiency_decay(1e-6, *taus)
+
+
 def test_efficiency_decay_refuses_negative_time():
     # decay_law is a bare formula; the public curve checks the data
     with pytest.raises(ValueError, match="t_s must be nonnegative"):
@@ -158,6 +164,9 @@ def test_half_larmor_period():
     assert p04 == pytest.approx(3.57e-6, rel=0.05)
     assert p06 == pytest.approx(2.38e-6, rel=0.05)
     assert half_larmor_period(0.8e-4) == pytest.approx(0.5 * p04, rel=1e-12)
+    for b_field_T in (0.0, -0.4e-4):
+        with pytest.raises(ValueError, match="b_field_T must be positive"):
+            half_larmor_period(b_field_T)
 
 
 def test_params_derivation():

@@ -223,6 +223,15 @@ class TestSusceptibility:
 
 
 class TestGroupDelay:
+    def test_rejects_nonpositive_od_length_and_rabi(self):
+        sch = default_scheme()
+        om = eit.rabi_from_power(1e-3)
+        for od, length_m in ((0.0, 5e-3), (3.0, 0.0)):
+            with pytest.raises(ValueError, match="od and length_m must be positive"):
+                eit.group_delay(od, sch, om, length_m)
+        with pytest.raises(ValueError, match="omega_c_rad_per_s must be positive"):
+            eit.group_delay(3.0, sch, np.array([om, 0.0]))
+
     def test_window_closed_warns(self):
         sch = default_scheme()
         with pytest.warns(UserWarning):
@@ -399,6 +408,14 @@ class TestPropagation:
         ctrl = eit.ControlField(eit.rabi_from_power(2e-3), 315e-9, 345e-9, 10e-9)
         grid = eit.PropagationGrid(1.4e-6, 0.5e-9, 50)
         with pytest.raises(ValueError, match="too small to normalize"):
+            eit.propagate_pulse(probe, ctrl, 10.0, default_scheme(), grid)
+
+    def test_probe_off_the_grid_refused(self):
+        # a square pulse that ends before the grid starts has no sample on it
+        probe = eit.ProbePulse(0.6, 60e-9, "square", 0.0, -5e-6)
+        ctrl = eit.ControlField(eit.rabi_from_power(2e-3), 315e-9, 345e-9, 10e-9)
+        grid = eit.PropagationGrid(1.4e-6, 0.5e-9, 50)
+        with pytest.raises(ValueError, match="probe pulse has no support on the grid"):
             eit.propagate_pulse(probe, ctrl, 10.0, default_scheme(), grid)
 
     def test_probe_with_too_few_photons_refused(self):

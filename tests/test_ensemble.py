@@ -146,6 +146,13 @@ def test_lorentzian_transmission_values():
     assert lorentzian_transmission(1e12, 3.0, GAMMA) == pytest.approx(1.0, abs=1e-4)
 
 
+def test_lorentzian_transmission_overflowing_wings_without_warning():
+    # (2 delta/Gamma)^2 past the float range is the T = 1 limit
+    wings = lorentzian_transmission(np.array([-1e300, 1e300]), 3.0, GAMMA)
+    assert wings.tolist() == [1.0, 1.0]
+    assert lorentzian_transmission(1e8, 3.0, 5e-324) == 1.0
+
+
 def test_lorentzian_transmission_even_minimum_on_resonance():
     d = np.linspace(-1e8, 1e8, 201)
     t = lorentzian_transmission(d, 3.0, GAMMA)

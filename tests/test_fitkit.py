@@ -77,6 +77,10 @@ class TestProblemValidation:
             fitkit.fit("lorentzian_od", clean_rows("lorentzian_od"),
                        initial_guess=(2e3, 2 * math.pi * 6e6))
 
+    def test_guess_length_mismatch(self):
+        with pytest.raises(ValueError, match="initial_guess length mismatch"):
+            fitkit.fit("lorentzian_od", clean_rows("lorentzian_od"), initial_guess=(3.0,))
+
     def test_unknown_frozen_name(self):
         with pytest.raises(ValueError):
             fitkit.fit("lorentzian_od", clean_rows("lorentzian_od"),
@@ -219,6 +223,13 @@ class TestFitContract:
         assert res.parameters[1] == guess[1]
         assert res.parameters[0] == pytest.approx(3.0, rel=1e-8)
         assert res.covariance[1, 1] == 0.0
+
+    def test_every_parameter_frozen_returns_the_guess(self):
+        guess = (1.5, 2 * math.pi * 6.8e6)
+        res = fitkit.fit("lorentzian_od", clean_rows("lorentzian_od"), initial_guess=guess,
+                         frozen=frozenset({"od", "gamma_rad_per_s"}))
+        assert res.converged and tuple(res.parameters) == guess
+        assert not res.covariance.any() and not res.unidentifiable
 
     def test_max_iteration_cap_returns_unconverged(self, monkeypatch):
         monkeypatch.setattr(fitkit, "_MAX_ITER", 1)
