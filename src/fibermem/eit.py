@@ -44,6 +44,13 @@ by the same two batched products per time step, at most MAX_BATCH_ROWS
 rows at a time, so a sweep is one call.  Rows that share row 0's od and
 Rabi samples up to some step, as a dark-time sweep does until its
 shortest dark interval ends, are stepped as one row until then.
+
+A span stepped as one row multiplies 2-D views with np.dot; a batched
+span multiplies 3-D views with np.matmul.  At n_z 80-400 a 1x5 or 3x5
+product took 0.6-1.6 us through np.dot and 1.1-2.2 us through the
+matmul gufunc, whose dispatch is the difference (NumPy 2.4, OpenBLAS
+0.3.31, one Intel Xeon core).  Both hand each row's product to the same
+BLAS routine, so a batched row equals its single-row call bit for bit.
 """
 
 from __future__ import annotations
@@ -514,35 +521,40 @@ def _propagate_rows(probe, controls, ods, scheme, grid, t, e_in, in_flux):
     # before each span, and a step's matrices and output slot come from
     # iterating the step arrays, so the loop body is seven NumPy calls that
     # build no view.  The real step matrices multiply float views of the
-    # complex state, in which each slice is its (real, imaginary) pair.
-    # Both field sweeps start at 0, so W~[:, 0] stays 0 and only the
+    # complex state, in which each slice is its (real, imaginary) pair.  A
+    # span of one row indexes the row axis away, so its views are 2-D and
+    # np.dot multiplies them; a batched span keeps np.matmul, about 0.5 us
+    # slower a call, with the same BLAS routine and bits (module docstring).
+    # Both field sweeps start at 0, so W~[..., 0] stays 0 and only the
     # running sum of the pairwise sums f (p[j] + p[j+1]) is written
     out_e = np.zeros((n_rows, nt), dtype=complex)
-    add, matmul, accumulate = np.add, np.matmul, np.add.accumulate
+    add, accumulate = np.add, np.add.accumulate
     lo, old = 0, None
     for hi, m in ((shared, 1), (n_steps, n_rows)):
         states = np.zeros((2, 6, m, nz + 1), dtype=complex)
         states[:, 4], states[:, 5] = 1.0, 1j
         if old is not None:
             states[0] = old[0]  # the shared row's state, one copy per row
-        old, new = [(s, s[1:].transpose(1, 0, 2).view(float),
-                     s[:3].transpose(1, 0, 2).view(float), s[0, :, 1:],
-                     s[0, :, :-1], s[3, :, 1:], s[3, :, -1]) for s in states]
-        q = np.empty((m, 1, nz + 1), dtype=complex)
-        q_f, q_hi, q_lo = q.view(float), q[:, 0, 1:], q[:, 0, :-1]
-        pairs = np.empty((m, nz), dtype=complex)
-        steps = zip(pred[lo:hi, :m], corr[lo:hi, :m],
+        row, mul = (0, np.dot) if m == 1 else (slice(None), np.matmul)
+        views = [(s, s.transpose(1, 0, 2)[row]) for s in states]
+        old, new = [(s, v[..., 1:, :].view(float), v[..., :3, :].view(float),
+                     v[..., 0, 1:], v[..., 0, :-1], v[..., 3, 1:], s[3, :, -1])
+                    for s, v in views]
+        q = np.empty((m, 1, nz + 1), dtype=complex)[row]
+        q_f, q_hi, q_lo = q.view(float), q[..., 0, 1:], q[..., 0, :-1]
+        pairs = np.empty((m, nz), dtype=complex)[row]
+        steps = zip(pred[lo:hi, row], corr[lo:hi, row],
                     out_e.T[start + 1 + lo:start + 1 + hi])
         for pr, co, out_n in steps:
             psw, w = old[1], old[5]
             _, _, fps, fp_hi, fp_lo, w_new, e_out = new
             # f p and the predicted f p, whose sweep moves W~ to the corrector's
-            matmul(pr, psw, q_f)
+            mul(pr, psw, q_f)
             add(q_hi, q_lo, pairs)
-            accumulate(pairs, 1, None, w)
-            matmul(co, psw, fps)
+            accumulate(pairs, -1, None, w)
+            mul(co, psw, fps)
             add(fp_hi, fp_lo, pairs)
-            accumulate(pairs, 1, None, w_new)
+            accumulate(pairs, -1, None, w_new)
             out_n[...] = e_out
             old, new = new, old
         lo = hi

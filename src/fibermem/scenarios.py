@@ -48,7 +48,7 @@ from .eit import (
 )
 from .ensemble import lorentzian_transmission, saturation_transmission
 from .fitkit import MODELS, fit
-from .waveguide import surface_intensity_scan
+from .waveguide import FiberSpec, surface_intensity_scan
 
 MHZ = 2.0 * math.pi * 1e6  # detunings quoted as frequencies
 
@@ -394,12 +394,21 @@ def _run_magnetic(cfg, seed, field_key: str):
     return cols, summary
 
 
+# largest V number a mode scan may reach: the mode solver's (J1(u)/K1(w))^2
+# overflows from V = 344.7 (852 nm at core index 1.4525, 780 nm at 1.44)
+MAX_MODE_V = 320.0
+
+
 def _run_mode_scan(cfg, seed):
     """Surface intensity against fiber diameter at one watt guided."""
     d_nm = _sweep(cfg, "scan.diameter_%s_nm")
-    scan = surface_intensity_scan(
-        cfg["fiber.wavelength_nm"] * 1e-9, d_nm * 1e-9, cfg["fiber.core_index"]
-    )
+    wavelength_m, core = cfg["fiber.wavelength_nm"] * 1e-9, cfg["fiber.core_index"]
+    v = FiberSpec(0.5e-9 * d_nm[-1], wavelength_m, core).v_number
+    if v > MAX_MODE_V:
+        raise ValueError("'scan.diameter_max_nm', 'fiber.wavelength_nm' and"
+                         " 'fiber.core_index' give the largest diameter V = %.4g,"
+                         " past the mode solver's limit of %g" % (v, MAX_MODE_V))
+    scan = surface_intensity_scan(wavelength_m, d_nm * 1e-9, core)
     i_max = int(np.argmax(scan.surface_intensity_w_m2))
     summary = {
         "argmax_diameter_nm": float(scan.diameters_m[i_max]) * 1e9,

@@ -664,14 +664,16 @@ def test_constant_control_matches_transfer_function(od, bound, detuning_MHz):
     assert coarse / fine == pytest.approx(4.0, rel=0.1)
 
 
-def short_rows(darks_ns, powers_mW=(2.0,), t_stop_ns=700):
-    """Probe, one control per (dark, power) pair, scheme and a short grid."""
+def short_rows(darks_ns, powers_mW=(2.0,), t_stop_ns=700, **overrides):
+    """Probe, one control per (dark, power) pair, scheme and a short grid;
+    overrides are further config keys and values."""
     controls = []
     for dark in darks_ns:
         for power in powers_mW:
             probe, ctrl, _, sch, grid = storage_setup(
                 1.0, **{"storage.n_z": 50, "storage.t_stop_ns": t_stop_ns,
-                        "storage.dark_ns": dark, "control.power_mW": power})
+                        "storage.dark_ns": dark, "control.power_mW": power,
+                        **overrides})
             controls.append(ctrl)
     return probe, controls, sch, grid
 
@@ -744,14 +746,18 @@ class TestBatchedPropagation:
 
     # a shared span: identical rows share the whole grid, a dark-time sweep
     # shares it until its shortest dark interval ends, rows of distinct od
-    # share none of it; about 0.2 s
-    @pytest.mark.parametrize("darks, ods", [
-        ([60.0] * 3, 10.0),
-        ((20.0, 60.0, 150.0), 10.0),
-        ([60.0] * 3, [3.0, 5.0, 12.0]),
-    ], ids=["identical", "dark-times", "ods"])
-    def test_shared_span_rows_bit_identical(self, darks, ods):
-        probe, controls, sch, grid = short_rows(darks)
+    # share none of it.  A single row steps by np.dot, a batch by np.matmul:
+    # the detuned case fills both float columns of every slice and takes a
+    # wider BLAS panel at 227 slices.  About 0.25 s, the detuned case 0.07 s
+    @pytest.mark.parametrize("darks, ods, overrides", [
+        ([60.0] * 3, 10.0, {}),
+        ((20.0, 60.0, 150.0), 10.0, {}),
+        ([60.0] * 3, [3.0, 5.0, 12.0], {}),
+        ((20.0, 60.0, 150.0), 10.0,
+         {"storage.n_z": 227, "probe.detuning_MHz": 1.0}),
+    ], ids=["identical", "dark-times", "ods", "dark-times-detuned-227-slices"])
+    def test_shared_span_rows_bit_identical(self, darks, ods, overrides):
+        probe, controls, sch, grid = short_rows(darks, **overrides)
         rows = eit.propagate_pulse(probe, controls, ods, sch, grid)
         for row, ctrl, od in zip(rows, controls, np.broadcast_to(ods, len(rows))):
             ref = eit.propagate_pulse(probe, ctrl, float(od), sch, grid)

@@ -1152,6 +1152,43 @@ class TestCli:
             assert entry(["fit", "lorentzian_od", "--data", str(out)]) == 0
         assert "od = 3 +/-" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("wavelength_nm, core_index", [
+        (852.0, 1.4525), (780.0, 1.44), (1064.0, 2.0), (852.0, 1.01)])
+    def test_mode_scan_past_the_v_limit_refused_naming_the_keys(
+            self, tmp_path, capsys, wavelength_nm, core_index):
+        # the mode solver's (J1(u)/K1(w))^2 overflows from V = 344.7: a
+        # one-diameter scan just under MAX_MODE_V runs clean, one just over
+        # it is refused before solving.  Under 0.1 s
+        out = tmp_path / "x.csv"
+        d_nm = (scenarios.MAX_MODE_V * wavelength_nm
+                / (math.pi * math.sqrt(core_index * core_index - 1.0)))
+        for scale, rc in ((0.999, 0), (1.001, 2)):
+            d = "%r" % (scale * d_nm)
+            assert entry(["sim", "mode_scan", "--out", str(out),
+                          "--set", "fiber.wavelength_nm=%r" % wavelength_nm,
+                          "--set", "fiber.core_index=%r" % core_index,
+                          "--set", "scan.diameter_min_nm=" + d,
+                          "--set", "scan.diameter_max_nm=" + d]) == rc
+        assert np.isfinite(read_csv(out)[2]).all()
+        err = capsys.readouterr().err
+        for key in ("scan.diameter_max_nm", "fiber.wavelength_nm", "fiber.core_index"):
+            assert "%r" % key in err
+
+    def test_thick_fiber_refused_and_single_key_extremes_run(self, tmp_path, capsys):
+        # a 100 um fiber (V = 388) printed overflow warnings and exited 3
+        # naming a CSV column; the default scan at the largest core index
+        # (V = 295.0) and the shortest wavelength (V = 264.7) stays under
+        # the limit
+        out = tmp_path / "x.csv"
+        assert entry(["sim", "mode_scan", "--out", str(out),
+                      "--set", "scan.diameter_min_nm=1e5",
+                      "--set", "scan.diameter_max_nm=1e5"]) == 2
+        assert "past the mode solver's limit" in capsys.readouterr().err
+        assert not out.exists()
+        for item in ("fiber.core_index=100", "fiber.wavelength_nm=10"):
+            assert entry(["sim", "mode_scan", "--out", str(out), "--set", item]) == 0
+            assert np.isfinite(read_csv(out)[2]).all()
+
     @pytest.mark.parametrize("key", ["probe.photons", "counting.background"])
     def test_poisson_mean_past_the_limit_refused_naming_the_key(self, tmp_path, capsys,
                                                                 key):
